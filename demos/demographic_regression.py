@@ -4,16 +4,15 @@ gen_regression_cities draws city demographics inside realistic ranges and
 sets ln(driving_snaps + 1) from a known linear model plus Gaussian noise,
 so the fit below should land each coefficient within a few standard
 errors of its planted value. Also demonstrates the per-term
-likelihood-ratio tests and a Welch t-test split.
+likelihood-ratio tests.
 
 Run: python demos/demographic_regression.py [--seed N] [--sigma S]
 """
 
 import argparse
-import math
 
 from snapgrid import synth
-from snapgrid.regression import regression_report, welch_t
+from snapgrid.regression import regression_report
 
 
 def main():
@@ -37,20 +36,6 @@ def main():
 
     worst = max(abs(t.coef - planted[t.term]) / t.std_error for t in report.terms)
     print(f"\nlargest |coef - planted| / SE: {worst:.2f} (3 would be suspicious)")
-
-    # Split the outcome by the developing-country indicator and compare means.
-    y_dev = [math.log(c.driving_snaps + 1.0) for c in cities if c.developing]
-    y_ind = [math.log(c.driving_snaps + 1.0) for c in cities if not c.developing]
-    w = welch_t(y_dev, y_ind)
-    print(
-        f"\nWelch t-test, ln(DS+1) developing vs not: "
-        f"t = {w.t_value:.2f}, df = {w.df:.1f}, p = {w.p_value:.3g} "
-        f"(means {w.mean_a:.2f} vs {w.mean_b:.2f})"
-    )
-    print(
-        "The raw split ignores every other covariate, so its verdict can"
-        "\ndiffer from the adjusted coefficient above."
-    )
 
 
 if __name__ == "__main__":

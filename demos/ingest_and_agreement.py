@@ -1,8 +1,8 @@
-"""Raw records in, trustworthy labels out: parsing, crawling windows, kappa.
+"""Raw records in, trustworthy labels out: parsing, deletions, kappa.
 
 Walks the data-quality half of the pipeline on a small hand-made stream:
-tolerant JSONL parsing with line-numbered failures, deletion tracking
-between crawl epochs, and inter-rater agreement with 2-of-3 adjudication.
+tolerant JSONL parsing with line-numbered failures, deletion tracking,
+and inter-rater agreement with 2-of-3 adjudication.
 
 Run: python demos/ingest_and_agreement.py
 """
@@ -13,22 +13,13 @@ from snapgrid.annotation import adjudicate, fleiss_kappa, matrix_from_long
 from snapgrid.records import (
     DRIVING,
     NON_DRIVING,
-    CollectionWindow,
-    crawl_plan,
     deletion_summary,
     filter_active,
-    format_rfc3339,
     parse_snaps,
 )
 
 
 def main():
-    # An 8-hour crawl cadence over two days gives seven revisit epochs.
-    window = CollectionWindow.from_rfc3339("2025-03-03T00:00:00Z", "2025-03-05T00:00:00Z")
-    plan = crawl_plan(window, city_id="nyc")
-    print(f"crawl epochs over 48h: {len(plan.epochs)}")
-    print("  " + ", ".join(format_rfc3339(e) for e in plan.epochs[:4]) + ", ...")
-
     # A raw stream with two corrupt lines. Parsing never throws for bad
     # lines; it reports them with their line numbers instead.
     good = {
@@ -45,13 +36,13 @@ def main():
         json.dumps({**good, "id": "nyc-000004", "label": "non_driving"}),
     ]
     records, failures = parse_snaps(lines, format="jsonl")
-    print(f"\nparsed {len(records)} records, {len(failures)} failures:")
+    print(f"parsed {len(records)} records, {len(failures)} failures:")
     for f in failures:
         print(f"  line {f.line_number}: {f.message}")
 
     summary = deletion_summary(records)
     active = filter_active(records)
-    print(f"deleted between crawls: {summary.deleted}/{summary.total} ({summary.rate_pct:.1f}%)")
+    print(f"flagged deleted: {summary.deleted}/{summary.total} ({summary.rate_pct:.1f}%)")
     print(f"active records kept: {[r.id for r in active]}")
 
     # Three raters, four items, one lone disagreement on the last item.

@@ -13,8 +13,6 @@ from .geo import GeoPoint, Region, TileGrid, TileIndex, build_grid, locate, poin
 from .records import (
     DRIVING,
     NON_DRIVING,
-    CityRegion,
-    CollectionWindow,
     SnapRecord,
     parse_snaps,
     write_snaps,
@@ -26,8 +24,6 @@ from .voting import (
     classify_scores,
     evaluate,
     extent,
-    reference_scorer,
-    sample_frame_indices,
 )
 from .spatial import FittedDistribution, compare_fits, fit_mle, tile_counts
 from .temporal import (
@@ -43,7 +39,7 @@ from .temporal import (
     week_vector,
     week_vectors,
 )
-from .regression import CityStats, lr_test, ols_fit, regression_report, welch_t
+from .regression import CityStats, lr_test, ols_fit, regression_report
 from .synth import SynthSpec, default_spec, gen_corpus, gen_regression_cities
 
 __version__ = "0.1.0"
@@ -59,8 +55,6 @@ __all__ = [
     "point_in_polygon",
     "DRIVING",
     "NON_DRIVING",
-    "CityRegion",
-    "CollectionWindow",
     "SnapRecord",
     "parse_snaps",
     "write_snaps",
@@ -73,8 +67,6 @@ __all__ = [
     "classify_scores",
     "evaluate",
     "extent",
-    "reference_scorer",
-    "sample_frame_indices",
     "FittedDistribution",
     "compare_fits",
     "fit_mle",
@@ -94,7 +86,6 @@ __all__ = [
     "lr_test",
     "ols_fit",
     "regression_report",
-    "welch_t",
     "SynthSpec",
     "default_spec",
     "gen_corpus",

@@ -17,8 +17,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import annotation, records, regression, spatial, synth, temporal, voting
-from .errors import ConfigError, SnapGridError
+from .errors import ConfigError, CorruptInputError, SnapGridError
 from .geo import Region, build_grid
 
 DEFAULT_CONFIG = {
@@ -43,28 +42,33 @@ DEFAULT_CONFIG = {
 # small utilities
 
 
-def _atomic_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+def _atomic_write(path: Path, write) -> None:
+    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it over ``path``.
+
+    The temp name carries the process id, so concurrent runs never share
+    one. If writing fails, the temp file is removed and ``path`` keeps its
+    previous contents.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path: Path, text: str) -> None:
+    _atomic_write(path, lambda tmp: tmp.write_bytes(text.encode()))
 
 
 def _write_json(path: Path, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    _atomic_bytes(path, text.encode())
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path: Path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def _map_jobs(fn, items, jobs: int):
-    """Apply fn over items, optionally threaded; result order always matches input."""
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -115,25 +119,26 @@ def _city_regions(cfg: dict) -> dict[str, tuple[Region, str]]:
 
 def _voting_rule(cfg: dict, rule: Optional[str], threshold: Optional[int]) -> voting.VotingRule:
     name = rule or cfg["voting"].get("rule", "majority")
-    pct = threshold if threshold is not None else cfg["voting"].get("threshold_pct")
-    if name == "single":
-        return voting.VotingRule.single()
-    if name == "majority":
-        return voting.VotingRule.majority()
-    if name == "threshold":
-        if pct is None:
-            raise ConfigError("threshold rule needs --threshold or voting.threshold_pct")
-        return voting.VotingRule.threshold(int(pct))
-    raise ConfigError(f"unknown voting rule {name!r}")
+    pct = threshold
+    if pct is None and name == "threshold":
+        pct = cfg["voting"].get("threshold_pct")
+    try:
+        return voting.VotingRule(name, pct)
+    except ValueError as exc:
+        raise ConfigError(f"bad voting rule: {exc}")
 
 
-def _load_labeled(out_dir: Path, cfg: dict) -> list[records.SnapRecord]:
-    path = out_dir / "labeled.jsonl"
+def _load_intermediate(out_dir: Path, name: str, stage: str) -> list[records.SnapRecord]:
+    """Records of the JSONL file ``name`` that ``stage`` writes into ``out_dir``."""
+    path = out_dir / name
     if not path.exists():
-        raise ConfigError(f"{path} not found; run the classify stage first")
-    recs, failures = records.parse_snaps(path, format="jsonl")
-    if failures:
-        raise ConfigError(f"{path} is corrupt: {failures[0].message}")
+        raise ConfigError(f"{path} not found; run the {stage} stage first")
+    try:
+        recs, failures = records.parse_snaps(path, format="jsonl")
+        if failures:
+            raise CorruptInputError(f"line {failures[0].line_number}: {failures[0].message}")
+    except CorruptInputError as exc:
+        raise ConfigError(f"{path} is corrupt ({exc}); re-run the {stage} stage")
     return recs
 
 
@@ -155,22 +160,18 @@ def cmd_synth(args) -> int:
     spec = synth.default_spec(args.seed, n_cities=args.cities, n_records=args.records)
     corpus, grids = synth.gen_corpus(spec)
 
-    tmp = out_dir / "snaps.jsonl.tmp"
-    records.write_snaps(corpus, tmp, format="jsonl")
-    os.replace(tmp, out_dir / "snaps.jsonl")
+    _atomic_write(out_dir / "snaps.jsonl", lambda tmp: records.write_snaps(corpus, tmp, format="jsonl"))
 
     sample = [r for r in corpus if int(r.id.rsplit("-", 1)[1]) < args.annotated]
     rows = synth.gen_annotations(sample, flip_prob=args.flip_prob, seed=spec.seed)
     lines = ["item_id,rater_id,category"] + [",".join(row) for row in rows]
-    _atomic_bytes(out_dir / "annotations.csv", ("\n".join(lines) + "\n").encode())
+    _write_text(out_dir / "annotations.csv", "\n".join(lines) + "\n")
 
     stats = synth.gen_regression_cities(130, seed=spec.seed, noise_sigma=args.reg_sigma)
-    tmp = out_dir / "city_stats.csv.tmp"
-    regression.write_city_stats(stats, tmp)
-    os.replace(tmp, out_dir / "city_stats.csv")
+    _atomic_write(out_dir / "city_stats.csv", lambda tmp: regression.write_city_stats(stats, tmp))
 
     manifest = synth.build_manifest(spec, regression_sigma=args.reg_sigma)
-    synth.write_manifest(manifest, out_dir / "manifest.json")
+    _atomic_write(out_dir / "manifest.json", lambda tmp: synth.write_manifest(manifest, tmp))
 
     pipeline = {
         "seed": spec.seed,
@@ -189,9 +190,7 @@ def cmd_synth(args) -> int:
             for c in spec.cities
         },
     }
-    _atomic_bytes(
-        out_dir / "pipeline.yaml", yaml.safe_dump(pipeline, sort_keys=True).encode()
-    )
+    _write_text(out_dir / "pipeline.yaml", yaml.safe_dump(pipeline, sort_keys=True))
     print(
         f"synth: {len(corpus)} records across {len(spec.cities)} cities "
         f"-> {out_dir / 'snaps.jsonl'}"
@@ -206,9 +205,7 @@ def cmd_grid(args) -> int:
     summary = {}
     for city_id, (region, _tz) in _city_regions(cfg).items():
         grid = build_grid(region, cfg["tile_size_m"])
-        tmp = out_dir / f"grid_{city_id}.csv.tmp"
-        grid.write_csv(tmp)
-        os.replace(tmp, out_dir / f"grid_{city_id}.csv")
+        _atomic_write(out_dir / f"grid_{city_id}.csv", grid.write_csv)
         summary[city_id] = {
             "n_rows": grid.n_rows,
             "n_cols": grid.n_cols,
@@ -227,9 +224,7 @@ def cmd_ingest(args) -> int:
     recs, failures = records.parse_snaps(_config_path(cfg, "snaps"), format=args.format)
     summary = records.deletion_summary(recs)
     active = records.filter_active(recs)
-    tmp = out_dir / "cleaned.jsonl.tmp"
-    records.write_snaps(active, tmp, format="jsonl")
-    os.replace(tmp, out_dir / "cleaned.jsonl")
+    _atomic_write(out_dir / "cleaned.jsonl", lambda tmp: records.write_snaps(active, tmp, format="jsonl"))
     _write_json(
         out_dir / "ingest.json",
         {
@@ -256,7 +251,7 @@ def cmd_annotate(args) -> int:
     kappa = annotation.fleiss_kappa(matrix)
     labels = annotation.adjudicate(matrix, positive_category=records.DRIVING)
     lines = ["item_id,label,support"] + [f"{g.item_id},{g.label},{g.support}" for g in labels]
-    _atomic_bytes(out_dir / "labels.csv", ("\n".join(lines) + "\n").encode())
+    _write_text(out_dir / "labels.csv", "\n".join(lines) + "\n")
     positive = sum(1 for g in labels if g.label == records.DRIVING)
     _write_json(
         out_dir / "annotation.json",
@@ -278,32 +273,13 @@ def cmd_classify(args) -> int:
     rule = _voting_rule(cfg, args.rule, args.threshold)
     cutoff = float(cfg["voting"].get("cutoff", 0.5))
 
-    cleaned = out_dir / "cleaned.jsonl"
-    if cleaned.exists():
-        recs, _ = records.parse_snaps(cleaned, format="jsonl")
-    else:
-        recs, _ = records.parse_snaps(_config_path(cfg, "snaps"), format="jsonl")
-        recs = records.filter_active(recs)
-
+    recs = _load_intermediate(out_dir, "cleaned.jsonl", "ingest")
     scored = [r for r in recs if r.frame_scores]
-
-    def classify_one(rec):
-        label = voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff)
-        return records.SnapRecord(
-            id=rec.id,
-            ts_utc=rec.ts_utc,
-            location=rec.location,
-            city_id=rec.city_id,
-            duration_s=rec.duration_s,
-            frame_scores=rec.frame_scores,
-            label=label,
-            deleted=rec.deleted,
-        )
-
-    labeled = _map_jobs(classify_one, scored, args.jobs)
-    tmp = out_dir / "labeled.jsonl.tmp"
-    records.write_snaps(labeled, tmp, format="jsonl")
-    os.replace(tmp, out_dir / "labeled.jsonl")
+    labeled = [
+        replace(rec, label=voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff))
+        for rec in scored
+    ]
+    _atomic_write(out_dir / "labeled.jsonl", lambda tmp: records.write_snaps(labeled, tmp, format="jsonl"))
 
     out = {
         "rule": rule.kind,
@@ -326,7 +302,7 @@ def cmd_extent(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out_dir or cfg["_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    recs = _load_labeled(out_dir, cfg)
+    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
     report = voting.extent(recs)
     _write_json(
         out_dir / "extent.json",
@@ -344,7 +320,7 @@ def cmd_spatial(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out_dir or cfg["_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    recs = _load_labeled(out_dir, cfg)
+    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
     regions = _city_regions(cfg)
     by_city: dict[str, list] = {c: [] for c in regions}
     for rec in recs:
@@ -360,20 +336,21 @@ def cmd_spatial(args) -> int:
         )
         total = spatial.tile_counts(city_recs, grid, city_id)
         comp = spatial.compare_fits(driving.positive_counts, city_id)
-        tmp = out_dir / f"heatmap_{city_id}.csv.tmp"
-        spatial.heatmap_export(grid, driving, total, tmp)
-        os.replace(tmp, out_dir / f"heatmap_{city_id}.csv")
+        _atomic_write(
+            out_dir / f"heatmap_{city_id}.csv",
+            lambda tmp: spatial.heatmap_export(grid, driving, total, tmp),
+        )
         return comp
 
-    comparisons = _map_jobs(fit_city, sorted(regions), args.jobs)
+    comparisons = [fit_city(c) for c in sorted(regions)]
+    wins = spatial.concentration_summary(comparisons)
     _write_json(
         out_dir / "spatial.json",
         {
             "cities": {c.city_id: spatial.comparison_to_dict(c) for c in comparisons},
-            "bic_win_pct": spatial.concentration_summary(comparisons),
+            "bic_win_pct": wins,
         },
     )
-    wins = spatial.concentration_summary(comparisons)
     top = max(wins, key=wins.get)
     print(f"spatial: {len(comparisons)} cities fit; {top} wins {wins[top]:.0f}% by BIC")
     return 0
@@ -383,7 +360,7 @@ def cmd_temporal(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out_dir or cfg["_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    recs = _load_labeled(out_dir, cfg)
+    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
     regions = _city_regions(cfg)
     window = temporal.NightWindow(**cfg["night_window"])
     driving = _driving_by_city(recs)
@@ -398,7 +375,7 @@ def cmd_temporal(args) -> int:
             "profile": profile.counts.tolist(),
             "night_uplift_pct": temporal.night_uplift(profile, window),
         }
-    pooled_profile = temporal.HourlyProfile(city_id="_pooled", counts=pooled)
+    uplift = temporal.night_uplift(temporal.HourlyProfile(city_id="_pooled", counts=pooled), window)
     correlations = {
         city_id: temporal.pearson(per_city[city_id]["profile"], pooled)
         for city_id in per_city
@@ -409,13 +386,12 @@ def cmd_temporal(args) -> int:
             "per_city": per_city,
             "pooled": {
                 "profile": pooled.tolist(),
-                "night_uplift_pct": temporal.night_uplift(pooled_profile, window),
+                "night_uplift_pct": uplift,
             },
             "correlation_with_pooled": correlations,
             "night_window": {"start_hour": window.start_hour, "end_hour": window.end_hour},
         },
     )
-    uplift = temporal.night_uplift(pooled_profile, window)
     print(f"temporal: pooled night uplift {uplift:.1f}% across {len(per_city)} cities")
     return 0
 
@@ -424,7 +400,7 @@ def cmd_cluster(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out_dir or cfg["_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    recs = _load_labeled(out_dir, cfg)
+    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
     regions = _city_regions(cfg)
     k = args.k if args.k is not None else int(cfg["clustering"].get("k", 3))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
@@ -537,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
             required=out_required,
             help="output directory (default: the config file's directory)",
         )
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for per-city work")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with planted truth")
     p.add_argument("--seed", type=int, required=True)

@@ -38,10 +38,6 @@ class DuplicateAnnotationError(SnapGridError, ValueError):
     """The same (item, rater) pair appears twice in the annotation input."""
 
 
-class InvalidDurationError(SnapGridError, ValueError):
-    """Clip duration must be strictly positive."""
-
-
 class EmptyInputError(SnapGridError, ValueError):
     """Operation requires at least one element."""
 
@@ -92,7 +88,3 @@ class UnderdeterminedError(SnapGridError, ValueError):
 
 class InvalidNestingError(SnapGridError, ValueError):
     """Likelihood-ratio test requires the reduced model to nest in the full one."""
-
-
-class InvalidGroupError(SnapGridError, ValueError):
-    """Group too small or degenerate for a two-sample test."""

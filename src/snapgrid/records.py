@@ -1,4 +1,4 @@
-"""Post-record ingest: parsing, serialization, local time, crawl planning, deletions.
+"""Post-record ingest: parsing, serialization, local time, deletions.
 
 Records travel as JSONL (one object per line) or CSV with a fixed column
 order. Timestamps are stored internally as UTC epoch seconds; wall-clock
@@ -6,8 +6,8 @@ local time is computed on demand from an IANA timezone identifier, so
 there is a single temporal source of truth. Post timestamps are treated
 as creation time (creation and upload are assumed to coincide).
 
-Deletion handling is input-driven: the caller supplies the set of ids
-known to have been removed, and this module only flags and filters.
+Deletion handling is input-driven: records arrive already flagged
+``deleted``, and this module only counts and filters them.
 """
 
 from __future__ import annotations
@@ -15,20 +15,18 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .errors import ConfigError, CorruptInputError
-from .geo import GeoPoint, Region
+from .geo import GeoPoint
 
 DRIVING = "driving"
 NON_DRIVING = "non_driving"
 LABELS = (DRIVING, NON_DRIVING)
-
-CRAWL_INTERVAL_S = 8 * 3600
 
 CSV_COLUMNS = ["id", "ts_utc", "lat", "lon", "city_id", "duration_s", "frame_scores", "label", "deleted"]
 
@@ -70,43 +68,6 @@ class SnapRecord:
             for s in self.frame_scores:
                 if not 0.0 <= s <= 1.0:
                     raise ValueError(f"frame score {s} outside [0, 1]")
-
-    @property
-    def classified(self) -> bool:
-        return self.frame_scores is not None or self.label is not None
-
-
-@dataclass(frozen=True)
-class CityRegion:
-    """One city: geometry plus the timezone its wall clock follows."""
-
-    city_id: str
-    region: Region
-    tz_id: str
-
-
-@dataclass(frozen=True)
-class CollectionWindow:
-    start_utc: int
-    end_utc: int
-
-    def __post_init__(self):
-        if not self.start_utc < self.end_utc:
-            raise ValueError(f"window start {self.start_utc} must precede end {self.end_utc}")
-
-    @classmethod
-    def from_rfc3339(cls, start: str, end: str) -> "CollectionWindow":
-        return cls(parse_rfc3339(start), parse_rfc3339(end))
-
-    @property
-    def duration_s(self) -> int:
-        return self.end_utc - self.start_utc
-
-
-@dataclass(frozen=True)
-class CrawlPlan:
-    city_id: str
-    epochs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -267,17 +228,6 @@ def get_zone(tz_id: str) -> ZoneInfo:
 def to_local_time(ts_utc: int, tz_id: str) -> datetime:
     """Wall-clock local time for a UTC instant, honoring historical DST rules."""
     return datetime.fromtimestamp(ts_utc, tz=get_zone(tz_id))
-
-
-def crawl_plan(window: CollectionWindow, city_id: str) -> CrawlPlan:
-    """Crawl epochs every 8 hours from the window start, last epoch <= end."""
-    epochs = tuple(range(window.start_utc, window.end_utc + 1, CRAWL_INTERVAL_S))
-    return CrawlPlan(city_id=city_id, epochs=epochs)
-
-
-def mark_deleted(records: Sequence[SnapRecord], deleted_ids: set[str]) -> list[SnapRecord]:
-    """Return records with deleted flags set exactly for the listed ids."""
-    return [replace(rec, deleted=(rec.id in deleted_ids)) for rec in records]
 
 
 def filter_active(records: Sequence[SnapRecord]) -> list[SnapRecord]:

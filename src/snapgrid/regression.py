@@ -5,8 +5,7 @@ order: intercept, male share (percent), three age-band proportions, a
 developing-country flag, ln(population + 1), and ln(total snaps + 1).
 Coefficients come from QR-based ordinary least squares with classical
 standard errors; each term's contribution is additionally scored by a
-likelihood-ratio test of the model with the term dropped, and group
-contrasts use Welch's unequal-variance t-test.
+likelihood-ratio test of the model with the term dropped.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from scipy import linalg, stats
 from .errors import (
     CollinearityError,
     EmptyInputError,
-    InvalidGroupError,
     InvalidNestingError,
     ShapeError,
     UnderdeterminedError,
@@ -289,47 +287,6 @@ def regression_report(cities: Sequence[CityStats]) -> RegressionReport:
     return RegressionReport(
         terms=tuple(terms), r_squared=full.r_squared, n=full.n, excluded=design.excluded
     )
-
-
-@dataclass(frozen=True)
-class WelchResult:
-    t_value: float
-    df: float
-    p_value: float
-    mean_a: float
-    mean_b: float
-
-
-def welch_t(a: Sequence[float], b: Sequence[float]) -> WelchResult:
-    """Welch's unequal-variance two-sample t-test (two-sided)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise InvalidGroupError("each group needs at least 2 observations")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    se2 = va / a.size + vb / b.size
-    if se2 == 0:
-        raise InvalidGroupError("both groups are constant; t undefined")
-    t_value = float((a.mean() - b.mean()) / math.sqrt(se2))
-    df = float(
-        se2**2
-        / ((va / a.size) ** 2 / (a.size - 1) + (vb / b.size) ** 2 / (b.size - 1))
-    )
-    p_value = float(2.0 * stats.t.sf(abs(t_value), df))
-    return WelchResult(
-        t_value=t_value, df=df, p_value=p_value, mean_a=float(a.mean()), mean_b=float(b.mean())
-    )
-
-
-def univariate_slope(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
-    """Slope, R², and two-sided slope p-value of the simple regression of y on x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ShapeError(f"shape mismatch: {x.shape} vs {y.shape}")
-    X = np.column_stack([np.ones_like(x), x])
-    fit = ols_fit(X, y, ("intercept", "x"))
-    return fit.coef("x"), fit.r_squared, float(fit.p_values[1])
 
 
 def load_city_stats(path) -> list[CityStats]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -112,31 +112,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     if denom == 0:
         raise UndefinedCorrelationError("zero variance on at least one side")
     return float((xc * yc).sum() / denom)
-
-
-def paired_hourly_counts(
-    records_a: Iterable[SnapRecord],
-    records_b: Iterable[SnapRecord],
-    start: int,
-    end: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned per-UTC-hour counts for two record streams over [start, end).
-
-    Every hour in the window gets a bin even when both counts are zero,
-    so the two vectors always line up for correlation.
-    """
-    if end <= start:
-        raise ValueError("window must have positive duration")
-    first = start // 3600
-    last = (end - 1) // 3600
-    n_hours = last - first + 1
-    a = np.zeros(n_hours, dtype=np.int64)
-    b = np.zeros(n_hours, dtype=np.int64)
-    for out, records in ((a, records_a), (b, records_b)):
-        for rec in records:
-            if start <= rec.ts_utc < end:
-                out[rec.ts_utc // 3600 - first] += 1
-    return a, b
 
 
 def week_vector(records: Sequence[SnapRecord], tz_id: str) -> np.ndarray:

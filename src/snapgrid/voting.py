@@ -1,4 +1,4 @@
-"""Frame sampling, per-clip vote aggregation, and prediction evaluation.
+"""Per-clip vote aggregation and prediction evaluation.
 
 A clip is classified by binarizing per-frame scores and folding the frame
 labels into one clip label under a voting rule:
@@ -12,49 +12,19 @@ All rules are strict (ties resolve negative), which makes them one
 monotone family: single implies threshold(10) implies ... implies
 threshold(90) on the positive side.
 
-Frame scores normally come from an external per-frame classifier. The
-:func:`reference_scorer` here is a deterministic logistic stand-in used
-for plumbing tests and synthetic corpora, not a trained model.
+Frame scores come from an external per-frame classifier (or, for
+synthetic corpora, from the generator).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .errors import (
-    EmptyInputError,
-    InvalidDurationError,
-    MissingCityError,
-    ShapeError,
-)
+from .errors import EmptyInputError, MissingCityError, ShapeError
 from .records import DRIVING, NON_DRIVING, SnapRecord
 
 THRESHOLD_CHOICES = (10, 30, 50, 70, 90)
-SAMPLING_STRATEGIES = ("every_30th", "random_per_second")
-DEFAULT_FPS = 30
-
-
-@dataclass(frozen=True)
-class FrameScoreSeries:
-    """Per-frame classifier scores for one clip."""
-
-    snap_id: str
-    scores: tuple[float, ...]
-    sampling: str = "every_30th"
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.scores:
-            raise EmptyInputError("frame score series must be nonempty")
-        if self.sampling not in SAMPLING_STRATEGIES:
-            raise ValueError(f"unknown sampling strategy {self.sampling!r}")
-        for s in self.scores:
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(f"frame score {s} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -82,31 +52,6 @@ class VotingRule:
     @classmethod
     def threshold(cls, pct: int) -> "VotingRule":
         return cls("threshold", pct)
-
-
-def sample_frame_indices(
-    duration_s: float,
-    fps: int = DEFAULT_FPS,
-    strategy: str = "every_30th",
-    seed: Optional[int] = None,
-) -> np.ndarray:
-    """Frame indices to score: one frame per whole second of the clip.
-
-    ``every_30th`` takes the first frame of each second (0, fps, 2*fps,
-    ...); ``random_per_second`` draws one uniform index from each
-    second's frame block, reproducibly for a given seed. Clips shorter
-    than one second still yield one frame.
-    """
-    if duration_s <= 0:
-        raise InvalidDurationError(f"duration must be positive, got {duration_s}")
-    if strategy not in SAMPLING_STRATEGIES:
-        raise ValueError(f"unknown sampling strategy {strategy!r}")
-    n_seconds = max(1, int(math.floor(duration_s)))
-    blocks = np.arange(n_seconds, dtype=np.int64) * fps
-    if strategy == "every_30th":
-        return blocks
-    rng = np.random.default_rng(seed)
-    return blocks + rng.integers(0, fps, size=n_seconds)
 
 
 def frame_label(score: float, cutoff: float = 0.5) -> str:
@@ -138,21 +83,6 @@ def aggregate_votes(frame_labels: Sequence[str], rule: VotingRule) -> str:
 def classify_scores(scores: Sequence[float], rule: VotingRule, cutoff: float = 0.5) -> str:
     """Score sequence -> clip label: binarize then vote."""
     return aggregate_votes(labels_from_scores(scores, cutoff), rule)
-
-
-def reference_scorer(frame_features: Sequence[float]) -> float:
-    """Deterministic logistic squash of a fixed linear functional.
-
-    Weights alternate in sign and decay harmonically (1, -1/2, 1/3, ...),
-    so the score is strictly increasing in the first feature. A zero
-    feature vector scores exactly 0.5.
-    """
-    features = np.asarray(frame_features, dtype=float)
-    if features.size == 0:
-        raise EmptyInputError("feature vector must be nonempty")
-    weights = np.array([(-1.0) ** i / (i + 1) for i in range(features.size)])
-    z = float(weights @ features)
-    return 1.0 / (1.0 + math.exp(-z))
 
 
 @dataclass(frozen=True)

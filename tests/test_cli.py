@@ -1,11 +1,12 @@
 """Pipeline driver: config handling, stage outputs, exit codes, idempotence."""
 
 import json
+import shutil
 
 import pytest
-import yaml
 
-from snapgrid.cli import DEFAULT_CONFIG, load_config, main
+from snapgrid import records
+from snapgrid.cli import DEFAULT_CONFIG, _atomic_write, build_parser, load_config, main
 from snapgrid.errors import ConfigError
 
 
@@ -154,11 +155,43 @@ def test_stages_rewrite_outputs_byte_identically(pipeline_dir):
     assert (pipeline_dir / "report.json").read_bytes() == report_before
 
 
-def test_classify_threaded_matches_serial(pipeline_dir):
+def test_no_temp_files_left_after_pipeline(pipeline_dir):
+    assert sorted(p.name for p in pipeline_dir.glob("*.tmp")) == []
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+def test_atomic_write_failure_keeps_previous_artifact(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_bytes(b"previous\n")
+
+    def failing_writer(tmp):
+        tmp.write_bytes(b"partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        _atomic_write(target, failing_writer)
+    assert target.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_failed_stage_write_keeps_previous_artifact(pipeline_dir, tmp_path, monkeypatch):
+    for name in ("cleaned.jsonl", "labeled.jsonl"):
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    before = (tmp_path / "labeled.jsonl").read_bytes()
+
+    def failing_write_snaps(recs, sink, format="jsonl"):
+        with open(sink, "w") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(records, "write_snaps", failing_write_snaps)
     config = str(pipeline_dir / "pipeline.yaml")
-    serial = (pipeline_dir / "labeled.jsonl").read_bytes()
-    assert main(["classify", "--config", config, "--jobs", "4"]) == 0
-    assert (pipeline_dir / "labeled.jsonl").read_bytes() == serial
+    assert main(["classify", "--config", config, "--out-dir", str(tmp_path)]) == 1
+    assert (tmp_path / "labeled.jsonl").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.jsonl", "labeled.jsonl"]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +262,42 @@ def test_threshold_rule_requires_threshold(pipeline_dir):
     config = str(pipeline_dir / "pipeline.yaml")
     rc = main(["classify", "--config", config, "--rule", "threshold"])
     assert rc == 2
+
+
+def test_threshold_without_rule_exits_2(pipeline_dir, capsys):
+    # the config's rule is majority; a threshold must not be silently ignored
+    config = str(pipeline_dir / "pipeline.yaml")
+    assert main(["classify", "--config", config, "--threshold", "30"]) == 2
+    assert "threshold_pct only applies to threshold voting" in capsys.readouterr().err
+
+
+def test_classify_without_ingest_exits_2(pipeline_dir, tmp_path, capsys):
+    config = str(pipeline_dir / "pipeline.yaml")
+    assert main(["classify", "--config", config, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cleaned.jsonl" in err and "ingest" in err
+    assert not (tmp_path / "labeled.jsonl").exists()
+
+
+def test_classify_with_corrupt_cleaned_exits_2(pipeline_dir, tmp_path, capsys):
+    cleaned = tmp_path / "cleaned.jsonl"
+    shutil.copy(pipeline_dir / "cleaned.jsonl", cleaned)
+    with open(cleaned, "a") as fh:
+        fh.write("{truncated\n")
+    config = str(pipeline_dir / "pipeline.yaml")
+    assert main(["classify", "--config", config, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cleaned.jsonl" in err and "ingest" in err
+    assert not (tmp_path / "labeled.jsonl").exists()
+
+
+def test_stages_take_no_jobs_flag():
+    parser = build_parser()
+    for stage in ("grid", "ingest", "annotate", "classify", "extent",
+                  "spatial", "temporal", "cluster", "regress", "report"):
+        with pytest.raises(SystemExit) as exc_info:
+            parser.parse_args([stage, "--jobs", "2"])
+        assert exc_info.value.code == 2, stage
 
 
 def test_invalid_threshold_choice_exits_2(pipeline_dir):

@@ -1,4 +1,4 @@
-"""Record parsing, serialization, timezones, crawl scheduling, deletions."""
+"""Record parsing, serialization, timezones, deletions."""
 
 import io
 
@@ -7,14 +7,10 @@ import pytest
 from snapgrid.errors import ConfigError, CorruptInputError
 from snapgrid.geo import GeoPoint
 from snapgrid.records import (
-    CRAWL_INTERVAL_S,
-    CollectionWindow,
     SnapRecord,
-    crawl_plan,
     deletion_summary,
     filter_active,
     format_rfc3339,
-    mark_deleted,
     parse_rfc3339,
     parse_snaps,
     snaps_to_string,
@@ -76,36 +72,6 @@ def test_to_local_time_handles_dst_transition():
 def test_unknown_timezone_raises():
     with pytest.raises(ConfigError):
         to_local_time(0, "Mars/Olympus_Mons")
-
-
-# ---------------------------------------------------------------------------
-# crawl planning
-
-
-def test_crawl_plan_one_day():
-    window = CollectionWindow.from_rfc3339("2019-04-01T00:00:00Z", "2019-04-02T00:00:00Z")
-    plan = crawl_plan(window, "nyc")
-    assert plan.city_id == "nyc"
-    assert len(plan.epochs) == 4
-    assert all(b - a == CRAWL_INTERVAL_S for a, b in zip(plan.epochs, plan.epochs[1:]))
-
-
-def test_crawl_plan_thirty_one_days():
-    window = CollectionWindow.from_rfc3339("2019-04-01T00:00:00Z", "2019-05-02T00:00:00Z")
-    plan = crawl_plan(window, "riyadh")
-    assert len(plan.epochs) == 94  # 744 h / 8 h + the start epoch
-    assert plan.epochs[0] == window.start_utc
-    assert plan.epochs[-1] <= window.end_utc
-
-
-def test_crawl_plan_short_window_single_epoch():
-    window = CollectionWindow(0, 7 * 3600)
-    assert crawl_plan(window, "x").epochs == (0,)
-
-
-def test_collection_window_must_be_ordered():
-    with pytest.raises(ValueError):
-        CollectionWindow(100, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +150,7 @@ def test_record_validation():
 
 
 def test_mark_deleted_and_filter_active():
-    recs = [make_record(i, deleted=False) for i in range(6)]
-    marked = mark_deleted(recs, {"nyc-000001", "nyc-000004"})
+    marked = [make_record(i, deleted=i in (1, 4)) for i in range(6)]
     assert [r.deleted for r in marked] == [False, True, False, False, True, False]
     active = filter_active(marked)
     assert [r.id for r in active] == ["nyc-000000", "nyc-000002", "nyc-000003", "nyc-000005"]

@@ -1,4 +1,4 @@
-"""Log-linear demographic regression: design build, OLS, LR tests, Welch t."""
+"""Log-linear demographic regression: design build, OLS, LR tests."""
 
 import math
 
@@ -9,7 +9,6 @@ from scipy import stats
 from snapgrid.errors import (
     CollinearityError,
     EmptyInputError,
-    InvalidGroupError,
     InvalidNestingError,
     UnderdeterminedError,
 )
@@ -22,8 +21,6 @@ from snapgrid.regression import (
     ols_fit,
     regression_report,
     stars,
-    univariate_slope,
-    welch_t,
     write_city_stats,
 )
 
@@ -249,49 +246,6 @@ def test_lr_chisq_nonnegative():
         full = ols_fit(X, y, ("intercept", "a", "b"))
         reduced = ols_fit(X[:, :2], y, ("intercept", "a"))
         assert lr_test(full, reduced).chisq >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# Welch's t and the univariate helper
-
-
-def test_welch_identical_groups():
-    result = welch_t([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    assert result.t_value == 0.0
-    assert result.p_value == pytest.approx(1.0)
-
-
-def test_welch_hand_computed():
-    result = welch_t([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-    assert result.t_value == pytest.approx(-math.sqrt(13.5))
-    assert result.df == pytest.approx(4.0)
-    assert result.p_value == pytest.approx(2 * stats.t.sf(math.sqrt(13.5), 4.0))
-
-
-def test_welch_antisymmetric():
-    rng = np.random.default_rng(8)
-    a, b = rng.normal(size=12), rng.normal(loc=0.8, size=15)
-    ab = welch_t(a, b)
-    ba = welch_t(b, a)
-    assert ba.t_value == pytest.approx(-ab.t_value)
-    assert ba.p_value == pytest.approx(ab.p_value)
-    assert ba.df == pytest.approx(ab.df)
-
-
-def test_welch_rejects_degenerate_groups():
-    with pytest.raises(InvalidGroupError):
-        welch_t([1.0], [1.0, 2.0])
-    with pytest.raises(InvalidGroupError):
-        welch_t([2.0, 2.0], [3.0, 3.0])  # both constant
-
-
-def test_univariate_slope():
-    x = np.arange(10.0)
-    slope, r2, p = univariate_slope(x, 2.0 * x)
-    assert slope == pytest.approx(2.0)
-    assert r2 == pytest.approx(1.0)
-    slope, r2, p = univariate_slope(x, np.full(10, 3.0))
-    assert slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stars_thresholds():

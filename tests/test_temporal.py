@@ -25,7 +25,6 @@ from snapgrid.temporal import (
     hourly_profile,
     kmeans,
     night_uplift,
-    paired_hourly_counts,
     pearson,
     silhouette,
     week_vector,
@@ -132,25 +131,6 @@ def test_pearson_undefined_on_constant_series():
         pearson([1.0], [2.0])
     with pytest.raises(ShapeError):
         pearson([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_paired_hourly_counts_keeps_zero_hours():
-    start = parse_rfc3339("2025-03-03T00:00:00Z")
-    end = parse_rfc3339("2025-03-03T04:00:00Z")
-    a = [rec_at("2025-03-03T00:15:00Z"), rec_at("2025-03-03T02:30:00Z")]
-    b = [rec_at("2025-03-03T02:45:00Z")]
-    ca, cb = paired_hourly_counts(a, b, start, end)
-    assert ca.tolist() == [1, 0, 1, 0]
-    assert cb.tolist() == [0, 0, 1, 0]
-
-
-def test_paired_hourly_counts_ignores_out_of_window():
-    start = parse_rfc3339("2025-03-03T00:00:00Z")
-    end = parse_rfc3339("2025-03-03T01:00:00Z")
-    a = [rec_at("2025-03-03T05:00:00Z")]
-    ca, cb = paired_hourly_counts(a, [], start, end)
-    assert ca.tolist() == [0]
-    assert cb.tolist() == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,16 @@
-"""Frame sampling, voting rules, and classifier evaluation.
+"""Voting rules and classifier evaluation.
 
 The voting rules are small enough to pin down exhaustively, so this
 module leans on property-based tests (permutation invariance, label
 monotonicity, threshold nesting) alongside the worked examples.
 """
 
-import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from snapgrid.errors import EmptyInputError, InvalidDurationError, MissingCityError
+from snapgrid.errors import EmptyInputError, MissingCityError
 from snapgrid.geo import GeoPoint
 from snapgrid.records import DRIVING, NON_DRIVING, SnapRecord
 from snapgrid.voting import (
@@ -24,8 +22,6 @@ from snapgrid.voting import (
     extent,
     frame_label,
     labels_from_scores,
-    reference_scorer,
-    sample_frame_indices,
 )
 
 ALL_RULES = [VotingRule.single(), VotingRule.majority()] + [
@@ -153,53 +149,6 @@ def test_aggregate_matches_fraction_oracle(labels, rule):
     else:
         expect = fraction > rule.threshold_pct / 100.0
     assert (aggregate_votes(labels, rule) == DRIVING) == expect
-
-
-# ---------------------------------------------------------------------------
-# frame sampling
-
-
-def test_every_30th_takes_first_frame_of_each_second():
-    assert sample_frame_indices(3.5).tolist() == [0, 30, 60]
-    assert sample_frame_indices(1.0).tolist() == [0]
-
-
-def test_sub_second_clip_still_samples_one_frame():
-    assert sample_frame_indices(0.4).tolist() == [0]
-
-
-def test_random_per_second_is_seeded_and_in_range():
-    a = sample_frame_indices(5.0, strategy="random_per_second", seed=42)
-    b = sample_frame_indices(5.0, strategy="random_per_second", seed=42)
-    assert (a == b).all()
-    for sec, idx in enumerate(a):
-        assert sec * 30 <= idx < (sec + 1) * 30
-
-
-def test_sample_frame_indices_validates():
-    with pytest.raises(InvalidDurationError):
-        sample_frame_indices(0.0)
-    with pytest.raises(ValueError):
-        sample_frame_indices(3.0, strategy="stride")
-
-
-# ---------------------------------------------------------------------------
-# reference scorer
-
-
-def test_reference_scorer_fixed_points():
-    assert reference_scorer([0.0, 0.0, 0.0]) == pytest.approx(0.5)
-    assert reference_scorer([1.0]) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
-    with pytest.raises(EmptyInputError):
-        reference_scorer([])
-
-
-def test_reference_scorer_monotone_in_first_feature():
-    lo = reference_scorer([0.2, 0.3])
-    hi = reference_scorer([0.9, 0.3])
-    assert hi > lo
-    assert 0.0 < lo < 1.0 < 2.0  # scores stay in (0, 1)
-    assert 0.0 < hi < 1.0
 
 
 # ---------------------------------------------------------------------------
