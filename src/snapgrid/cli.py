@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -89,7 +90,9 @@ def load_config(path: Optional[str]) -> dict:
     if not isinstance(loaded, dict):
         raise ConfigError(f"config root must be a mapping, got {type(loaded).__name__}")
     for key, value in loaded.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        if isinstance(cfg.get(key), dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be a mapping, got {value!r}")
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -97,15 +100,23 @@ def load_config(path: Optional[str]) -> dict:
     return cfg
 
 
+def _stage_setup(args) -> tuple[dict, Path]:
+    """A stage's config and its output directory, created if missing."""
+    cfg = load_config(args.config)
+    out_dir = Path(args.out_dir or cfg["_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, out_dir
+
+
 def _config_path(cfg: dict, key: str) -> Path:
     if key not in cfg:
         raise ConfigError(f"config is missing required key {key!r}")
-    return (cfg["_dir"] / cfg[key]).resolve()
+    return _setting(key, lambda: (cfg["_dir"] / cfg[key]).resolve())
 
 
 def _city_regions(cfg: dict) -> dict[str, tuple[Region, str]]:
     out = {}
-    for city_id, spec in sorted(cfg.get("cities", {}).items()):
+    for city_id, spec in sorted(cfg["cities"].items()):
         try:
             south, west, north, east = spec["bbox"]
             region = Region.from_bbox(south, west, north, east)
@@ -117,15 +128,27 @@ def _city_regions(cfg: dict) -> dict[str, tuple[Region, str]]:
     return out
 
 
+def _tile_size(cfg: dict) -> float:
+    size = cfg["tile_size_m"]
+    if not isinstance(size, (int, float)) or not 0 < size < math.inf:
+        raise ConfigError(f"tile_size_m must be a positive number of metres, got {size!r}")
+    return size
+
+
+def _setting(what: str, make, *args):
+    """``make(*args)``, with a TypeError or ValueError reported as a bad ``what``."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}")
+
+
 def _voting_rule(cfg: dict, rule: Optional[str], threshold: Optional[int]) -> voting.VotingRule:
-    name = rule or cfg["voting"].get("rule", "majority")
+    name = rule or cfg["voting"]["rule"]
     pct = threshold
     if pct is None and name == "threshold":
-        pct = cfg["voting"].get("threshold_pct")
-    try:
-        return voting.VotingRule(name, pct)
-    except ValueError as exc:
-        raise ConfigError(f"bad voting rule: {exc}")
+        pct = cfg["voting"]["threshold_pct"]
+    return _setting("voting rule", voting.VotingRule, name, pct)
 
 
 def _load_intermediate(out_dir: Path, name: str, stage: str) -> list[records.SnapRecord]:
@@ -136,17 +159,22 @@ def _load_intermediate(out_dir: Path, name: str, stage: str) -> list[records.Sna
     try:
         recs, failures = records.parse_snaps(path, format="jsonl")
         if failures:
-            raise CorruptInputError(f"line {failures[0].line_number}: {failures[0].message}")
+            raise CorruptInputError(f"{path}: line {failures[0].line_number}: {failures[0].message}")
     except CorruptInputError as exc:
-        raise ConfigError(f"{path} is corrupt ({exc}); re-run the {stage} stage")
+        raise ConfigError(f"{exc}; re-run the {stage} stage")
     return recs
 
 
-def _driving_by_city(recs) -> dict[str, list[records.SnapRecord]]:
-    out: dict[str, list[records.SnapRecord]] = {}
+def _by_city(recs, cities, label: Optional[str] = None) -> dict[str, list[records.SnapRecord]]:
+    """``recs`` split by city, keyed by ``cities`` in their order.
+
+    Records of other cities, and with ``label`` given, records with another
+    label, are left out.
+    """
+    out: dict[str, list[records.SnapRecord]] = {c: [] for c in cities}
     for rec in recs:
-        if rec.label == records.DRIVING:
-            out.setdefault(rec.city_id, []).append(rec)
+        if rec.city_id in out and (label is None or rec.label == label):
+            out[rec.city_id].append(rec)
     return out
 
 
@@ -179,9 +207,7 @@ def cmd_synth(args) -> int:
         "snaps": "snaps.jsonl",
         "annotations": "annotations.csv",
         "city_stats": "city_stats.csv",
-        "voting": {"rule": "majority", "threshold_pct": None, "cutoff": 0.5},
-        "night_window": {"start_hour": 18, "end_hour": 2},
-        "clustering": {"k": 3},
+        **{key: DEFAULT_CONFIG[key] for key in ("voting", "night_window", "clustering")},
         "cities": {
             c.city_id: {
                 "tz": c.tz_id,
@@ -199,12 +225,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or cfg["_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _stage_setup(args)
+    tile_size = _tile_size(cfg)
     summary = {}
     for city_id, (region, _tz) in _city_regions(cfg).items():
-        grid = build_grid(region, cfg["tile_size_m"])
+        grid = build_grid(region, tile_size)
         _atomic_write(out_dir / f"grid_{city_id}.csv", grid.write_csv)
         summary[city_id] = {
             "n_rows": grid.n_rows,
@@ -218,9 +243,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or cfg["_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _stage_setup(args)
     recs, failures = records.parse_snaps(_config_path(cfg, "snaps"), format=args.format)
     summary = records.deletion_summary(recs)
     active = records.filter_active(recs)
@@ -243,9 +266,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or cfg["_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _stage_setup(args)
     path = Path(args.annotations) if args.annotations else _config_path(cfg, "annotations")
     matrix = annotation.load_annotations_csv(path)
     kappa = annotation.fleiss_kappa(matrix)
@@ -267,11 +288,9 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or cfg["_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _stage_setup(args)
     rule = _voting_rule(cfg, args.rule, args.threshold)
-    cutoff = float(cfg["voting"].get("cutoff", 0.5))
+    cutoff = _setting("voting cutoff", float, cfg["voting"]["cutoff"])
 
     recs = _load_intermediate(out_dir, "cleaned.jsonl", "ingest")
     scored = [r for r in recs if r.frame_scores]
@@ -299,50 +318,30 @@ def cmd_classify(args) -> int:
 
 
 def cmd_extent(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or cfg["_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
-    report = voting.extent(recs)
-    _write_json(
-        out_dir / "extent.json",
-        {
-            "per_city": report.per_city,
-            "overall": report.overall,
-            "ranking": [[c, f] for c, f in report.ranking],
-        },
-    )
+    _cfg, out_dir = _stage_setup(args)
+    report = voting.extent(_load_intermediate(out_dir, "labeled.jsonl", "classify"))
+    _write_json(out_dir / "extent.json", asdict(report))
     print(f"extent: overall driving fraction {report.overall:.4f} over {len(report.per_city)} cities")
     return 0
 
 
 def cmd_spatial(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or cfg["_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
+    cfg, out_dir = _stage_setup(args)
     regions = _city_regions(cfg)
-    by_city: dict[str, list] = {c: [] for c in regions}
-    for rec in recs:
-        if rec.city_id in by_city:
-            by_city[rec.city_id].append(rec)
-
-    def fit_city(city_id):
-        region, _tz = regions[city_id]
-        grid = build_grid(region, cfg["tile_size_m"])
-        city_recs = by_city[city_id]
+    tile_size = _tile_size(cfg)
+    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
+    comparisons = []
+    for city_id, city_recs in _by_city(recs, regions).items():
+        grid = build_grid(regions[city_id][0], tile_size)
         driving = spatial.tile_counts(
             [r for r in city_recs if r.label == records.DRIVING], grid, city_id
         )
         total = spatial.tile_counts(city_recs, grid, city_id)
-        comp = spatial.compare_fits(driving.positive_counts, city_id)
+        comparisons.append(spatial.compare_fits(driving.positive_counts, city_id))
         _atomic_write(
             out_dir / f"heatmap_{city_id}.csv",
             lambda tmp: spatial.heatmap_export(grid, driving, total, tmp),
         )
-        return comp
-
-    comparisons = [fit_city(c) for c in sorted(regions)]
     wins = spatial.concentration_summary(comparisons)
     _write_json(
         out_dir / "spatial.json",
@@ -357,19 +356,15 @@ def cmd_spatial(args) -> int:
 
 
 def cmd_temporal(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or cfg["_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
+    cfg, out_dir = _stage_setup(args)
     regions = _city_regions(cfg)
-    window = temporal.NightWindow(**cfg["night_window"])
-    driving = _driving_by_city(recs)
+    window = _setting("night_window", lambda: temporal.NightWindow(**cfg["night_window"]))
+    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
 
     per_city = {}
     pooled = np.zeros(24, dtype=np.int64)
-    for city_id in sorted(regions):
-        _region, tz = regions[city_id]
-        profile = temporal.hourly_profile(driving.get(city_id, []), tz, city_id)
+    for city_id, driving in _by_city(recs, regions, records.DRIVING).items():
+        profile = temporal.hourly_profile(driving, regions[city_id][1], city_id)
         pooled += profile.counts
         per_city[city_id] = {
             "profile": profile.counts.tolist(),
@@ -389,7 +384,7 @@ def cmd_temporal(args) -> int:
                 "night_uplift_pct": uplift,
             },
             "correlation_with_pooled": correlations,
-            "night_window": {"start_hour": window.start_hour, "end_hour": window.end_hour},
+            "night_window": asdict(window),
         },
     )
     print(f"temporal: pooled night uplift {uplift:.1f}% across {len(per_city)} cities")
@@ -397,18 +392,14 @@ def cmd_temporal(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or cfg["_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
+    cfg, out_dir = _stage_setup(args)
     regions = _city_regions(cfg)
-    k = args.k if args.k is not None else int(cfg["clustering"].get("k", 3))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    k = args.k if args.k is not None else _setting("clustering k", int, cfg["clustering"]["k"])
+    seed = args.seed if args.seed is not None else _setting("seed", int, cfg["seed"])
+    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
 
-    driving = _driving_by_city(recs)
-    ordered = {c: driving.get(c, []) for c in sorted(regions)}
-    tz_map = {c: regions[c][1] for c in regions}
-    X, kept = temporal.week_vectors(ordered, tz_map)
+    tz_map = {c: tz for c, (_region, tz) in regions.items()}
+    X, kept = temporal.week_vectors(_by_city(recs, regions, records.DRIVING), tz_map)
 
     result = temporal.kmeans(X, k, seed=seed)
     # silhouette needs 2 <= k < n; report null when the metric is undefined
@@ -435,33 +426,10 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_regress(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or cfg["_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _stage_setup(args)
     path = Path(args.stats) if args.stats else _config_path(cfg, "city_stats")
-    cities = regression.load_city_stats(path)
-    report = regression.regression_report(cities)
-    _write_json(
-        out_dir / "regress.json",
-        {
-            "n": report.n,
-            "r_squared": report.r_squared,
-            "excluded": [[c, reason] for c, reason in report.excluded],
-            "terms": [
-                {
-                    "term": t.term,
-                    "coef": t.coef,
-                    "std_error": t.std_error,
-                    "t_value": t.t_value,
-                    "p_value": t.p_value,
-                    "stars": t.stars,
-                    "lr_chisq": t.lr_chisq,
-                    "lr_p_value": t.lr_p_value,
-                }
-                for t in report.terms
-            ],
-        },
-    )
+    report = regression.regression_report(regression.load_city_stats(path))
+    _write_json(out_dir / "regress.json", asdict(report))
     print(f"regress: n={report.n}, R^2={report.r_squared:.4f}")
     for t in report.terms:
         lr = f" LR={t.lr_chisq:.2f}" if t.lr_chisq is not None else ""
@@ -482,10 +450,8 @@ _REPORT_PARTS = (
 
 
 def cmd_report(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or cfg["_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    merged = {"seed": cfg.get("seed"), "cities": sorted(cfg.get("cities", {}))}
+    cfg, out_dir = _stage_setup(args)
+    merged = {"seed": cfg["seed"], "cities": sorted(cfg["cities"])}
     for part in _REPORT_PARTS:
         path = out_dir / f"{part}.json"
         merged[part] = _read_json(path) if path.exists() else None
@@ -506,14 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False):
-        p.add_argument("--config", help="pipeline YAML config")
-        p.add_argument(
-            "--out-dir",
-            required=out_required,
-            help="output directory (default: the config file's directory)",
-        )
-
     p = sub.add_parser("synth", help="generate a synthetic corpus with planted truth")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", required=True)
@@ -524,53 +482,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reg-sigma", type=float, default=0.1)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("grid", help="build metric tile grids for configured cities")
-    common(p)
-    p.set_defaults(func=cmd_grid)
+    stages = {}
+    for func, help_text in (
+        (cmd_grid, "build metric tile grids for configured cities"),
+        (cmd_ingest, "parse raw snaps, drop deleted, write cleaned.jsonl"),
+        (cmd_annotate, "agreement and adjudication from rater CSV"),
+        (cmd_classify, "vote frame scores into per-record labels"),
+        (cmd_extent, "driving fraction per city and pooled"),
+        (cmd_spatial, "per-tile counts and distribution fits"),
+        (cmd_temporal, "hourly profiles and night uplift"),
+        (cmd_cluster, "k-means over weekly activity vectors"),
+        (cmd_regress, "demographic regression on city stats"),
+        (cmd_report, "merge stage outputs into report.json"),
+    ):
+        name = func.__name__.removeprefix("cmd_")
+        p = stages[name] = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="pipeline YAML config")
+        p.add_argument("--out-dir", help="output directory (default: the config file's directory)")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("ingest", help="parse raw snaps, drop deleted, write cleaned.jsonl")
-    common(p)
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("annotate", help="agreement and adjudication from rater CSV")
-    common(p)
-    p.add_argument("--annotations", help="long-format rater CSV (overrides config)")
-    p.set_defaults(func=cmd_annotate)
-
-    p = sub.add_parser("classify", help="vote frame scores into per-record labels")
-    common(p)
-    p.add_argument("--rule", choices=("single", "majority", "threshold"))
-    p.add_argument("--threshold", type=int, choices=voting.THRESHOLD_CHOICES)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("extent", help="driving fraction per city and pooled")
-    common(p)
-    p.set_defaults(func=cmd_extent)
-
-    p = sub.add_parser("spatial", help="per-tile counts and distribution fits")
-    common(p)
-    p.set_defaults(func=cmd_spatial)
-
-    p = sub.add_parser("temporal", help="hourly profiles and night uplift")
-    common(p)
-    p.set_defaults(func=cmd_temporal)
-
-    p = sub.add_parser("cluster", help="k-means over weekly activity vectors")
-    common(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("regress", help="demographic regression on city stats")
-    common(p)
-    p.add_argument("--stats", help="city stats CSV (overrides config)")
-    p.set_defaults(func=cmd_regress)
-
-    p = sub.add_parser("report", help="merge stage outputs into report.json")
-    common(p)
-    p.set_defaults(func=cmd_report)
-
+    stages["ingest"].add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    stages["annotate"].add_argument("--annotations", help="long-format rater CSV (overrides config)")
+    stages["classify"].add_argument("--rule", choices=("single", "majority", "threshold"))
+    stages["classify"].add_argument("--threshold", type=int, choices=voting.THRESHOLD_CHOICES)
+    stages["cluster"].add_argument("--k", type=int)
+    stages["cluster"].add_argument("--seed", type=int)
+    stages["regress"].add_argument("--stats", help="city stats CSV (overrides config)")
     return parser
 
 

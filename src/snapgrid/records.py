@@ -132,8 +132,6 @@ def _open_lines(source) -> tuple[Iterator[str], Optional[IO]]:
     if isinstance(source, (str, Path)):
         fh = open(source, "r", newline="")
         return iter(fh), fh
-    if hasattr(source, "read"):
-        return iter(source), None
     return iter(source), None
 
 
@@ -145,7 +143,8 @@ def parse_snaps(
 
     Valid records come back in input order; each malformed line is
     reported with its 1-based line number rather than silently dropped.
-    Raises :class:`CorruptInputError` when failures outnumber successes.
+    Raises :class:`CorruptInputError` when failures outnumber successes; its
+    message names the file, when ``source`` is a path, and the first bad line.
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
@@ -175,8 +174,11 @@ def parse_snaps(
         if fh is not None:
             fh.close()
     if failures and len(failures) > len(records):
+        where = f"{source}: " if fh is not None else ""
+        first = failures[0]
         raise CorruptInputError(
-            f"{len(failures)} of {len(failures) + len(records)} lines failed to parse"
+            f"{where}{len(failures)} of {len(failures) + len(records)} lines failed to parse; "
+            f"first at line {first.line_number}: {first.message}"
         )
     return records, failures
 

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from datetime import date, datetime, timedelta
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -364,7 +364,7 @@ def gen_planted_week_vectors(
     return np.vstack(rows), labels
 
 
-def build_manifest(spec: SynthSpec, regression_seed: Optional[int] = None, regression_sigma: float = 0.1) -> dict:
+def build_manifest(spec: SynthSpec, regression_sigma: float = 0.1) -> dict:
     """Planted ground truth for a generated corpus, JSON-serializable."""
     return {
         "seed": spec.seed,
@@ -375,7 +375,7 @@ def build_manifest(spec: SynthSpec, regression_seed: Optional[int] = None, regre
         "cities": {cfg.city_id: asdict(cfg) for cfg in spec.cities},
         "regression": {
             "coefs": dict(zip(DESIGN_TERMS, PLANTED_COEFS)),
-            "seed": spec.seed if regression_seed is None else regression_seed,
+            "seed": spec.seed,
             "noise_sigma": regression_sigma,
         },
     }

@@ -180,7 +180,7 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int, rng: np.random.Generator):
+def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int):
     history = []
     labels = np.zeros(X.shape[0], dtype=np.int64)
     for it in range(1, max_iter + 1):
@@ -225,7 +225,7 @@ def kmeans(
     best = None
     for _ in range(n_restarts):
         centers0 = _kmeans_pp_init(X, k, rng)
-        labels, centers, inertia, n_iter, history = _lloyd(X, centers0, max_iter, rng)
+        labels, centers, inertia, n_iter, history = _lloyd(X, centers0, max_iter)
         if best is None or inertia < best.inertia:
             best = ClusterResult(
                 labels=labels,

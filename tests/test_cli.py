@@ -258,6 +258,46 @@ def test_stage_out_of_order_exits_2(tmp_path):
     assert rc == 2
 
 
+_CITY = "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
+
+
+@pytest.mark.parametrize(
+    "stage, setting, named",
+    [
+        ("classify", "voting: null\n", "voting"),
+        ("classify", "voting:\n  cutoff: abc\n", "cutoff"),
+        ("temporal", "night_window:\n  start: 18\n", "night_window"),
+        ("temporal", "night_window:\n  end_hour: 24\n", "night_window"),
+        ("grid", "tile_size_m: abc\n", "tile_size_m"),
+        ("spatial", "tile_size_m: 0\n", "tile_size_m"),
+        ("grid", "tile_size_m: -5\n", "tile_size_m"),
+        ("cluster", "clustering:\n  k: abc\n", "clustering"),
+        ("report", "cities: null\n", "cities"),
+    ],
+    ids=["voting-null", "cutoff-text", "window-key", "hour-24", "tile-text", "tile-zero",
+         "tile-negative", "k-text", "cities-null"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, stage, setting, named):
+    # cities first so a later "cities" setting replaces them
+    path = tmp_path / "c.yaml"
+    path.write_text(_CITY + setting)
+    assert main([stage, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"snapgrid {stage}: ")
+    assert named in err
+
+
+def test_ingest_of_mostly_corrupt_corpus_names_file_and_line(tmp_path, capsys):
+    good = {"id": "a-0", "ts_utc": "2025-03-03T12:00:00Z", "lat": 0.0, "lon": 0.0, "city_id": "a"}
+    (tmp_path / "bad.jsonl").write_text(json.dumps(good) + "\n{truncated\nnot json\n")
+    path = tmp_path / "c.yaml"
+    path.write_text("snaps: bad.jsonl\n" + _CITY)
+    assert main(["ingest", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "bad.jsonl" in err and "2 of 3 lines" in err and "line 2" in err
+    assert not (tmp_path / "cleaned.jsonl").exists()
+
+
 def test_threshold_rule_requires_threshold(pipeline_dir):
     config = str(pipeline_dir / "pipeline.yaml")
     rc = main(["classify", "--config", config, "--rule", "threshold"])
