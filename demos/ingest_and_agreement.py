@@ -35,7 +35,7 @@ def main():
         json.dumps({**good, "id": "nyc-000003", "lat": 999.0}),
         json.dumps({**good, "id": "nyc-000004", "label": "non_driving"}),
     ]
-    records, failures = parse_snaps(lines, format="jsonl")
+    records, failures = parse_snaps(lines)
     print(f"parsed {len(records)} records, {len(failures)} failures:")
     for f in failures:
         print(f"  line {f.line_number}: {f.message}")

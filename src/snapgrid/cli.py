@@ -7,18 +7,26 @@ writes its artifacts atomically (temp file + rename) and depends only on
 its declared inputs plus the seed, so re-running a stage with the same
 inputs reproduces its outputs byte for byte.
 
-Exit status: 0 on success, 2 for usage/config errors (argparse), 1 for
-runtime failures, which print a single diagnostic line on stderr.
+``cleaned.jsonl`` (from ingest) is the one record-level intermediate;
+classify writes only ``predictions.csv``, an ``id,label`` row per scored
+record of it, which the stages after classify join back to it by position.
+
+Exit status: 0 on success, 2 for usage/config errors and missing or
+mismatched intermediates, 1 for runtime failures; each prints a single
+diagnostic line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -37,6 +45,9 @@ DEFAULT_CONFIG = {
     "clustering": {"k": 3},
     "cities": {},
 }
+# input paths, resolved against the config file's directory
+PATH_KEYS = ("snaps", "annotations", "city_stats")
+PREDICTIONS = "predictions.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +78,6 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json(path: Path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def load_config(path: Optional[str]) -> dict:
     """Read the YAML config, fill defaults, resolve paths relative to the file."""
     cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULT_CONFIG.items()}
@@ -90,9 +96,15 @@ def load_config(path: Optional[str]) -> dict:
     if not isinstance(loaded, dict):
         raise ConfigError(f"config root must be a mapping, got {type(loaded).__name__}")
     for key, value in loaded.items():
+        if key not in DEFAULT_CONFIG and key not in PATH_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
         if isinstance(cfg.get(key), dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {key!r} must be a mapping, got {value!r}")
+            if key != "cities":
+                unknown = sorted(map(str, value.keys() - cfg[key].keys()))
+                if unknown:
+                    raise ConfigError(f"unknown config key {unknown[0]!r} in section {key!r}")
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -151,17 +163,59 @@ def _voting_rule(cfg: dict, rule: Optional[str], threshold: Optional[int]) -> vo
     return _setting("voting rule", voting.VotingRule, name, pct)
 
 
+def _voting_cutoff(cfg: dict) -> float:
+    cutoff = _setting("voting cutoff", float, cfg["voting"]["cutoff"])
+    if not 0.0 <= cutoff < 1.0:
+        raise ConfigError(f"bad voting cutoff: must be in [0, 1), got {cutoff!r}")
+    return cutoff
+
+
 def _load_intermediate(out_dir: Path, name: str, stage: str) -> list[records.SnapRecord]:
     """Records of the JSONL file ``name`` that ``stage`` writes into ``out_dir``."""
     path = out_dir / name
     if not path.exists():
         raise ConfigError(f"{path} not found; run the {stage} stage first")
     try:
-        recs, failures = records.parse_snaps(path, format="jsonl")
+        recs, failures = records.parse_snaps(path)
         if failures:
             raise CorruptInputError(f"{path}: line {failures[0].line_number}: {failures[0].message}")
     except CorruptInputError as exc:
         raise ConfigError(f"{exc}; re-run the {stage} stage")
+    return recs
+
+
+def _write_predictions(path: Path, scored, labels) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("id", "label"))
+    writer.writerows(zip((rec.id for rec in scored), labels))
+    _write_text(path, buf.getvalue())
+
+
+def _load_classified(out_dir: Path) -> list[records.SnapRecord]:
+    """The scored records of ``cleaned.jsonl``, labeled with classify's predictions.
+
+    ``predictions.csv`` must list exactly those records' ids, in file order;
+    otherwise it belongs to another corpus or is damaged, and classify must
+    run again.
+    """
+    recs = [rec for rec in _load_intermediate(out_dir, "cleaned.jsonl", "ingest") if rec.frame_scores]
+    path = out_dir / PREDICTIONS
+    try:
+        with open(path, newline="") as fh:
+            rows = csv.reader(fh)
+            if next(rows, None) != ["id", "label"]:
+                raise ValueError("header is not id,label")
+            for i, (rec, row) in enumerate(zip_longest(recs, rows)):
+                if rec is None or row is None or len(row) != 2 or row[0] != rec.id:
+                    raise ValueError(f"prediction {i + 1} does not match the scored records of cleaned.jsonl")
+                if rec.label != row[1]:
+                    # relabel in place so that one list of records stays alive
+                    recs[i] = replace(rec, label=row[1])
+    except FileNotFoundError:
+        raise ConfigError(f"{path} not found; run the classify stage first")
+    except (ValueError, csv.Error) as exc:
+        raise ConfigError(f"{path}: {exc}; re-run the classify stage")
     return recs
 
 
@@ -188,7 +242,7 @@ def cmd_synth(args) -> int:
     spec = synth.default_spec(args.seed, n_cities=args.cities, n_records=args.records)
     corpus, grids = synth.gen_corpus(spec)
 
-    _atomic_write(out_dir / "snaps.jsonl", lambda tmp: records.write_snaps(corpus, tmp, format="jsonl"))
+    _atomic_write(out_dir / "snaps.jsonl", lambda tmp: records.write_snaps(corpus, tmp))
 
     sample = [r for r in corpus if int(r.id.rsplit("-", 1)[1]) < args.annotated]
     rows = synth.gen_annotations(sample, flip_prob=args.flip_prob, seed=spec.seed)
@@ -244,10 +298,10 @@ def cmd_grid(args) -> int:
 
 def cmd_ingest(args) -> int:
     cfg, out_dir = _stage_setup(args)
-    recs, failures = records.parse_snaps(_config_path(cfg, "snaps"), format=args.format)
+    recs, failures = records.parse_snaps(_config_path(cfg, "snaps"))
     summary = records.deletion_summary(recs)
     active = records.filter_active(recs)
-    _atomic_write(out_dir / "cleaned.jsonl", lambda tmp: records.write_snaps(active, tmp, format="jsonl"))
+    _atomic_write(out_dir / "cleaned.jsonl", lambda tmp: records.write_snaps(active, tmp))
     _write_json(
         out_dir / "ingest.json",
         {
@@ -290,36 +344,32 @@ def cmd_annotate(args) -> int:
 def cmd_classify(args) -> int:
     cfg, out_dir = _stage_setup(args)
     rule = _voting_rule(cfg, args.rule, args.threshold)
-    cutoff = _setting("voting cutoff", float, cfg["voting"]["cutoff"])
+    cutoff = _voting_cutoff(cfg)
 
     recs = _load_intermediate(out_dir, "cleaned.jsonl", "ingest")
     scored = [r for r in recs if r.frame_scores]
-    labeled = [
-        replace(rec, label=voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff))
-        for rec in scored
-    ]
-    _atomic_write(out_dir / "labeled.jsonl", lambda tmp: records.write_snaps(labeled, tmp, format="jsonl"))
+    predictions = [voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff) for rec in scored]
+    _write_predictions(out_dir / PREDICTIONS, scored, predictions)
 
     out = {
         "rule": rule.kind,
         "threshold_pct": rule.threshold_pct,
         "cutoff": cutoff,
-        "n_classified": len(labeled),
+        "n_classified": len(predictions),
         "n_skipped_unscored": len(recs) - len(scored),
     }
     truths = [r.label for r in scored]
     if all(t is not None for t in truths) and truths:
-        report = voting.evaluate([r.label for r in labeled], truths)
-        out["eval"] = asdict(report)
+        out["eval"] = asdict(voting.evaluate(predictions, truths))
     _write_json(out_dir / "classify.json", out)
     suffix = f", accuracy={out['eval']['accuracy']:.4f}" if "eval" in out else ""
-    print(f"classify: {len(labeled)} records via {rule.kind}{suffix}")
+    print(f"classify: {len(predictions)} records via {rule.kind}{suffix}")
     return 0
 
 
 def cmd_extent(args) -> int:
     _cfg, out_dir = _stage_setup(args)
-    report = voting.extent(_load_intermediate(out_dir, "labeled.jsonl", "classify"))
+    report = voting.extent(_load_classified(out_dir))
     _write_json(out_dir / "extent.json", asdict(report))
     print(f"extent: overall driving fraction {report.overall:.4f} over {len(report.per_city)} cities")
     return 0
@@ -329,7 +379,7 @@ def cmd_spatial(args) -> int:
     cfg, out_dir = _stage_setup(args)
     regions = _city_regions(cfg)
     tile_size = _tile_size(cfg)
-    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
+    recs = _load_classified(out_dir)
     comparisons = []
     for city_id, city_recs in _by_city(recs, regions).items():
         grid = build_grid(regions[city_id][0], tile_size)
@@ -359,7 +409,7 @@ def cmd_temporal(args) -> int:
     cfg, out_dir = _stage_setup(args)
     regions = _city_regions(cfg)
     window = _setting("night_window", lambda: temporal.NightWindow(**cfg["night_window"]))
-    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
+    recs = _load_classified(out_dir)
 
     per_city = {}
     pooled = np.zeros(24, dtype=np.int64)
@@ -396,7 +446,7 @@ def cmd_cluster(args) -> int:
     regions = _city_regions(cfg)
     k = args.k if args.k is not None else _setting("clustering k", int, cfg["clustering"]["k"])
     seed = args.seed if args.seed is not None else _setting("seed", int, cfg["seed"])
-    recs = _load_intermediate(out_dir, "labeled.jsonl", "classify")
+    recs = _load_classified(out_dir)
 
     tz_map = {c: tz for c, (_region, tz) in regions.items()}
     X, kept = temporal.week_vectors(_by_city(recs, regions, records.DRIVING), tz_map)
@@ -454,7 +504,7 @@ def cmd_report(args) -> int:
     merged = {"seed": cfg["seed"], "cities": sorted(cfg["cities"])}
     for part in _REPORT_PARTS:
         path = out_dir / f"{part}.json"
-        merged[part] = _read_json(path) if path.exists() else None
+        merged[part] = json.loads(path.read_text()) if path.exists() else None
     _write_json(out_dir / "report.json", merged)
     present = [p for p in _REPORT_PARTS if merged[p] is not None]
     print(f"report: merged {len(present)} sections -> {out_dir / 'report.json'}")
@@ -487,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         (cmd_grid, "build metric tile grids for configured cities"),
         (cmd_ingest, "parse raw snaps, drop deleted, write cleaned.jsonl"),
         (cmd_annotate, "agreement and adjudication from rater CSV"),
-        (cmd_classify, "vote frame scores into per-record labels"),
+        (cmd_classify, "vote frame scores into predictions.csv"),
         (cmd_extent, "driving fraction per city and pooled"),
         (cmd_spatial, "per-tile counts and distribution fits"),
         (cmd_temporal, "hourly profiles and night uplift"),
@@ -501,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", help="output directory (default: the config file's directory)")
         p.set_defaults(func=func)
 
-    stages["ingest"].add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     stages["annotate"].add_argument("--annotations", help="long-format rater CSV (overrides config)")
     stages["classify"].add_argument("--rule", choices=("single", "majority", "threshold"))
     stages["classify"].add_argument("--threshold", type=int, choices=voting.THRESHOLD_CHOICES)
@@ -519,10 +568,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"snapgrid {args.command}: {exc}", file=sys.stderr)
         return 2
-    except SnapGridError as exc:
-        print(f"snapgrid {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SnapGridError, OSError) as exc:
         print(f"snapgrid {args.command}: {exc}", file=sys.stderr)
         return 1
 

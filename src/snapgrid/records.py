@@ -1,10 +1,10 @@
 """Post-record ingest: parsing, serialization, local time, deletions.
 
-Records travel as JSONL (one object per line) or CSV with a fixed column
-order. Timestamps are stored internally as UTC epoch seconds; wall-clock
-local time is computed on demand from an IANA timezone identifier, so
-there is a single temporal source of truth. Post timestamps are treated
-as creation time (creation and upload are assumed to coincide).
+Records travel as JSONL, one object per line. Timestamps are stored
+internally as UTC epoch seconds; wall-clock local time is computed on
+demand from an IANA timezone identifier, so there is a single temporal
+source of truth. Post timestamps are treated as creation time (creation
+and upload are assumed to coincide).
 
 Deletion handling is input-driven: records arrive already flagged
 ``deleted``, and this module only counts and filters them.
@@ -12,13 +12,13 @@ Deletion handling is input-driven: records arrive already flagged
 
 from __future__ import annotations
 
-import csv
 import io
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Iterable, Optional, Sequence, Union
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .errors import ConfigError, CorruptInputError
@@ -27,8 +27,6 @@ from .geo import GeoPoint
 DRIVING = "driving"
 NON_DRIVING = "non_driving"
 LABELS = (DRIVING, NON_DRIVING)
-
-CSV_COLUMNS = ["id", "ts_utc", "lat", "lon", "city_id", "duration_s", "frame_scores", "label", "deleted"]
 
 
 def parse_rfc3339(text: str) -> int:
@@ -108,73 +106,27 @@ def _record_to_dict(rec: SnapRecord) -> dict:
     return obj
 
 
-def _parse_jsonl_line(line: str) -> SnapRecord:
-    return _record_from_dict(json.loads(line))
-
-
-def _parse_csv_row(row: Sequence[str]) -> SnapRecord:
-    if len(row) != len(CSV_COLUMNS):
-        raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(row)}")
-    rid, ts, lat, lon, city, dur, scores, label, deleted = row
-    return SnapRecord(
-        id=rid,
-        ts_utc=parse_rfc3339(ts),
-        location=GeoPoint(float(lat), float(lon)),
-        city_id=city,
-        duration_s=float(dur),
-        frame_scores=tuple(float(s) for s in scores.split(";")) if scores else None,
-        label=label or None,
-        deleted=deleted.strip().lower() in ("true", "1"),
-    )
-
-
-def _open_lines(source) -> tuple[Iterator[str], Optional[IO]]:
-    if isinstance(source, (str, Path)):
-        fh = open(source, "r", newline="")
-        return iter(fh), fh
-    return iter(source), None
-
-
-def parse_snaps(
-    source: Union[str, Path, IO, Iterable[str]],
-    format: str = "jsonl",
-) -> tuple[list[SnapRecord], list[ParseFailure]]:
-    """Parse a line-delimited record stream.
+def parse_snaps(source: Union[str, Path, IO, Iterable[str]]) -> tuple[list[SnapRecord], list[ParseFailure]]:
+    """Parse a JSONL record stream.
 
     Valid records come back in input order; each malformed line is
     reported with its 1-based line number rather than silently dropped.
     Raises :class:`CorruptInputError` when failures outnumber successes; its
     message names the file, when ``source`` is a path, and the first bad line.
     """
-    if format not in ("jsonl", "csv"):
-        raise ValueError(f"unknown format {format!r}")
-    lines, fh = _open_lines(source)
+    named = isinstance(source, (str, Path))
     records: list[SnapRecord] = []
     failures: list[ParseFailure] = []
-    try:
-        line_number = 0
-        header_skipped = False
-        for raw in lines:
-            line_number += 1
-            line = raw.rstrip("\n")
+    with open(source, newline="") if named else nullcontext(source) as lines:
+        for line_number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            if format == "csv" and not header_skipped:
-                header_skipped = True
-                if line.split(",")[0] == "id":
-                    continue
             try:
-                if format == "jsonl":
-                    records.append(_parse_jsonl_line(line))
-                else:
-                    records.append(_parse_csv_row(next(csv.reader([line]))))
+                records.append(_record_from_dict(json.loads(line)))
             except Exception as exc:
                 failures.append(ParseFailure(line_number, str(exc)))
-    finally:
-        if fh is not None:
-            fh.close()
     if failures and len(failures) > len(records):
-        where = f"{source}: " if fh is not None else ""
+        where = f"{source}: " if named else ""
         first = failures[0]
         raise CorruptInputError(
             f"{where}{len(failures)} of {len(failures) + len(records)} lines failed to parse; "
@@ -183,40 +135,16 @@ def parse_snaps(
     return records, failures
 
 
-def write_snaps(records: Iterable[SnapRecord], sink: Union[str, Path, IO], format: str = "jsonl") -> None:
-    """Serialize records, one per line, in the given format."""
-    if format not in ("jsonl", "csv"):
-        raise ValueError(f"unknown format {format!r}")
-    own = isinstance(sink, (str, Path))
-    fh = open(sink, "w", newline="") if own else sink
-    try:
-        if format == "jsonl":
-            for rec in records:
-                fh.write(json.dumps(_record_to_dict(rec), separators=(",", ":")))
-                fh.write("\n")
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for rec in records:
-                writer.writerow([
-                    rec.id,
-                    format_rfc3339(rec.ts_utc),
-                    repr(rec.location.lat),
-                    repr(rec.location.lon),
-                    rec.city_id,
-                    repr(rec.duration_s),
-                    ";".join(repr(s) for s in rec.frame_scores) if rec.frame_scores is not None else "",
-                    rec.label or "",
-                    "true" if rec.deleted else "false",
-                ])
-    finally:
-        if own:
-            fh.close()
+def write_snaps(records: Iterable[SnapRecord], sink: Union[str, Path, IO]) -> None:
+    """Serialize records as JSONL, one object per line."""
+    with open(sink, "w", newline="") if isinstance(sink, (str, Path)) else nullcontext(sink) as fh:
+        for rec in records:
+            fh.write(json.dumps(_record_to_dict(rec), separators=(",", ":")) + "\n")
 
 
-def snaps_to_string(records: Iterable[SnapRecord], format: str = "jsonl") -> str:
+def snaps_to_string(records: Iterable[SnapRecord]) -> str:
     buf = io.StringIO()
-    write_snaps(records, buf, format=format)
+    write_snaps(records, buf)
     return buf.getvalue()
 
 

@@ -2,10 +2,10 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
-from snapgrid import records
 from snapgrid.cli import DEFAULT_CONFIG, _atomic_write, build_parser, load_config, main
 from snapgrid.errors import ConfigError
 
@@ -178,20 +178,23 @@ def test_atomic_write_failure_keeps_previous_artifact(tmp_path):
 
 
 def test_failed_stage_write_keeps_previous_artifact(pipeline_dir, tmp_path, monkeypatch):
-    for name in ("cleaned.jsonl", "labeled.jsonl"):
+    for name in ("cleaned.jsonl", "predictions.csv"):
         shutil.copy(pipeline_dir / name, tmp_path / name)
-    before = (tmp_path / "labeled.jsonl").read_bytes()
+    before = (tmp_path / "predictions.csv").read_bytes()
 
-    def failing_write_snaps(recs, sink, format="jsonl"):
-        with open(sink, "w") as fh:
-            fh.write("partial")
+    def failing_write_bytes(path, data):
+        with open(path, "wb") as fh:
+            fh.write(data[:7])
         raise OSError("disk full")
 
-    monkeypatch.setattr(records, "write_snaps", failing_write_snaps)
     config = str(pipeline_dir / "pipeline.yaml")
-    assert main(["classify", "--config", config, "--out-dir", str(tmp_path)]) == 1
-    assert (tmp_path / "labeled.jsonl").read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.jsonl", "labeled.jsonl"]
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_bytes", failing_write_bytes)
+        # another rule, so a completed write would change the file
+        rc = main(["classify", "--config", config, "--out-dir", str(tmp_path), "--rule", "single"])
+    assert rc == 1
+    assert (tmp_path / "predictions.csv").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.jsonl", "predictions.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +276,18 @@ _CITY = "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
         ("grid", "tile_size_m: -5\n", "tile_size_m"),
         ("cluster", "clustering:\n  k: abc\n", "clustering"),
         ("report", "cities: null\n", "cities"),
+        ("classify", "voting:\n  rule: majority\n  rul: single\n", "'rul'"),
+        ("grid", "tile_size: 500\n", "'tile_size'"),
+        ("cluster", "clustering:\n  n_clusters: 2\n", "'n_clusters'"),
+        ("classify", "voting:\n  cutoff: 1.5\n", "voting cutoff"),
+        ("classify", "voting:\n  cutoff: 1.0\n", "voting cutoff"),
+        ("classify", "voting:\n  cutoff: .nan\n", "voting cutoff"),
+        ("classify", "voting:\n  cutoff: .inf\n", "voting cutoff"),
+        ("classify", "voting:\n  cutoff: -3\n", "voting cutoff"),
     ],
     ids=["voting-null", "cutoff-text", "window-key", "hour-24", "tile-text", "tile-zero",
-         "tile-negative", "k-text", "cities-null"],
+         "tile-negative", "k-text", "cities-null", "voting-key", "top-level-key", "clustering-key",
+         "cutoff-above-1", "cutoff-1", "cutoff-nan", "cutoff-inf", "cutoff-negative"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, stage, setting, named):
     # cities first so a later "cities" setting replaces them
@@ -316,7 +328,7 @@ def test_classify_without_ingest_exits_2(pipeline_dir, tmp_path, capsys):
     assert main(["classify", "--config", config, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "cleaned.jsonl" in err and "ingest" in err
-    assert not (tmp_path / "labeled.jsonl").exists()
+    assert not (tmp_path / "predictions.csv").exists()
 
 
 def test_classify_with_corrupt_cleaned_exits_2(pipeline_dir, tmp_path, capsys):
@@ -328,7 +340,63 @@ def test_classify_with_corrupt_cleaned_exits_2(pipeline_dir, tmp_path, capsys):
     assert main(["classify", "--config", config, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "cleaned.jsonl" in err and "ingest" in err
-    assert not (tmp_path / "labeled.jsonl").exists()
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+def _reader_fails_naming_predictions(stage, config, out_dir, capsys):
+    assert main([stage, "--config", config, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "predictions.csv" in err and "classify" in err
+
+
+@pytest.mark.parametrize("damage", ["missing", "swapped", "truncated", "extra", "header", "label"])
+def test_reader_with_bad_predictions_exits_2(pipeline_dir, tmp_path, capsys, damage):
+    shutil.copy(pipeline_dir / "cleaned.jsonl", tmp_path / "cleaned.jsonl")
+    lines = (pipeline_dir / "predictions.csv").read_text().splitlines(keepends=True)
+    if damage == "swapped":
+        lines[1], lines[2] = lines[2], lines[1]
+    elif damage == "truncated":
+        lines.pop()
+    elif damage == "extra":
+        lines.append("x-1,driving\n")
+    elif damage == "header":
+        lines[0] = "id,prediction\n"
+    elif damage == "label":
+        lines[1] = lines[1].split(",")[0] + ",maybe\n"
+    if damage != "missing":
+        (tmp_path / "predictions.csv").write_text("".join(lines))
+    _reader_fails_naming_predictions("extent", str(pipeline_dir / "pipeline.yaml"), tmp_path, capsys)
+
+
+def test_reingest_of_another_corpus_makes_readers_exit_2(pipeline_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run)
+    assert main(["synth", "--seed", "6", "--out-dir", str(tmp_path / "small"),
+                 "--cities", "3", "--records", "50", "--annotated", "10"]) == 0
+    shutil.copy(tmp_path / "small" / "snaps.jsonl", run / "snaps.jsonl")
+    config = str(run / "pipeline.yaml")
+    assert main(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    before = (run / "extent.json").read_bytes()
+    for stage in ("extent", "spatial", "temporal", "cluster"):
+        _reader_fails_naming_predictions(stage, config, run, capsys)
+    assert (run / "extent.json").read_bytes() == before
+
+
+def test_predictions_round_trip_ids_with_commas_and_quotes(tmp_path):
+    (tmp_path / "c.yaml").write_text("seed: 0\n")
+    base = {"ts_utc": "2025-03-03T12:00:00Z", "lat": 1.0, "lon": 1.0, "city_id": "a"}
+    rows = [
+        {**base, "id": 'a,"0"', "frame_scores": [0.9, 0.8]},
+        {**base, "id": "a-1"},
+        {**base, "id": "a\n2", "frame_scores": [0.1]},
+    ]
+    (tmp_path / "cleaned.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    config = str(tmp_path / "c.yaml")
+    assert main(["classify", "--config", config]) == 0
+    assert main(["extent", "--config", config]) == 0
+    assert read_json(tmp_path / "classify.json")["n_classified"] == 2
+    assert read_json(tmp_path / "extent.json")["per_city"] == {"a": 0.5}
 
 
 def test_stages_take_no_jobs_flag():
@@ -338,6 +406,12 @@ def test_stages_take_no_jobs_flag():
         with pytest.raises(SystemExit) as exc_info:
             parser.parse_args([stage, "--jobs", "2"])
         assert exc_info.value.code == 2, stage
+
+
+def test_ingest_takes_no_format_flag():
+    with pytest.raises(SystemExit) as exc_info:
+        build_parser().parse_args(["ingest", "--format", "csv"])
+    assert exc_info.value.code == 2
 
 
 def test_invalid_threshold_choice_exits_2(pipeline_dir):
@@ -359,11 +433,12 @@ def test_extent_with_no_driving_labels(tmp_path):
                     "lat": 1.0,
                     "lon": 1.0,
                     "city_id": "a",
-                    "label": "non_driving",
+                    "frame_scores": [0.9],
                 }
             )
         )
-    (tmp_path / "labeled.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "cleaned.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "predictions.csv").write_text("id,label\n" + "".join(f"a-{i},non_driving\n" for i in range(3)))
     rc = main(["extent", "--config", str(tmp_path / "c.yaml")])
     assert rc == 0
     info = read_json(tmp_path / "extent.json")

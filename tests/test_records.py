@@ -82,19 +82,8 @@ def test_jsonl_round_trip():
     recs = [make_record(i) for i in range(5)]
     recs[2] = make_record(2, label=None, frame_scores=None)
     recs[3] = make_record(3, deleted=True)
-    text = snaps_to_string(recs, format="jsonl")
-    parsed, failures = parse_snaps(io.StringIO(text), format="jsonl")
-    assert failures == []
-    assert parsed == recs
-
-
-def test_csv_round_trip():
-    recs = [make_record(i) for i in range(4)]
-    recs[1] = make_record(1, frame_scores=(0.5,), label="non_driving")
-    text = snaps_to_string(recs, format="csv")
-    header = text.split("\n", 1)[0].rstrip("\r")
-    assert header == "id,ts_utc,lat,lon,city_id,duration_s,frame_scores,label,deleted"
-    parsed, failures = parse_snaps(io.StringIO(text), format="csv")
+    text = snaps_to_string(recs)
+    parsed, failures = parse_snaps(io.StringIO(text))
     assert failures == []
     assert parsed == recs
 
@@ -102,8 +91,8 @@ def test_csv_round_trip():
 def test_file_round_trip(tmp_path):
     recs = [make_record(i) for i in range(3)]
     path = tmp_path / "snaps.jsonl"
-    write_snaps(recs, path, format="jsonl")
-    parsed, failures = parse_snaps(path, format="jsonl")
+    write_snaps(recs, path)
+    parsed, failures = parse_snaps(path)
     assert failures == []
     assert parsed == recs
 
@@ -115,7 +104,7 @@ def test_parse_failures_carry_line_numbers():
         '{"id": "b", "ts_utc": "2019-04-01T00:01:00Z", "lat": 1.0, "lon": 2.0, "city_id": "x"}',
         '{"id": "c", "ts_utc": "bogus", "lat": 1.0, "lon": 2.0, "city_id": "x"}',
     ]
-    records, failures = parse_snaps(lines, format="jsonl")
+    records, failures = parse_snaps(lines)
     assert [r.id for r in records] == ["a", "b"]
     assert [f.line_number for f in failures] == [2, 4]
 
@@ -126,14 +115,14 @@ def test_blank_lines_are_skipped_without_failures():
         '{"id": "a", "ts_utc": "2019-04-01T00:00:00Z", "lat": 1.0, "lon": 2.0, "city_id": "x"}',
         "   ",
     ]
-    records, failures = parse_snaps(lines, format="jsonl")
+    records, failures = parse_snaps(lines)
     assert len(records) == 1 and failures == []
 
 
 def test_mostly_garbage_input_raises():
     lines = ["nope", "also nope", '{"id": "a", "ts_utc": "2019-04-01T00:00:00Z", "lat": 0, "lon": 0, "city_id": "x"}']
     with pytest.raises(CorruptInputError):
-        parse_snaps(lines, format="jsonl")
+        parse_snaps(lines)
 
 
 def test_record_validation():

@@ -2,18 +2,23 @@
 
 ``perfbench/traced_stage.py`` rebinds the functions in its target tables on
 the nine ``snapgrid.*`` modules that ``import snapgrid.cli`` loads, and a
-stage run under it fails when one is missing. The script is read, not
-imported, so nothing is written beside it.
+stage run under it fails when one is missing. Its counters read the
+wrapped calls' arguments and results, so a changed call shape fails the
+stage too; the smoke test runs three stages under it. The script is read
+or run with ``-B``, never imported, so nothing is written beside it.
 """
 
 import importlib
+import json
 import os
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import snapgrid
+from snapgrid.cli import main
 
 TRACED_STAGE = Path(__file__).resolve().parents[1] / "perfbench" / "traced_stage.py"
 MODULES = ("cli", "records", "voting", "geo", "spatial", "temporal", "annotation", "regression", "synth")
@@ -27,11 +32,29 @@ def test_every_traced_function_exists():
         assert callable(getattr(importlib.import_module(f"snapgrid.{mod}"), fn_name, None)), (mod, fn_name)
 
 
-def test_importing_cli_loads_every_traced_module():
+def _env():
     src = str(Path(snapgrid.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_importing_cli_loads_every_traced_module():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, snapgrid.cli; print(' '.join(sorted(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True,
+        env=_env(), capture_output=True, text=True, check=True,
     ).stdout.split()
     assert [m for m in MODULES if f"snapgrid.{m}" not in out] == []
+
+
+def test_traced_stages_run(tmp_path):
+    assert main(["synth", "--seed", "3", "--out-dir", str(tmp_path),
+                 "--cities", "2", "--records", "50", "--annotated", "10"]) == 0
+    for stage in ("ingest", "classify", "extent"):
+        spans_path = tmp_path / f"{stage}.trace"
+        done = subprocess.run(
+            [sys.executable, "-B", str(TRACED_STAGE), str(spans_path), repr(time.monotonic()),
+             stage, "--config", str(tmp_path / "pipeline.yaml")],
+            env=_env(), capture_output=True, text=True,
+        )
+        assert done.returncode == 0, (stage, done.stderr)
+        spans = json.loads(spans_path.read_text())["spans"]
+        assert "records.parse_snaps" in [span[0] for span in spans], stage
