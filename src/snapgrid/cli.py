@@ -170,6 +170,16 @@ def _voting_cutoff(cfg: dict) -> float:
     return cutoff
 
 
+def _cluster_k(cfg: dict, flag: Optional[int]) -> int:
+    if flag is not None:
+        what, k = "--k", flag
+    else:
+        what, k = "clustering k", _setting("clustering k", int, cfg["clustering"]["k"])
+    if k < 1:
+        raise ConfigError(f"bad {what}: must be at least 1, got {k}")
+    return k
+
+
 def _load_intermediate(out_dir: Path, name: str, stage: str) -> list[records.SnapRecord]:
     """Records of the JSONL file ``name`` that ``stage`` writes into ``out_dir``."""
     path = out_dir / name
@@ -444,7 +454,7 @@ def cmd_temporal(args) -> int:
 def cmd_cluster(args) -> int:
     cfg, out_dir = _stage_setup(args)
     regions = _city_regions(cfg)
-    k = args.k if args.k is not None else _setting("clustering k", int, cfg["clustering"]["k"])
+    k = _cluster_k(cfg, args.k)
     seed = args.seed if args.seed is not None else _setting("seed", int, cfg["seed"])
     recs = _load_classified(out_dir)
 
@@ -505,6 +515,15 @@ def cmd_report(args) -> int:
     for part in _REPORT_PARTS:
         path = out_dir / f"{part}.json"
         merged[part] = json.loads(path.read_text()) if path.exists() else None
+    ingest, classify = merged["ingest"], merged["classify"]
+    if ingest and classify:
+        # classify saw every record ingest kept, or the two parts are from different runs
+        seen = classify["n_classified"] + classify["n_skipped_unscored"]
+        if seen != ingest["kept"]:
+            raise ConfigError(
+                f"classify.json covers {seen} records but ingest.json kept {ingest['kept']}; "
+                "re-run classify and the stages after it"
+            )
     _write_json(out_dir / "report.json", merged)
     present = [p for p in _REPORT_PARTS if merged[p] is not None]
     print(f"report: merged {len(present)} sections -> {out_dir / 'report.json'}")

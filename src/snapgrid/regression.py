@@ -6,6 +6,12 @@ developing-country flag, ln(population + 1), and ln(total snaps + 1).
 Coefficients come from QR-based ordinary least squares with classical
 standard errors; each term's contribution is additionally scored by a
 likelihood-ratio test of the model with the term dropped.
+
+Only the ``regress`` stage uses scipy, so ``ols_fit`` and ``lr_test``
+import it themselves: ``scipy.linalg`` for the pivoted QR and
+``scipy.special`` for the t and chi-square tails (``stdtr``, ``chdtrc``).
+Every stage imports this module through the CLI, and scipy's statistics
+subpackage alone takes over a second to import.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import linalg, stats
 
 from .errors import (
     CollinearityError,
@@ -138,6 +143,8 @@ class OLSResult:
 
 def ols_fit(X: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OLSResult:
     """QR-based least squares with classical (homoskedastic) standard errors."""
+    from scipy import linalg, special
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -169,7 +176,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OLSResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         degenerate = np.where(coefs == 0.0, 0.0, np.inf * np.sign(coefs))
         t_values = np.where(std_errors > 0, coefs / std_errors, degenerate)
-    p_values = 2.0 * stats.t.sf(np.abs(t_values), df_resid)
+    p_values = 2.0 * special.stdtr(df_resid, -np.abs(t_values))
 
     sst = float(((y - y.mean()) ** 2).sum())
     if sst == 0.0:
@@ -204,6 +211,8 @@ def lr_test(full: OLSResult, reduced: OLSResult) -> LRTestResult:
     The reduced model must use a subset of the full model's columns on the
     same observations.
     """
+    from scipy import special
+
     if full.n != reduced.n:
         raise InvalidNestingError(f"models fit on different n: {full.n} vs {reduced.n}")
     full_cols, red_cols = set(full.columns), set(reduced.columns)
@@ -218,7 +227,7 @@ def lr_test(full: OLSResult, reduced: OLSResult) -> LRTestResult:
         chisq = 0.0 if reduced.ssr <= 0 else math.inf
     else:
         chisq = max(0.0, full.n * math.log(reduced.ssr / full.ssr))
-    p_value = float(stats.chi2.sf(chisq, df))
+    p_value = float(special.chdtrc(df, chisq))
     return LRTestResult(chisq=chisq, df=df, p_value=p_value)
 
 

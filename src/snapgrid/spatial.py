@@ -188,8 +188,9 @@ def compare_fits(x: Sequence[float], city_id: str = "") -> FitComparison:
         except DegenerateSampleError as exc:
             failures[family] = str(exc)
     if len(fits) < 2:
+        where = f"city {city_id}: " if city_id else ""
         raise InsufficientFitsError(
-            f"only {len(fits)} of {len(FAMILIES)} families fit successfully: {failures}"
+            f"{where}only {len(fits)} of {len(FAMILIES)} families fit successfully: {failures}"
         )
     best_by_bic = min(fits, key=lambda f: (fits[f].bic, FAMILIES.index(f)))
     best_by_loglik = max(fits, key=lambda f: (fits[f].log_likelihood, -FAMILIES.index(f)))

@@ -91,11 +91,11 @@ def night_uplift(profile: HourlyProfile, window: NightWindow = NightWindow()) ->
     """
     inside = np.array([window.contains(h) for h in range(24)])
     if inside.all() or not inside.any():
-        raise UndefinedUpliftError("window covers all or none of the day")
+        raise UndefinedUpliftError(f"city {profile.city_id}: window covers all or none of the day")
     mean_in = float(profile.counts[inside].mean())
     mean_out = float(profile.counts[~inside].mean())
     if mean_out == 0:
-        raise UndefinedUpliftError("no activity outside the window; uplift undefined")
+        raise UndefinedUpliftError(f"city {profile.city_id}: no activity outside the window; uplift undefined")
     return (mean_in / mean_out - 1.0) * 100.0
 
 

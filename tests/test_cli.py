@@ -284,10 +284,13 @@ _CITY = "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
         ("classify", "voting:\n  cutoff: .nan\n", "voting cutoff"),
         ("classify", "voting:\n  cutoff: .inf\n", "voting cutoff"),
         ("classify", "voting:\n  cutoff: -3\n", "voting cutoff"),
+        ("cluster", "clustering:\n  k: 0\n", "clustering k"),
+        ("cluster", "clustering:\n  k: -2\n", "clustering k"),
     ],
     ids=["voting-null", "cutoff-text", "window-key", "hour-24", "tile-text", "tile-zero",
          "tile-negative", "k-text", "cities-null", "voting-key", "top-level-key", "clustering-key",
-         "cutoff-above-1", "cutoff-1", "cutoff-nan", "cutoff-inf", "cutoff-negative"],
+         "cutoff-above-1", "cutoff-1", "cutoff-nan", "cutoff-inf", "cutoff-negative",
+         "k-zero", "k-negative"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, stage, setting, named):
     # cities first so a later "cities" setting replaces them
@@ -368,19 +371,35 @@ def test_reader_with_bad_predictions_exits_2(pipeline_dir, tmp_path, capsys, dam
     _reader_fails_naming_predictions("extent", str(pipeline_dir / "pipeline.yaml"), tmp_path, capsys)
 
 
-def test_reingest_of_another_corpus_makes_readers_exit_2(pipeline_dir, tmp_path, capsys):
+def _reingest_another_corpus(pipeline_dir, tmp_path, capsys) -> Path:
+    """A copy of the finished run whose ingest was re-run on a smaller corpus."""
     run = tmp_path / "run"
     shutil.copytree(pipeline_dir, run)
     assert main(["synth", "--seed", "6", "--out-dir", str(tmp_path / "small"),
                  "--cities", "3", "--records", "50", "--annotated", "10"]) == 0
     shutil.copy(tmp_path / "small" / "snaps.jsonl", run / "snaps.jsonl")
-    config = str(run / "pipeline.yaml")
-    assert main(["ingest", "--config", config]) == 0
+    assert main(["ingest", "--config", str(run / "pipeline.yaml")]) == 0
     capsys.readouterr()
+    return run
+
+
+def test_reingest_of_another_corpus_makes_readers_exit_2(pipeline_dir, tmp_path, capsys):
+    run = _reingest_another_corpus(pipeline_dir, tmp_path, capsys)
+    config = str(run / "pipeline.yaml")
     before = (run / "extent.json").read_bytes()
     for stage in ("extent", "spatial", "temporal", "cluster"):
         _reader_fails_naming_predictions(stage, config, run, capsys)
     assert (run / "extent.json").read_bytes() == before
+
+
+def test_report_over_stale_classify_exits_2(pipeline_dir, tmp_path, capsys):
+    run = _reingest_another_corpus(pipeline_dir, tmp_path, capsys)
+    before = (run / "report.json").read_bytes()
+    assert main(["report", "--config", str(run / "pipeline.yaml")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "classify.json" in err and "ingest.json" in err
+    assert "re-run classify" in err
+    assert (run / "report.json").read_bytes() == before
 
 
 def test_predictions_round_trip_ids_with_commas_and_quotes(tmp_path):
@@ -421,24 +440,21 @@ def test_invalid_threshold_choice_exits_2(pipeline_dir):
     assert exc_info.value.code == 2
 
 
+def _write_classified(out_dir, points, label):
+    """``cleaned.jsonl`` with one scored record per ``(city, lat, lon)``, all predicted ``label``."""
+    ids = [f"{city}-{i}" for i, (city, _lat, _lon) in enumerate(points)]
+    rows = [
+        {"id": rec_id, "ts_utc": "2025-03-03T12:00:00Z", "lat": lat, "lon": lon,
+         "city_id": city, "frame_scores": [0.9]}
+        for rec_id, (city, lat, lon) in zip(ids, points)
+    ]
+    (out_dir / "cleaned.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    (out_dir / "predictions.csv").write_text("id,label\n" + "".join(f"{i},{label}\n" for i in ids))
+
+
 def test_extent_with_no_driving_labels(tmp_path):
     (tmp_path / "c.yaml").write_text("seed: 0\n")
-    lines = []
-    for i in range(3):
-        lines.append(
-            json.dumps(
-                {
-                    "id": f"a-{i}",
-                    "ts_utc": "2025-03-03T12:00:00Z",
-                    "lat": 1.0,
-                    "lon": 1.0,
-                    "city_id": "a",
-                    "frame_scores": [0.9],
-                }
-            )
-        )
-    (tmp_path / "cleaned.jsonl").write_text("\n".join(lines) + "\n")
-    (tmp_path / "predictions.csv").write_text("id,label\n" + "".join(f"a-{i},non_driving\n" for i in range(3)))
+    _write_classified(tmp_path, [("a", 1.0, 1.0)] * 3, "non_driving")
     rc = main(["extent", "--config", str(tmp_path / "c.yaml")])
     assert rc == 0
     info = read_json(tmp_path / "extent.json")
@@ -453,3 +469,29 @@ def test_cluster_with_k_equal_to_city_count(pipeline_dir):
     info = read_json(pipeline_dir / "cluster.json")
     assert info["k"] == 3
     assert info["silhouette"] is None
+
+
+def test_spatial_error_names_the_city(tmp_path, capsys):
+    # city a's driving clips spread over four tiles; city b's sit in one tile,
+    # which no distribution can be fitted to
+    config = tmp_path / "c.yaml"
+    config.write_text(
+        "cities:\n"
+        "  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.05, 0.05]\n"
+        "  b:\n    tz: UTC\n    bbox: [1.0, 1.0, 1.05, 1.05]\n"
+    )
+    spread = [("a", 0.0045 + 0.009 * row, 0.0045) for row in range(4) for _ in range(row + 1)]
+    _write_classified(tmp_path, spread + [("b", 1.0045, 1.0045)] * 3, "driving")
+    assert main(["spatial", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("snapgrid spatial: city b: ")
+    assert not (tmp_path / "spatial.json").exists()
+
+
+def test_cluster_k_zero_flag_exits_2(pipeline_dir, capsys):
+    config = str(pipeline_dir / "pipeline.yaml")
+    before = (pipeline_dir / "cluster.json").read_bytes()
+    assert main(["cluster", "--config", config, "--k", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--k" in err
+    assert (pipeline_dir / "cluster.json").read_bytes() == before

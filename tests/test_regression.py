@@ -119,7 +119,7 @@ def test_ols_five_point_normal_equations():
     assert fit.r_squared == pytest.approx(81.0 / 92.0)
     t_slope = 0.9 / math.sqrt(11.0 / 300.0)
     assert fit.t_values[1] == pytest.approx(t_slope)
-    assert fit.p_values[1] == pytest.approx(2 * stats.t.sf(t_slope, 3))
+    assert fit.p_values[1] == 2 * stats.t.sf(abs(fit.t_values[1]), 3)
     assert fit.df_resid == 3
 
 
@@ -205,6 +205,14 @@ def test_lr_strong_predictor_is_significant():
     assert result.chisq > 50
     assert result.p_value < 0.001
     assert result.df == 1
+
+
+def test_lr_p_value_is_the_chi_square_tail():
+    # dropping the noise column gives a statistic far from both tails
+    result = lr_test(planted_fit(include_noise_col=True), planted_fit())
+    assert result.df == 1
+    assert 0.01 < result.p_value < 0.99
+    assert result.p_value == float(stats.chi2.sf(result.chisq, 1))
 
 
 def test_lr_null_column_p_is_roughly_uniform():

@@ -118,8 +118,10 @@ def test_mle_is_a_local_maximum_of_the_likelihood():
 
 def test_compare_fits_needs_two_successes():
     # a constant sample only supports the exponential family
-    with pytest.raises(InsufficientFitsError):
+    with pytest.raises(InsufficientFitsError, match="^only 1 of 4"):
         compare_fits([1.0, 1.0])
+    with pytest.raises(InsufficientFitsError, match="^city c7: only 1 of 4"):
+        compare_fits([1.0, 1.0], "c7")
 
 
 def test_compare_fits_reports_what_failed():

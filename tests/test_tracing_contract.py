@@ -6,6 +6,9 @@ stage run under it fails when one is missing. Its counters read the
 wrapped calls' arguments and results, so a changed call shape fails the
 stage too; the smoke test runs three stages under it. The script is read
 or run with ``-B``, never imported, so nothing is written beside it.
+
+Importing the CLI must not load scipy: every stage process pays for what
+that import loads, and only ``regress`` uses scipy.
 """
 
 import importlib
@@ -16,6 +19,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import snapgrid
 from snapgrid.cli import main
@@ -37,12 +42,21 @@ def _env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
-def test_importing_cli_loads_every_traced_module():
-    out = subprocess.run(
+@pytest.fixture(scope="module")
+def modules_after_cli_import():
+    """``sys.modules`` of a fresh interpreter after ``import snapgrid.cli``."""
+    return subprocess.run(
         [sys.executable, "-c", "import sys, snapgrid.cli; print(' '.join(sorted(sys.modules)))"],
         env=_env(), capture_output=True, text=True, check=True,
     ).stdout.split()
-    assert [m for m in MODULES if f"snapgrid.{m}" not in out] == []
+
+
+def test_importing_cli_loads_every_traced_module(modules_after_cli_import):
+    assert [m for m in MODULES if f"snapgrid.{m}" not in modules_after_cli_import] == []
+
+
+def test_importing_cli_loads_no_scipy(modules_after_cli_import):
+    assert "scipy" not in modules_after_cli_import
 
 
 def test_traced_stages_run(tmp_path):
