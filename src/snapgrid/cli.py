@@ -2,10 +2,11 @@
 
 One subcommand per analysis stage (synth, grid, ingest, annotate,
 classify, extent, spatial, temporal, cluster, regress, report), wired
-together through a YAML config and an output directory. Every stage
-writes its artifacts atomically (temp file + rename) and depends only on
-its declared inputs plus the seed, so re-running a stage with the same
-inputs reproduces its outputs byte for byte.
+together through a YAML config and an output directory. A stage writes
+no file: it returns its outputs, ``{file name: content}``, and a summary,
+and ``main`` commits the outputs all or nothing, so a failed stage leaves
+the previous artifacts as they were. A stage depends only on its declared
+inputs plus the seed, so a re-run reproduces its outputs byte for byte.
 
 ``cleaned.jsonl`` (from ingest) is the one record-level intermediate;
 classify writes only ``predictions.csv``, an ``id,label`` row per scored
@@ -26,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
@@ -54,28 +56,42 @@ PREDICTIONS = "predictions.csv"
 # small utilities
 
 
-def _atomic_write(path: Path, write) -> None:
-    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it over ``path``.
+def _write_json(path: Path, obj) -> None:
+    path.write_bytes((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
-    The temp name carries the process id, so concurrent runs never share
-    one. If writing fails, the temp file is removed and ``path`` keeps its
-    previous contents.
+
+def _commit(out_dir: Path, outputs: dict) -> None:
+    """Write ``outputs``, ``{file name: str, JSON-able dict or writer(path)}``, all or nothing.
+
+    Each goes to ``<name>.<pid>.tmp`` beside its target, and no target is
+    replaced before every write has succeeded; on a failure the temp files
+    are removed, so every target keeps its previous contents.
     """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmps = {}
     try:
-        write(tmp)
-        os.replace(tmp, path)
+        for name, content in outputs.items():
+            tmp = tmps[name] = out_dir / f"{name}.{os.getpid()}.tmp"
+            if isinstance(content, str):
+                tmp.write_bytes(content.encode())
+            elif isinstance(content, dict):
+                _write_json(tmp, content)
+            else:
+                content(tmp)
+        for name, tmp in tmps.items():
+            os.replace(tmp, out_dir / name)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
         raise
 
 
-def _write_text(path: Path, text: str) -> None:
-    _atomic_write(path, lambda tmp: tmp.write_bytes(text.encode()))
-
-
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _csv_text(header, rows) -> str:
+    """``header`` and ``rows`` as CSV text; fields with commas, quotes or newlines are quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -110,14 +126,6 @@ def load_config(path: Optional[str]) -> dict:
             cfg[key] = value
     cfg["_dir"] = p.parent.resolve()
     return cfg
-
-
-def _stage_setup(args) -> tuple[dict, Path]:
-    """A stage's config and its output directory, created if missing."""
-    cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or cfg["_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
 
 
 def _config_path(cfg: dict, key: str) -> Path:
@@ -194,14 +202,6 @@ def _load_intermediate(out_dir: Path, name: str, stage: str) -> list[records.Sna
     return recs
 
 
-def _write_predictions(path: Path, scored, labels) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("id", "label"))
-    writer.writerows(zip((rec.id for rec in scored), labels))
-    _write_text(path, buf.getvalue())
-
-
 def _load_classified(out_dir: Path) -> list[records.SnapRecord]:
     """The scored records of ``cleaned.jsonl``, labeled with classify's predictions.
 
@@ -243,28 +243,17 @@ def _by_city(recs, cities, label: Optional[str] = None) -> dict[str, list[record
 
 
 # ---------------------------------------------------------------------------
-# stages
+# stages: each takes (args, cfg, out_dir) and returns (outputs, summary) for
+# main to commit and print
 
 
-def cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
     spec = synth.default_spec(args.seed, n_cities=args.cities, n_records=args.records)
     corpus, grids = synth.gen_corpus(spec)
-
-    _atomic_write(out_dir / "snaps.jsonl", lambda tmp: records.write_snaps(corpus, tmp))
-
     sample = [r for r in corpus if int(r.id.rsplit("-", 1)[1]) < args.annotated]
     rows = synth.gen_annotations(sample, flip_prob=args.flip_prob, seed=spec.seed)
-    lines = ["item_id,rater_id,category"] + [",".join(row) for row in rows]
-    _write_text(out_dir / "annotations.csv", "\n".join(lines) + "\n")
-
     stats = synth.gen_regression_cities(130, seed=spec.seed, noise_sigma=args.reg_sigma)
-    _atomic_write(out_dir / "city_stats.csv", lambda tmp: regression.write_city_stats(stats, tmp))
-
     manifest = synth.build_manifest(spec, regression_sigma=args.reg_sigma)
-    _atomic_write(out_dir / "manifest.json", lambda tmp: synth.write_manifest(manifest, tmp))
-
     pipeline = {
         "seed": spec.seed,
         "tile_size_m": spec.tile_size_m,
@@ -280,86 +269,80 @@ def cmd_synth(args) -> int:
             for c in spec.cities
         },
     }
-    _write_text(out_dir / "pipeline.yaml", yaml.safe_dump(pipeline, sort_keys=True))
-    print(
-        f"synth: {len(corpus)} records across {len(spec.cities)} cities "
-        f"-> {out_dir / 'snaps.jsonl'}"
-    )
-    return 0
+    outputs = {
+        "snaps.jsonl": partial(records.write_snaps, corpus),
+        "annotations.csv": _csv_text(("item_id", "rater_id", "category"), rows),
+        "city_stats.csv": partial(regression.write_city_stats, stats),
+        "manifest.json": partial(synth.write_manifest, manifest),
+        "pipeline.yaml": yaml.safe_dump(pipeline, sort_keys=True),
+    }
+    summary = f"synth: {len(corpus)} records across {len(spec.cities)} cities -> {out_dir / 'snaps.jsonl'}"
+    return outputs, summary
 
 
-def cmd_grid(args) -> int:
-    cfg, out_dir = _stage_setup(args)
+def cmd_grid(args, cfg, out_dir: Path) -> tuple[dict, str]:
     tile_size = _tile_size(cfg)
-    summary = {}
+    outputs, shapes = {}, {}
     for city_id, (region, _tz) in _city_regions(cfg).items():
         grid = build_grid(region, tile_size)
-        _atomic_write(out_dir / f"grid_{city_id}.csv", grid.write_csv)
-        summary[city_id] = {
+        outputs[f"grid_{city_id}.csv"] = grid.write_csv
+        shapes[city_id] = {
             "n_rows": grid.n_rows,
             "n_cols": grid.n_cols,
             "n_active": grid.n_active,
         }
-    _write_json(out_dir / "grid.json", summary)
-    total = sum(s["n_active"] for s in summary.values())
-    print(f"grid: {len(summary)} cities, {total} active tiles")
-    return 0
+    outputs["grid.json"] = shapes
+    total = sum(s["n_active"] for s in shapes.values())
+    return outputs, f"grid: {len(shapes)} cities, {total} active tiles"
 
 
-def cmd_ingest(args) -> int:
-    cfg, out_dir = _stage_setup(args)
+def cmd_ingest(args, cfg, out_dir: Path) -> tuple[dict, str]:
     recs, failures = records.parse_snaps(_config_path(cfg, "snaps"))
     summary = records.deletion_summary(recs)
     active = records.filter_active(recs)
-    _atomic_write(out_dir / "cleaned.jsonl", lambda tmp: records.write_snaps(active, tmp))
-    _write_json(
-        out_dir / "ingest.json",
-        {
+    outputs = {
+        "cleaned.jsonl": partial(records.write_snaps, active),
+        "ingest.json": {
             "parsed": len(recs),
             "parse_failures": len(failures),
             "deleted": summary.deleted,
             "deletion_rate_pct": summary.rate_pct,
             "kept": len(active),
         },
-    )
-    print(
+    }
+    return outputs, (
         f"ingest: parsed {len(recs)} ({len(failures)} bad lines), "
         f"dropped {summary.deleted} deleted ({summary.rate_pct:.2f}%), kept {len(active)}"
     )
-    return 0
 
 
-def cmd_annotate(args) -> int:
-    cfg, out_dir = _stage_setup(args)
+def cmd_annotate(args, cfg, out_dir: Path) -> tuple[dict, str]:
     path = Path(args.annotations) if args.annotations else _config_path(cfg, "annotations")
     matrix = annotation.load_annotations_csv(path)
     kappa = annotation.fleiss_kappa(matrix)
     labels = annotation.adjudicate(matrix, positive_category=records.DRIVING)
-    lines = ["item_id,label,support"] + [f"{g.item_id},{g.label},{g.support}" for g in labels]
-    _write_text(out_dir / "labels.csv", "\n".join(lines) + "\n")
     positive = sum(1 for g in labels if g.label == records.DRIVING)
-    _write_json(
-        out_dir / "annotation.json",
-        {
+    outputs = {
+        "labels.csv": _csv_text(
+            ("item_id", "label", "support"), ((g.item_id, g.label, g.support) for g in labels)
+        ),
+        "annotation.json": {
             "fleiss_kappa": kappa,
             "n_items": matrix.n_items,
             "n_raters": matrix.n_raters,
             "positive_rate": positive / matrix.n_items,
         },
-    )
-    print(f"annotate: {matrix.n_items} items, {matrix.n_raters} raters, kappa={kappa:.4f}")
-    return 0
+    }
+    return outputs, f"annotate: {matrix.n_items} items, {matrix.n_raters} raters, kappa={kappa:.4f}"
 
 
-def cmd_classify(args) -> int:
-    cfg, out_dir = _stage_setup(args)
+def cmd_classify(args, cfg, out_dir: Path) -> tuple[dict, str]:
     rule = _voting_rule(cfg, args.rule, args.threshold)
     cutoff = _voting_cutoff(cfg)
 
     recs = _load_intermediate(out_dir, "cleaned.jsonl", "ingest")
     scored = [r for r in recs if r.frame_scores]
     predictions = [voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff) for rec in scored]
-    _write_predictions(out_dir / PREDICTIONS, scored, predictions)
 
     out = {
         "rule": rule.kind,
@@ -371,26 +354,27 @@ def cmd_classify(args) -> int:
     truths = [r.label for r in scored]
     if all(t is not None for t in truths) and truths:
         out["eval"] = asdict(voting.evaluate(predictions, truths))
-    _write_json(out_dir / "classify.json", out)
+    outputs = {
+        PREDICTIONS: _csv_text(("id", "label"), zip((rec.id for rec in scored), predictions)),
+        "classify.json": out,
+    }
     suffix = f", accuracy={out['eval']['accuracy']:.4f}" if "eval" in out else ""
-    print(f"classify: {len(predictions)} records via {rule.kind}{suffix}")
-    return 0
+    return outputs, f"classify: {len(predictions)} records via {rule.kind}{suffix}"
 
 
-def cmd_extent(args) -> int:
-    _cfg, out_dir = _stage_setup(args)
+def cmd_extent(args, _cfg, out_dir: Path) -> tuple[dict, str]:
     report = voting.extent(_load_classified(out_dir))
-    _write_json(out_dir / "extent.json", asdict(report))
-    print(f"extent: overall driving fraction {report.overall:.4f} over {len(report.per_city)} cities")
-    return 0
+    return (
+        {"extent.json": asdict(report)},
+        f"extent: overall driving fraction {report.overall:.4f} over {len(report.per_city)} cities",
+    )
 
 
-def cmd_spatial(args) -> int:
-    cfg, out_dir = _stage_setup(args)
+def cmd_spatial(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
     tile_size = _tile_size(cfg)
     recs = _load_classified(out_dir)
-    comparisons = []
+    outputs, comparisons = {}, []
     for city_id, city_recs in _by_city(recs, regions).items():
         grid = build_grid(regions[city_id][0], tile_size)
         driving = spatial.tile_counts(
@@ -398,25 +382,17 @@ def cmd_spatial(args) -> int:
         )
         total = spatial.tile_counts(city_recs, grid, city_id)
         comparisons.append(spatial.compare_fits(driving.positive_counts, city_id))
-        _atomic_write(
-            out_dir / f"heatmap_{city_id}.csv",
-            lambda tmp: spatial.heatmap_export(grid, driving, total, tmp),
-        )
+        outputs[f"heatmap_{city_id}.csv"] = partial(spatial.heatmap_export, grid, driving, total)
     wins = spatial.concentration_summary(comparisons)
-    _write_json(
-        out_dir / "spatial.json",
-        {
-            "cities": {c.city_id: spatial.comparison_to_dict(c) for c in comparisons},
-            "bic_win_pct": wins,
-        },
-    )
+    outputs["spatial.json"] = {
+        "cities": {c.city_id: spatial.comparison_to_dict(c) for c in comparisons},
+        "bic_win_pct": wins,
+    }
     top = max(wins, key=wins.get)
-    print(f"spatial: {len(comparisons)} cities fit; {top} wins {wins[top]:.0f}% by BIC")
-    return 0
+    return outputs, f"spatial: {len(comparisons)} cities fit; {top} wins {wins[top]:.0f}% by BIC"
 
 
-def cmd_temporal(args) -> int:
-    cfg, out_dir = _stage_setup(args)
+def cmd_temporal(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
     window = _setting("night_window", lambda: temporal.NightWindow(**cfg["night_window"]))
     recs = _load_classified(out_dir)
@@ -435,24 +411,22 @@ def cmd_temporal(args) -> int:
         city_id: temporal.pearson(per_city[city_id]["profile"], pooled)
         for city_id in per_city
     }
-    _write_json(
-        out_dir / "temporal.json",
-        {
-            "per_city": per_city,
-            "pooled": {
-                "profile": pooled.tolist(),
-                "night_uplift_pct": uplift,
-            },
-            "correlation_with_pooled": correlations,
-            "night_window": asdict(window),
+    report = {
+        "per_city": per_city,
+        "pooled": {
+            "profile": pooled.tolist(),
+            "night_uplift_pct": uplift,
         },
+        "correlation_with_pooled": correlations,
+        "night_window": asdict(window),
+    }
+    return (
+        {"temporal.json": report},
+        f"temporal: pooled night uplift {uplift:.1f}% across {len(per_city)} cities",
     )
-    print(f"temporal: pooled night uplift {uplift:.1f}% across {len(per_city)} cities")
-    return 0
 
 
-def cmd_cluster(args) -> int:
-    cfg, out_dir = _stage_setup(args)
+def cmd_cluster(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
     k = _cluster_k(cfg, args.k)
     seed = args.seed if args.seed is not None else _setting("seed", int, cfg["seed"])
@@ -467,54 +441,54 @@ def cmd_cluster(args) -> int:
     k_range = [kk for kk in range(2, 7) if kk <= len(kept)]
     elbow = temporal.elbow_curve(X, k_range, seed=seed)
     emb = temporal.embed_2d(X)
-    _write_json(
-        out_dir / "cluster.json",
-        {
-            "k": k,
-            "seed": seed,
-            "cities": kept,
-            "labels": {c: int(l) for c, l in zip(kept, result.labels)},
-            "inertia": result.inertia,
-            "silhouette": sil,
-            "elbow": [[kk, inertia] for kk, inertia in elbow],
-            "embedding": {c: [float(x), float(y)] for c, (x, y) in zip(kept, emb.coords)},
-        },
-    )
+    report = {
+        "k": k,
+        "seed": seed,
+        "cities": kept,
+        "labels": {c: int(l) for c, l in zip(kept, result.labels)},
+        "inertia": result.inertia,
+        "silhouette": sil,
+        "elbow": [[kk, inertia] for kk, inertia in elbow],
+        "embedding": {c: [float(x), float(y)] for c, (x, y) in zip(kept, emb.coords)},
+    }
     sil_text = f", silhouette={sil:.3f}" if sil is not None else ""
-    print(f"cluster: k={k} over {len(kept)} cities, inertia={result.inertia:.6g}{sil_text}")
-    return 0
+    return (
+        {"cluster.json": report},
+        f"cluster: k={k} over {len(kept)} cities, inertia={result.inertia:.6g}{sil_text}",
+    )
 
 
-def cmd_regress(args) -> int:
-    cfg, out_dir = _stage_setup(args)
+def cmd_regress(args, cfg, out_dir: Path) -> tuple[dict, str]:
     path = Path(args.stats) if args.stats else _config_path(cfg, "city_stats")
     report = regression.regression_report(regression.load_city_stats(path))
-    _write_json(out_dir / "regress.json", asdict(report))
-    print(f"regress: n={report.n}, R^2={report.r_squared:.4f}")
+    lines = [f"regress: n={report.n}, R^2={report.r_squared:.4f}"]
     for t in report.terms:
         lr = f" LR={t.lr_chisq:.2f}" if t.lr_chisq is not None else ""
-        print(f"  {t.term:<16} {t.coef:>9.4f} ({t.std_error:.4f}){t.stars:<3}{lr}")
-    return 0
+        lines.append(f"  {t.term:<16} {t.coef:>9.4f} ({t.std_error:.4f}){t.stars:<3}{lr}")
+    return {"regress.json": asdict(report)}, "\n".join(lines)
 
 
-_REPORT_PARTS = (
-    "ingest",
-    "annotation",
-    "classify",
-    "extent",
-    "spatial",
-    "temporal",
-    "cluster",
-    "regress",
-)
+# report part -> the stage that writes <part>.json
+_REPORT_PARTS = {
+    "ingest": "ingest",
+    "annotation": "annotate",
+    "classify": "classify",
+    "extent": "extent",
+    "spatial": "spatial",
+    "temporal": "temporal",
+    "cluster": "cluster",
+    "regress": "regress",
+}
 
 
-def cmd_report(args) -> int:
-    cfg, out_dir = _stage_setup(args)
+def cmd_report(args, cfg, out_dir: Path) -> tuple[dict, str]:
     merged = {"seed": cfg["seed"], "cities": sorted(cfg["cities"])}
-    for part in _REPORT_PARTS:
+    for part, stage in _REPORT_PARTS.items():
         path = out_dir / f"{part}.json"
-        merged[part] = json.loads(path.read_text()) if path.exists() else None
+        try:
+            merged[part] = json.loads(path.read_text()) if path.exists() else None
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}; re-run the {stage} stage")
     ingest, classify = merged["ingest"], merged["classify"]
     if ingest and classify:
         # classify saw every record ingest kept, or the two parts are from different runs
@@ -524,10 +498,11 @@ def cmd_report(args) -> int:
                 f"classify.json covers {seen} records but ingest.json kept {ingest['kept']}; "
                 "re-run classify and the stages after it"
             )
-    _write_json(out_dir / "report.json", merged)
     present = [p for p in _REPORT_PARTS if merged[p] is not None]
-    print(f"report: merged {len(present)} sections -> {out_dir / 'report.json'}")
-    return 0
+    return (
+        {"report.json": merged},
+        f"report: merged {len(present)} sections -> {out_dir / 'report.json'}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,16 +555,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"snapgrid {args.command}: {exc}", file=sys.stderr)
-        return 2
+        # synth reads no config; its --out-dir is required
+        cfg = None if args.command == "synth" else load_config(args.config)
+        out_dir = Path(args.out_dir or cfg["_dir"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs, summary = args.func(args, cfg, out_dir)
+        _commit(out_dir, outputs)
     except (SnapGridError, OSError) as exc:
         print(f"snapgrid {args.command}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -73,6 +73,8 @@ class NightWindow:
         for h in (self.start_hour, self.end_hour):
             if not 0 <= h <= 23:
                 raise ValueError(f"hour {h} outside 0..23")
+        if self.start_hour == self.end_hour:
+            raise ValueError(f"start_hour == end_hour == {self.start_hour} would cover the whole day")
 
     def contains(self, hour: int) -> bool:
         if self.start_hour < self.end_hour:
@@ -90,8 +92,6 @@ def night_uplift(profile: HourlyProfile, window: NightWindow = NightWindow()) ->
     when the out-of-window mean is zero.
     """
     inside = np.array([window.contains(h) for h in range(24)])
-    if inside.all() or not inside.any():
-        raise UndefinedUpliftError(f"city {profile.city_id}: window covers all or none of the day")
     mean_in = float(profile.counts[inside].mean())
     mean_out = float(profile.counts[~inside].mean())
     if mean_out == 0:

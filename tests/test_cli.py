@@ -1,12 +1,13 @@
 """Pipeline driver: config handling, stage outputs, exit codes, idempotence."""
 
+import csv
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from snapgrid.cli import DEFAULT_CONFIG, _atomic_write, build_parser, load_config, main
+from snapgrid.cli import DEFAULT_CONFIG, _commit, build_parser, load_config, main
 from snapgrid.errors import ConfigError
 
 
@@ -160,10 +161,10 @@ def test_no_temp_files_left_after_pipeline(pipeline_dir):
 
 
 # ---------------------------------------------------------------------------
-# atomic writes
+# all-or-nothing commits
 
 
-def test_atomic_write_failure_keeps_previous_artifact(tmp_path):
+def test_commit_failure_keeps_previous_artifacts(tmp_path):
     target = tmp_path / "out.json"
     target.write_bytes(b"previous\n")
 
@@ -171,8 +172,9 @@ def test_atomic_write_failure_keeps_previous_artifact(tmp_path):
         tmp.write_bytes(b"partial")
         raise OSError("disk full")
 
+    # the first output is written in full before the second one fails
     with pytest.raises(OSError):
-        _atomic_write(target, failing_writer)
+        _commit(tmp_path, {"out.json": {"new": 1}, "out.csv": failing_writer})
     assert target.read_bytes() == b"previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
@@ -286,11 +288,12 @@ _CITY = "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
         ("classify", "voting:\n  cutoff: -3\n", "voting cutoff"),
         ("cluster", "clustering:\n  k: 0\n", "clustering k"),
         ("cluster", "clustering:\n  k: -2\n", "clustering k"),
+        ("temporal", "night_window:\n  start_hour: 2\n  end_hour: 2\n", "night_window"),
     ],
     ids=["voting-null", "cutoff-text", "window-key", "hour-24", "tile-text", "tile-zero",
          "tile-negative", "k-text", "cities-null", "voting-key", "top-level-key", "clustering-key",
          "cutoff-above-1", "cutoff-1", "cutoff-nan", "cutoff-inf", "cutoff-negative",
-         "k-zero", "k-negative"],
+         "k-zero", "k-negative", "window-whole-day"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, stage, setting, named):
     # cities first so a later "cities" setting replaces them
@@ -402,6 +405,33 @@ def test_report_over_stale_classify_exits_2(pipeline_dir, tmp_path, capsys):
     assert (run / "report.json").read_bytes() == before
 
 
+@pytest.mark.parametrize("part, stage", [("extent", "extent"), ("annotation", "annotate")])
+def test_report_with_corrupt_part_exits_2(pipeline_dir, tmp_path, capsys, part, stage):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run)
+    (run / f"{part}.json").write_text("{")
+    before = (run / "report.json").read_bytes()
+    assert main(["report", "--config", str(run / "pipeline.yaml")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{part}.json" in err and f"re-run the {stage} stage" in err
+    assert (run / "report.json").read_bytes() == before
+
+
+def test_labels_round_trip_ids_with_commas_and_quotes(tmp_path):
+    ids = ["a,1", 'b"2', "c-3"]
+    with open(tmp_path / "ratings.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("item_id", "rater_id", "category"))
+        writer.writerows((i, f"r{j}", "driving" if j else "non_driving") for i in ids for j in range(3))
+    (tmp_path / "c.yaml").write_text("seed: 0\n")
+    assert main(["annotate", "--config", str(tmp_path / "c.yaml"),
+                 "--annotations", str(tmp_path / "ratings.csv")]) == 0
+    with open(tmp_path / "labels.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["item_id", "label", "support"]
+    assert sorted(rows[1:]) == [[i, "driving", "2"] for i in sorted(ids)]
+
+
 def test_predictions_round_trip_ids_with_commas_and_quotes(tmp_path):
     (tmp_path / "c.yaml").write_text("seed: 0\n")
     base = {"ts_utc": "2025-03-03T12:00:00Z", "lat": 1.0, "lon": 1.0, "city_id": "a"}
@@ -486,6 +516,32 @@ def test_spatial_error_names_the_city(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("snapgrid spatial: city b: ")
     assert not (tmp_path / "spatial.json").exists()
+    assert not (tmp_path / "heatmap_a.csv").exists()
+
+
+def test_failed_spatial_leaves_every_artifact_unchanged(tmp_path, capsys):
+    config = tmp_path / "c.yaml"
+    config.write_text(
+        "cities:\n"
+        "  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.05, 0.05]\n"
+        "  b:\n    tz: UTC\n    bbox: [1.0, 1.0, 1.05, 1.05]\n"
+    )
+
+    def spread(city, offset, rows):
+        # row r of tiles holds r + 1 driving clips
+        return [(city, offset + 0.0045 + 0.009 * r, offset + 0.0045) for r in rows for _ in range(r + 1)]
+
+    _write_classified(tmp_path, spread("a", 0.0, range(4)) + spread("b", 1.0, range(4)), "driving")
+    assert main(["spatial", "--config", str(config)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert {"heatmap_a.csv", "heatmap_b.csv", "spatial.json"} <= before.keys()
+
+    # a's heatmap would change; b, the last city, has one driving tile and cannot be fitted
+    _write_classified(tmp_path, spread("a", 0.0, range(1, 5)) + [("b", 1.0045, 1.0045)] * 3, "driving")
+    inputs = {name: (tmp_path / name).read_bytes() for name in ("cleaned.jsonl", "predictions.csv")}
+    assert main(["spatial", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("snapgrid spatial: city b: ")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {**before, **inputs}
 
 
 def test_cluster_k_zero_flag_exits_2(pipeline_dir, capsys):

@@ -97,9 +97,9 @@ def test_night_uplift_undefined_cases():
         quiet_days[h] = 5
     with pytest.raises(UndefinedUpliftError, match="^city x: no activity outside"):
         night_uplift(HourlyProfile(city_id="x", counts=quiet_days))
-    with pytest.raises(UndefinedUpliftError, match="^city x: window covers"):
-        # start == end wraps to cover the whole day
-        night_uplift(HourlyProfile(city_id="x", counts=np.ones(24, dtype=np.int64)), NightWindow(0, 0))
+    with pytest.raises(ValueError, match="whole day"):
+        # start == end would wrap to cover the whole day, leaving no hours outside
+        NightWindow(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -70,5 +70,11 @@ def test_traced_stages_run(tmp_path):
             env=_env(), capture_output=True, text=True,
         )
         assert done.returncode == 0, (stage, done.stderr)
-        spans = json.loads(spans_path.read_text())["spans"]
-        assert "records.parse_snaps" in [span[0] for span in spans], stage
+        trace = json.loads(spans_path.read_text())
+        names = [span[0] for span in trace["spans"]]
+        assert "records.parse_snaps" in names, stage
+        # every stage commits a JSON output through cli._write_json
+        assert "cli.write_json" in names, stage
+        if stage == "ingest":
+            # the counter sizes the file write_snaps was given: no rename may come before it
+            assert trace["counts"]["records.write_snaps.mb"] > 0
