@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -94,12 +94,12 @@ def matrix_from_long(
     return AnnotationMatrix(item_ids=item_ids, categories=cats, counts=counts)
 
 
-def load_annotations_csv(path: Union[str, Path], n_raters: int = 3) -> AnnotationMatrix:
+def load_annotations_csv(path: Union[str, Path]) -> AnnotationMatrix:
     """Read a long-form annotation CSV with columns item_id, rater_id, category."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = [(row["item_id"], row["rater_id"], row["category"]) for row in reader]
-    return matrix_from_long(rows, n_raters=n_raters)
+    return matrix_from_long(rows)
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,8 @@ class GroundTruthLabel:
     support: int
 
 
-def adjudicate(
-    matrix: AnnotationMatrix,
-    positive_category: str,
-    min_agree: int = 2,
-) -> list[GroundTruthLabel]:
-    """Two-of-n adjudication: positive iff >= ``min_agree`` raters chose the positive category.
+def adjudicate(matrix: AnnotationMatrix, positive_category: str) -> list[GroundTruthLabel]:
+    """Two-of-n adjudication: positive iff at least 2 raters chose the positive category.
 
     Binary matrices only. ``support`` is the number of raters agreeing
     with the assigned label.
@@ -123,14 +119,14 @@ def adjudicate(
         raise UnsupportedCategoriesError(f"adjudication needs 2 categories, got {len(matrix.categories)}")
     if positive_category not in matrix.categories:
         raise ValueError(f"unknown category {positive_category!r}")
-    if matrix.n_raters < min_agree:
-        raise ValueError(f"need at least {min_agree} raters per item, got {matrix.n_raters}")
+    if matrix.n_raters < 2:
+        raise ValueError(f"need at least 2 raters per item, got {matrix.n_raters}")
     pos = matrix.categories.index(positive_category)
     neg = 1 - pos
     negative_category = matrix.categories[neg]
     labels = []
     for i, item_id in enumerate(matrix.item_ids):
-        if matrix.counts[i, pos] >= min_agree:
+        if matrix.counts[i, pos] >= 2:
             labels.append(GroundTruthLabel(item_id, positive_category, int(matrix.counts[i, pos])))
         else:
             labels.append(GroundTruthLabel(item_id, negative_category, int(matrix.counts[i, neg])))

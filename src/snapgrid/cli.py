@@ -1,12 +1,13 @@
 """Command-line pipeline around the library.
 
-One subcommand per analysis stage (synth, grid, ingest, annotate,
-classify, extent, spatial, temporal, cluster, regress, report), wired
-together through a YAML config and an output directory. A stage writes
-no file: it returns its outputs, ``{file name: content}``, and a summary,
-and ``main`` commits the outputs all or nothing, so a failed stage leaves
-the previous artifacts as they were. A stage depends only on its declared
-inputs plus the seed, so a re-run reproduces its outputs byte for byte.
+One subcommand per analysis stage, each declared once in ``STAGES``: its
+function, help line and the files it hands on to later stages. The
+parser, the stage that error messages tell the user to (re-)run, and the
+parts that ``report`` merges all come from that table. A stage reads its
+settings and input paths from the YAML config only, and writes no file:
+it returns its outputs, ``{file name: content}``, and a summary, and
+``main`` commits the outputs all or nothing, so a failed stage leaves the
+previous artifacts as they were. A re-run reproduces them byte for byte.
 
 ``cleaned.jsonl`` (from ingest) is the one record-level intermediate;
 classify writes only ``predictions.csv``, an ``id,label`` row per scored
@@ -49,6 +50,7 @@ DEFAULT_CONFIG = {
 }
 # input paths, resolved against the config file's directory
 PATH_KEYS = ("snaps", "annotations", "city_stats")
+CLEANED = "cleaned.jsonl"
 PREDICTIONS = "predictions.csv"
 
 
@@ -178,27 +180,29 @@ def _voting_cutoff(cfg: dict) -> float:
     return cutoff
 
 
-def _cluster_k(cfg: dict, flag: Optional[int]) -> int:
-    if flag is not None:
-        what, k = "--k", flag
-    else:
-        what, k = "clustering k", _setting("clustering k", int, cfg["clustering"]["k"])
-    if k < 1:
-        raise ConfigError(f"bad {what}: must be at least 1, got {k}")
-    return k
+def _producer(name: str) -> str:
+    """The stage that writes the file ``name`` for later stages."""
+    return next(stage for stage, (*_, files) in STAGES.items() if name in files)
 
 
-def _load_intermediate(out_dir: Path, name: str, stage: str) -> list[records.SnapRecord]:
-    """Records of the JSONL file ``name`` that ``stage`` writes into ``out_dir``."""
-    path = out_dir / name
+def _rerun(path: Path, problem=None) -> ConfigError:
+    """``path`` is missing, or has ``problem``: name the stage that writes it."""
+    if problem is None:
+        return ConfigError(f"{path} not found; run the {_producer(path.name)} stage first")
+    return ConfigError(f"{problem}; re-run the {_producer(path.name)} stage")
+
+
+def _load_cleaned(out_dir: Path) -> list[records.SnapRecord]:
+    """The records of ``cleaned.jsonl``."""
+    path = out_dir / CLEANED
     if not path.exists():
-        raise ConfigError(f"{path} not found; run the {stage} stage first")
+        raise _rerun(path)
     try:
         recs, failures = records.parse_snaps(path)
-        if failures:
-            raise CorruptInputError(f"{path}: line {failures[0].line_number}: {failures[0].message}")
     except CorruptInputError as exc:
-        raise ConfigError(f"{exc}; re-run the {stage} stage")
+        raise _rerun(path, exc)
+    if failures:
+        raise _rerun(path, f"{path}: line {failures[0].line_number}: {failures[0].message}")
     return recs
 
 
@@ -209,7 +213,7 @@ def _load_classified(out_dir: Path) -> list[records.SnapRecord]:
     otherwise it belongs to another corpus or is damaged, and classify must
     run again.
     """
-    recs = [rec for rec in _load_intermediate(out_dir, "cleaned.jsonl", "ingest") if rec.frame_scores]
+    recs = [rec for rec in _load_cleaned(out_dir) if rec.frame_scores]
     path = out_dir / PREDICTIONS
     try:
         with open(path, newline="") as fh:
@@ -223,9 +227,9 @@ def _load_classified(out_dir: Path) -> list[records.SnapRecord]:
                     # relabel in place so that one list of records stays alive
                     recs[i] = replace(rec, label=row[1])
     except FileNotFoundError:
-        raise ConfigError(f"{path} not found; run the classify stage first")
+        raise _rerun(path)
     except (ValueError, csv.Error) as exc:
-        raise ConfigError(f"{path}: {exc}; re-run the classify stage")
+        raise _rerun(path, f"{path}: {exc}")
     return recs
 
 
@@ -251,9 +255,10 @@ def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
     spec = synth.default_spec(args.seed, n_cities=args.cities, n_records=args.records)
     corpus, grids = synth.gen_corpus(spec)
     sample = [r for r in corpus if int(r.id.rsplit("-", 1)[1]) < args.annotated]
-    rows = synth.gen_annotations(sample, flip_prob=args.flip_prob, seed=spec.seed)
-    stats = synth.gen_regression_cities(130, seed=spec.seed, noise_sigma=args.reg_sigma)
-    manifest = synth.build_manifest(spec, regression_sigma=args.reg_sigma)
+    rows = synth.gen_annotations(sample, flip_prob=0.1, seed=spec.seed)
+    reg_sigma = 0.1  # the manifest records the regression noise
+    stats = synth.gen_regression_cities(130, seed=spec.seed, noise_sigma=reg_sigma)
+    manifest = synth.build_manifest(spec, regression_sigma=reg_sigma)
     pipeline = {
         "seed": spec.seed,
         "tile_size_m": spec.tile_size_m,
@@ -301,7 +306,7 @@ def cmd_ingest(args, cfg, out_dir: Path) -> tuple[dict, str]:
     summary = records.deletion_summary(recs)
     active = records.filter_active(recs)
     outputs = {
-        "cleaned.jsonl": partial(records.write_snaps, active),
+        CLEANED: partial(records.write_snaps, active),
         "ingest.json": {
             "parsed": len(recs),
             "parse_failures": len(failures),
@@ -317,8 +322,7 @@ def cmd_ingest(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 
 def cmd_annotate(args, cfg, out_dir: Path) -> tuple[dict, str]:
-    path = Path(args.annotations) if args.annotations else _config_path(cfg, "annotations")
-    matrix = annotation.load_annotations_csv(path)
+    matrix = annotation.load_annotations_csv(_config_path(cfg, "annotations"))
     kappa = annotation.fleiss_kappa(matrix)
     labels = annotation.adjudicate(matrix, positive_category=records.DRIVING)
     positive = sum(1 for g in labels if g.label == records.DRIVING)
@@ -340,7 +344,7 @@ def cmd_classify(args, cfg, out_dir: Path) -> tuple[dict, str]:
     rule = _voting_rule(cfg, args.rule, args.threshold)
     cutoff = _voting_cutoff(cfg)
 
-    recs = _load_intermediate(out_dir, "cleaned.jsonl", "ingest")
+    recs = _load_cleaned(out_dir)
     scored = [r for r in recs if r.frame_scores]
     predictions = [voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff) for rec in scored]
 
@@ -428,8 +432,10 @@ def cmd_temporal(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 def cmd_cluster(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
-    k = _cluster_k(cfg, args.k)
-    seed = args.seed if args.seed is not None else _setting("seed", int, cfg["seed"])
+    k = _setting("clustering k", int, cfg["clustering"]["k"])
+    if k < 1:
+        raise ConfigError(f"bad clustering k: must be at least 1, got {k}")
+    seed = _setting("seed", int, cfg["seed"])
     recs = _load_classified(out_dir)
 
     tz_map = {c: tz for c, (_region, tz) in regions.items()}
@@ -459,8 +465,7 @@ def cmd_cluster(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 
 def cmd_regress(args, cfg, out_dir: Path) -> tuple[dict, str]:
-    path = Path(args.stats) if args.stats else _config_path(cfg, "city_stats")
-    report = regression.regression_report(regression.load_city_stats(path))
+    report = regression.regression_report(regression.load_city_stats(_config_path(cfg, "city_stats")))
     lines = [f"regress: n={report.n}, R^2={report.r_squared:.4f}"]
     for t in report.terms:
         lr = f" LR={t.lr_chisq:.2f}" if t.lr_chisq is not None else ""
@@ -468,41 +473,55 @@ def cmd_regress(args, cfg, out_dir: Path) -> tuple[dict, str]:
     return {"regress.json": asdict(report)}, "\n".join(lines)
 
 
-# report part -> the stage that writes <part>.json
-_REPORT_PARTS = {
-    "ingest": "ingest",
-    "annotation": "annotate",
-    "classify": "classify",
-    "extent": "extent",
-    "spatial": "spatial",
-    "temporal": "temporal",
-    "cluster": "cluster",
-    "regress": "regress",
-}
-
-
 def cmd_report(args, cfg, out_dir: Path) -> tuple[dict, str]:
-    merged = {"seed": cfg["seed"], "cities": sorted(cfg["cities"])}
-    for part, stage in _REPORT_PARTS.items():
-        path = out_dir / f"{part}.json"
-        try:
-            merged[part] = json.loads(path.read_text()) if path.exists() else None
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}; re-run the {stage} stage")
-    ingest, classify = merged["ingest"], merged["classify"]
-    if ingest and classify:
+    # the integer keys of a part that the cross-check below reads
+    checked = {"ingest.json": ("kept",), "classify.json": ("n_classified", "n_skipped_unscored")}
+    parts = {}
+    for name in (name for *_, files in STAGES.values() for name in files if name.endswith(".json")):
+        path, part = out_dir / name, None
+        if path.exists():
+            try:
+                part = json.loads(path.read_text())
+                if not isinstance(part, dict):
+                    raise ValueError("not a JSON object")
+                for key in checked.get(name, ()):
+                    if type(part.get(key)) is not int:
+                        raise ValueError(f"no integer {key!r}")
+            except ValueError as exc:
+                raise _rerun(path, f"{path}: {exc}")
+        parts[name.removesuffix(".json")] = part
+    ingest, classify = parts["ingest"], parts["classify"]
+    if ingest is not None and classify is not None:
         # classify saw every record ingest kept, or the two parts are from different runs
         seen = classify["n_classified"] + classify["n_skipped_unscored"]
         if seen != ingest["kept"]:
             raise ConfigError(
                 f"classify.json covers {seen} records but ingest.json kept {ingest['kept']}; "
-                "re-run classify and the stages after it"
+                f"re-run {_producer('classify.json')} and the stages after it"
             )
-    present = [p for p in _REPORT_PARTS if merged[p] is not None]
+    present = sum(part is not None for part in parts.values())
     return (
-        {"report.json": merged},
-        f"report: merged {len(present)} sections -> {out_dir / 'report.json'}",
+        {"report.json": {"seed": cfg["seed"], "cities": sorted(cfg["cities"]), **parts}},
+        f"report: merged {present} sections -> {out_dir / 'report.json'}",
     )
+
+
+# ---------------------------------------------------------------------------
+# stage -> (function, help line, the files it writes that later stages read)
+
+STAGES = {
+    "synth": (cmd_synth, "generate a synthetic corpus with planted truth", ()),
+    "grid": (cmd_grid, "build metric tile grids for configured cities", ()),
+    "ingest": (cmd_ingest, "parse raw snaps, drop deleted, write cleaned.jsonl", (CLEANED, "ingest.json")),
+    "annotate": (cmd_annotate, "agreement and adjudication from rater CSV", ("annotation.json",)),
+    "classify": (cmd_classify, "vote frame scores into predictions.csv", (PREDICTIONS, "classify.json")),
+    "extent": (cmd_extent, "driving fraction per city and pooled", ("extent.json",)),
+    "spatial": (cmd_spatial, "per-tile counts and distribution fits", ("spatial.json",)),
+    "temporal": (cmd_temporal, "hourly profiles and night uplift", ("temporal.json",)),
+    "cluster": (cmd_cluster, "k-means over weekly activity vectors", ("cluster.json",)),
+    "regress": (cmd_regress, "demographic regression on city stats", ("regress.json",)),
+    "report": (cmd_report, "merge stage outputs into report.json", ()),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -515,42 +534,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Geo-tagged short-video analytics pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus with planted truth")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--cities", type=int, default=10)
-    p.add_argument("--records", type=int, default=30_000, help="records per city")
-    p.add_argument("--annotated", type=int, default=200, help="annotated records per city")
-    p.add_argument("--flip-prob", type=float, default=0.1)
-    p.add_argument("--reg-sigma", type=float, default=0.1)
-    p.set_defaults(func=cmd_synth)
-
-    stages = {}
-    for func, help_text in (
-        (cmd_grid, "build metric tile grids for configured cities"),
-        (cmd_ingest, "parse raw snaps, drop deleted, write cleaned.jsonl"),
-        (cmd_annotate, "agreement and adjudication from rater CSV"),
-        (cmd_classify, "vote frame scores into predictions.csv"),
-        (cmd_extent, "driving fraction per city and pooled"),
-        (cmd_spatial, "per-tile counts and distribution fits"),
-        (cmd_temporal, "hourly profiles and night uplift"),
-        (cmd_cluster, "k-means over weekly activity vectors"),
-        (cmd_regress, "demographic regression on city stats"),
-        (cmd_report, "merge stage outputs into report.json"),
-    ):
-        name = func.__name__.removeprefix("cmd_")
-        p = stages[name] = sub.add_parser(name, help=help_text)
+    for name, (func, help_text, _files) in STAGES.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if name == "synth":
+            p.add_argument("--seed", type=int, required=True)
+            p.add_argument("--out-dir", required=True)
+            p.add_argument("--cities", type=int, default=10)
+            p.add_argument("--records", type=int, default=30_000, help="records per city")
+            p.add_argument("--annotated", type=int, default=200, help="annotated records per city")
+            continue
         p.add_argument("--config", help="pipeline YAML config")
         p.add_argument("--out-dir", help="output directory (default: the config file's directory)")
-        p.set_defaults(func=func)
-
-    stages["annotate"].add_argument("--annotations", help="long-format rater CSV (overrides config)")
-    stages["classify"].add_argument("--rule", choices=("single", "majority", "threshold"))
-    stages["classify"].add_argument("--threshold", type=int, choices=voting.THRESHOLD_CHOICES)
-    stages["cluster"].add_argument("--k", type=int)
-    stages["cluster"].add_argument("--seed", type=int)
-    stages["regress"].add_argument("--stats", help="city stats CSV (overrides config)")
+        if name == "classify":
+            p.add_argument("--rule", choices=("single", "majority", "threshold"))
+            p.add_argument("--threshold", type=int, choices=voting.THRESHOLD_CHOICES)
     return parser
 
 

@@ -114,10 +114,10 @@ def log_likelihood(family: str, x: Sequence[float], params: dict[str, float]) ->
     raise ValueError(f"unknown family {family!r}")
 
 
-def fit_mle(x: Sequence[float], family: str, x_min: Optional[float] = None) -> FittedDistribution:
+def fit_mle(x: Sequence[float], family: str) -> FittedDistribution:
     """Closed-form maximum-likelihood fit of one family to positive data.
 
-    ``x_min`` applies to the power law only and defaults to min(x).
+    The power law's ``x_min`` is min(x).
     Raises :class:`DegenerateSampleError` when the sample cannot identify
     the family's parameters (too small, nonpositive where positivity is
     required, or zero spread).
@@ -148,17 +148,12 @@ def fit_mle(x: Sequence[float], family: str, x_min: Optional[float] = None) -> F
             raise DegenerateSampleError("log-normal fit degenerate: zero variance of ln x")
         params = {"mu_log": mu, "sigma_log": sigma}
     else:  # power_law
-        if x_min is None:
-            x_min = float(x.min())
-        if x_min <= 0:
-            raise DegenerateSampleError(f"power law needs x_min > 0, got {x_min}")
-        if (x < x_min).any():
-            raise DegenerateSampleError("power law requires all data >= x_min")
+        x_min = float(x.min())
         log_ratio_sum = float(np.log(x / x_min).sum())
         if log_ratio_sum == 0:
             raise DegenerateSampleError("power-law fit degenerate: all values equal x_min")
         alpha = 1.0 + n / log_ratio_sum
-        params = {"alpha": alpha, "x_min": float(x_min)}
+        params = {"alpha": alpha, "x_min": x_min}
 
     loglik = log_likelihood(family, x, params)
     bic = N_PARAMS[family] * math.log(n) - 2.0 * loglik

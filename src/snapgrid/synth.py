@@ -244,9 +244,8 @@ def gen_annotations(
     records: Sequence[SnapRecord],
     flip_prob: float,
     seed: int,
-    n_raters: int = 3,
 ) -> list[tuple[str, str, str]]:
-    """Simulated rater judgments: each rater flips the true label with flip_prob.
+    """Simulated rater judgments: each of 3 raters flips the true label with flip_prob.
 
     Returns long-format rows (item_id, rater_id, category).
     """
@@ -257,7 +256,7 @@ def gen_annotations(
     for rec in records:
         if rec.label is None:
             raise ValueError(f"record {rec.id} has no true label to annotate")
-        for r in range(n_raters):
+        for r in range(3):
             flip = rng.random() < flip_prob
             if flip:
                 category = NON_DRIVING if rec.label == DRIVING else DRIVING
@@ -270,7 +269,6 @@ def gen_annotations(
 def gen_regression_cities(
     n_cities: int = 130,
     seed: int = 0,
-    coefs: Sequence[float] = PLANTED_COEFS,
     noise_sigma: float = 0.0,
 ) -> list[CityStats]:
     """Cities whose ln(driving+1) follows the planted linear model exactly
@@ -278,8 +276,6 @@ def gen_regression_cities(
     the observed ranges. Counts stay as floats so the zero-noise model is
     recoverable to machine precision.
     """
-    if len(coefs) != len(DESIGN_TERMS):
-        raise ValueError(f"need {len(DESIGN_TERMS)} coefficients, got {len(coefs)}")
     rng = np.random.default_rng(seed)
     r = COVARIATE_RANGES
     cities = []
@@ -303,7 +299,7 @@ def gen_regression_cities(
                 log_ts,
             ]
         )
-        y = float(x @ np.asarray(coefs, dtype=float))
+        y = float(x @ np.asarray(PLANTED_COEFS, dtype=float))
         if noise_sigma > 0:
             y += rng.normal(0.0, noise_sigma)
         cities.append(
@@ -326,7 +322,6 @@ def gen_planted_week_vectors(
     n_cities: int = 30,
     k: int = 3,
     seed: int = 0,
-    noise: float = 0.15,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hour-of-week fraction vectors around k well-separated archetypes.
 
@@ -359,12 +354,12 @@ def gen_planted_week_vectors(
     labels = np.arange(n_cities) % k
     rows = []
     for lab in labels:
-        noisy = archetypes[lab] * rng.lognormal(0.0, noise, size=HOURS_PER_WEEK)
+        noisy = archetypes[lab] * rng.lognormal(0.0, 0.15, size=HOURS_PER_WEEK)
         rows.append(noisy / noisy.sum())
     return np.vstack(rows), labels
 
 
-def build_manifest(spec: SynthSpec, regression_sigma: float = 0.1) -> dict:
+def build_manifest(spec: SynthSpec, regression_sigma: float) -> dict:
     """Planted ground truth for a generated corpus, JSON-serializable."""
     return {
         "seed": spec.seed,

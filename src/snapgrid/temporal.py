@@ -207,14 +207,8 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int):
     return labels, centers, inertia, max_iter, history
 
 
-def kmeans(
-    X: np.ndarray,
-    k: int,
-    seed: int = 0,
-    n_restarts: int = 10,
-    max_iter: int = 300,
-) -> ClusterResult:
-    """Seeded k-means (k-means++ init, Lloyd iterations, best of ``n_restarts``)."""
+def kmeans(X: np.ndarray, k: int, seed: int = 0) -> ClusterResult:
+    """Seeded k-means: best of 10 k-means++ starts, each at most 300 Lloyd iterations."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"expected a 2-d data matrix, got ndim={X.ndim}")
@@ -223,9 +217,9 @@ def kmeans(
         raise InvalidKError(f"k={k} outside 1..{n}")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_restarts):
+    for _ in range(10):
         centers0 = _kmeans_pp_init(X, k, rng)
-        labels, centers, inertia, n_iter, history = _lloyd(X, centers0, max_iter)
+        labels, centers, inertia, n_iter, history = _lloyd(X, centers0, 300)
         if best is None or inertia < best.inertia:
             best = ClusterResult(
                 labels=labels,

@@ -97,21 +97,21 @@ class EvalReport:
     minor_class: str
 
 
-def evaluate(predictions: Sequence[str], truths: Sequence[str], minor_class: str = DRIVING) -> EvalReport:
-    """Accuracy/precision/recall/F1 of predictions against ground truth."""
+def evaluate(predictions: Sequence[str], truths: Sequence[str]) -> EvalReport:
+    """Accuracy/precision/recall/F1 of predictions against ground truth, driving as positive."""
     if len(predictions) != len(truths):
         raise ShapeError(f"length mismatch: {len(predictions)} predictions vs {len(truths)} truths")
     if len(predictions) == 0:
         raise EmptyInputError("need at least one prediction")
     tp = fp = fn = tn = 0
     for pred, truth in zip(predictions, truths):
-        if pred == minor_class:
-            if truth == minor_class:
+        if pred == DRIVING:
+            if truth == DRIVING:
                 tp += 1
             else:
                 fp += 1
         else:
-            if truth == minor_class:
+            if truth == DRIVING:
                 fn += 1
             else:
                 tn += 1
@@ -125,7 +125,7 @@ def evaluate(predictions: Sequence[str], truths: Sequence[str], minor_class: str
         recall=recall,
         f1=f1,
         confusion=(tp, fp, fn, tn),
-        minor_class=minor_class,
+        minor_class=DRIVING,
     )
 
 

@@ -6,8 +6,9 @@ import shutil
 from pathlib import Path
 
 import pytest
+import yaml
 
-from snapgrid.cli import DEFAULT_CONFIG, _commit, build_parser, load_config, main
+from snapgrid.cli import DEFAULT_CONFIG, STAGES, _commit, build_parser, load_config, main
 from snapgrid.errors import ConfigError
 
 
@@ -27,6 +28,7 @@ def pipeline_dir(tmp_path_factory):
     )
     assert rc == 0
     config = str(out / "pipeline.yaml")
+    _set_k(out / "pipeline.yaml", 2)
     stages = [
         ["grid", "--config", config],
         ["ingest", "--config", config],
@@ -35,13 +37,20 @@ def pipeline_dir(tmp_path_factory):
         ["extent", "--config", config],
         ["spatial", "--config", config],
         ["temporal", "--config", config],
-        ["cluster", "--config", config, "--k", "2"],
+        ["cluster", "--config", config],
         ["regress", "--config", config],
         ["report", "--config", config],
     ]
     for argv in stages:
         assert main(argv) == 0, argv[0]
     return out
+
+
+def _set_k(config: Path, k: int) -> None:
+    """Set ``clustering.k`` in the YAML config at ``config``."""
+    cfg = yaml.safe_load(config.read_text())
+    cfg["clustering"]["k"] = k
+    config.write_text(yaml.safe_dump(cfg, sort_keys=True))
 
 
 def read_json(path):
@@ -160,6 +169,13 @@ def test_no_temp_files_left_after_pipeline(pipeline_dir):
     assert sorted(p.name for p in pipeline_dir.glob("*.tmp")) == []
 
 
+def test_every_handed_on_file_is_written(pipeline_dir):
+    # STAGES names, per stage, the files later stages read
+    declared = [name for *_, files in STAGES.values() for name in files]
+    assert "cleaned.jsonl" in declared and "classify.json" in declared
+    assert [name for name in declared if not (pipeline_dir / name).exists()] == []
+
+
 # ---------------------------------------------------------------------------
 # all-or-nothing commits
 
@@ -256,11 +272,14 @@ def test_missing_config_file_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_stage_out_of_order_exits_2(tmp_path):
+@pytest.mark.parametrize("stage", ["classify", "extent", "spatial", "temporal", "cluster"])
+def test_stage_out_of_order_exits_2(tmp_path, capsys, stage):
     path = tmp_path / "c.yaml"
     path.write_text("cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n")
-    rc = main(["extent", "--config", str(path)])  # classify never ran
-    assert rc == 2
+    assert main([stage, "--config", str(path)]) == 2  # ingest never ran
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"snapgrid {stage}: ")
+    assert "cleaned.jsonl" in err and "run the ingest stage first" in err
 
 
 _CITY = "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
@@ -405,11 +424,23 @@ def test_report_over_stale_classify_exits_2(pipeline_dir, tmp_path, capsys):
     assert (run / "report.json").read_bytes() == before
 
 
-@pytest.mark.parametrize("part, stage", [("extent", "extent"), ("annotation", "annotate")])
-def test_report_with_corrupt_part_exits_2(pipeline_dir, tmp_path, capsys, part, stage):
+@pytest.mark.parametrize(
+    "part, stage, text",
+    [
+        ("extent", "extent", "{"),
+        ("annotation", "annotate", "{"),
+        ("classify", "classify", '{"x": 1}'),
+        ("classify", "classify", "[]"),
+        ("ingest", "ingest", '{"kept": "many"}'),
+        ("spatial", "spatial", "null"),
+    ],
+    ids=["extent-extent", "annotation-annotate", "classify-no-counts", "classify-list", "ingest-kept-text",
+         "spatial-null"],
+)
+def test_report_with_corrupt_part_exits_2(pipeline_dir, tmp_path, capsys, part, stage, text):
     run = tmp_path / "run"
     shutil.copytree(pipeline_dir, run)
-    (run / f"{part}.json").write_text("{")
+    (run / f"{part}.json").write_text(text)
     before = (run / "report.json").read_bytes()
     assert main(["report", "--config", str(run / "pipeline.yaml")]) == 2
     err = capsys.readouterr().err
@@ -423,9 +454,8 @@ def test_labels_round_trip_ids_with_commas_and_quotes(tmp_path):
         writer = csv.writer(fh)
         writer.writerow(("item_id", "rater_id", "category"))
         writer.writerows((i, f"r{j}", "driving" if j else "non_driving") for i in ids for j in range(3))
-    (tmp_path / "c.yaml").write_text("seed: 0\n")
-    assert main(["annotate", "--config", str(tmp_path / "c.yaml"),
-                 "--annotations", str(tmp_path / "ratings.csv")]) == 0
+    (tmp_path / "c.yaml").write_text("annotations: ratings.csv\n")
+    assert main(["annotate", "--config", str(tmp_path / "c.yaml")]) == 0
     with open(tmp_path / "labels.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["item_id", "label", "support"]
@@ -448,13 +478,18 @@ def test_predictions_round_trip_ids_with_commas_and_quotes(tmp_path):
     assert read_json(tmp_path / "extent.json")["per_city"] == {"a": 0.5}
 
 
-def test_stages_take_no_jobs_flag():
+def test_stages_take_no_jobs_flag(capsys):
+    # nor a flag that repeats a config key (k, seed, input paths) or a fixed synth setting
     parser = build_parser()
-    for stage in ("grid", "ingest", "annotate", "classify", "extent",
-                  "spatial", "temporal", "cluster", "regress", "report"):
+    synth = ["synth", "--seed", "1", "--out-dir", "out"]
+    cases = [[stage, "--jobs", "2"] for stage in STAGES if stage != "synth"]
+    cases += [["cluster", "--k", "2"], ["cluster", "--seed", "1"], ["annotate", "--annotations", "a.csv"],
+              ["regress", "--stats", "s.csv"], synth + ["--flip-prob", "0.2"], synth + ["--reg-sigma", "0.2"]]
+    for argv in cases:
         with pytest.raises(SystemExit) as exc_info:
-            parser.parse_args([stage, "--jobs", "2"])
-        assert exc_info.value.code == 2, stage
+            parser.parse_args(argv)
+        assert exc_info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_ingest_takes_no_format_flag():
@@ -492,11 +527,13 @@ def test_extent_with_no_driving_labels(tmp_path):
     assert info["per_city"] == {"a": 0.0}
 
 
-def test_cluster_with_k_equal_to_city_count(pipeline_dir):
+def test_cluster_with_k_equal_to_city_count(pipeline_dir, tmp_path):
     # silhouette is undefined at k == n; the stage should still succeed
-    config = str(pipeline_dir / "pipeline.yaml")
-    assert main(["cluster", "--config", config, "--k", "3"]) == 0
-    info = read_json(pipeline_dir / "cluster.json")
+    for name in ("pipeline.yaml", "cleaned.jsonl", "predictions.csv"):
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    _set_k(tmp_path / "pipeline.yaml", 3)
+    assert main(["cluster", "--config", str(tmp_path / "pipeline.yaml")]) == 0
+    info = read_json(tmp_path / "cluster.json")
     assert info["k"] == 3
     assert info["silhouette"] is None
 
@@ -542,12 +579,3 @@ def test_failed_spatial_leaves_every_artifact_unchanged(tmp_path, capsys):
     assert main(["spatial", "--config", str(config)]) == 1
     assert capsys.readouterr().err.startswith("snapgrid spatial: city b: ")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {**before, **inputs}
-
-
-def test_cluster_k_zero_flag_exits_2(pipeline_dir, capsys):
-    config = str(pipeline_dir / "pipeline.yaml")
-    before = (pipeline_dir / "cluster.json").read_bytes()
-    assert main(["cluster", "--config", config, "--k", "0"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--k" in err
-    assert (pipeline_dir / "cluster.json").read_bytes() == before

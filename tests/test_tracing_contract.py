@@ -4,8 +4,9 @@
 the nine ``snapgrid.*`` modules that ``import snapgrid.cli`` loads, and a
 stage run under it fails when one is missing. Its counters read the
 wrapped calls' arguments and results, so a changed call shape fails the
-stage too; the smoke test runs three stages under it. The script is read
-or run with ``-B``, never imported, so nothing is written beside it.
+stage too; the smoke test runs synth and every stage under it. The script
+is read or run with ``-B``, never imported, so nothing is written beside
+it.
 
 Importing the CLI must not load scipy: every stage process pays for what
 that import loads, and only ``regress`` uses scipy.
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import snapgrid
-from snapgrid.cli import main
+from snapgrid.cli import STAGES
 
 TRACED_STAGE = Path(__file__).resolve().parents[1] / "perfbench" / "traced_stage.py"
 MODULES = ("cli", "records", "voting", "geo", "spatial", "temporal", "annotation", "regression", "synth")
@@ -59,22 +60,38 @@ def test_importing_cli_loads_no_scipy(modules_after_cli_import):
     assert "scipy" not in modules_after_cli_import
 
 
+# stage -> counters that only the traced calls of that stage feed
+COUNTERS = {
+    "synth": ("synth.gen_corpus.records",),
+    "ingest": ("records.parse_snaps.records", "records.write_snaps.mb"),
+    "annotate": ("annotation.load_annotations_csv.items",),
+    "classify": ("voting.frames",),
+    "spatial": ("spatial.heatmap_export.rows", "spatial.out_of_grid"),
+    "cluster": ("temporal.kmeans.iterations",),
+}
+
+
 def test_traced_stages_run(tmp_path):
-    assert main(["synth", "--seed", "3", "--out-dir", str(tmp_path),
-                 "--cities", "2", "--records", "50", "--annotated", "10"]) == 0
-    for stage in ("ingest", "classify", "extent"):
+    # 3 cities x 200 records: every stage exits 0, cluster's default k = 3 included
+    run = tmp_path / "run"
+    synth_args = ["--seed", "3", "--out-dir", str(run), "--cities", "3", "--records", "200", "--annotated", "10"]
+    for stage in STAGES:
         spans_path = tmp_path / f"{stage}.trace"
         done = subprocess.run(
-            [sys.executable, "-B", str(TRACED_STAGE), str(spans_path), repr(time.monotonic()),
-             stage, "--config", str(tmp_path / "pipeline.yaml")],
+            [sys.executable, "-B", str(TRACED_STAGE), str(spans_path), repr(time.monotonic()), stage,
+             *(synth_args if stage == "synth" else ["--config", str(run / "pipeline.yaml")])],
             env=_env(), capture_output=True, text=True,
         )
         assert done.returncode == 0, (stage, done.stderr)
         trace = json.loads(spans_path.read_text())
         names = [span[0] for span in trace["spans"]]
-        assert "records.parse_snaps" in names, stage
-        # every stage commits a JSON output through cli._write_json
-        assert "cli.write_json" in names, stage
+        assert f"stage.{stage}" in names, stage
+        # a counter that was never fed is absent; out_of_grid may be fed a 0
+        assert [c for c in COUNTERS.get(stage, ()) if c not in trace["counts"]] == [], stage
+        if stage in ("ingest", "classify", "extent"):
+            assert "records.parse_snaps" in names, stage
+            # each commits a JSON output through cli._write_json
+            assert "cli.write_json" in names, stage
         if stage == "ingest":
             # the counter sizes the file write_snaps was given: no rename may come before it
             assert trace["counts"]["records.write_snaps.mb"] > 0
