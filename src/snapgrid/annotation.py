@@ -1,11 +1,10 @@
 """Multi-annotator adjudication and chance-corrected agreement.
 
 Raw annotations arrive in long form (item_id, rater_id, category) and are
-pivoted into an N x k count matrix with a constant number of raters per
-item. Items rated by more than ``n_raters`` people keep only their first
-``n_raters`` ratings in input order; items with fewer are rejected. Ground
-truth uses a two-of-n agreement rule, and agreement quality is quantified
-with Fleiss' kappa.
+pivoted into an N x k count matrix with three raters per item. Items
+rated by more than three people keep only their first three ratings in
+input order; items with fewer are rejected. Ground truth uses a two-of-n
+agreement rule, and agreement quality is quantified with Fleiss' kappa.
 """
 
 from __future__ import annotations
@@ -58,13 +57,13 @@ class AnnotationMatrix:
         return int(self.counts.sum(axis=1)[0]) if self.n_items else 0
 
 
-def matrix_from_long(
-    rows: Iterable[tuple[str, str, str]],
-    n_raters: int = 3,
-) -> AnnotationMatrix:
+N_RATERS = 3
+
+
+def matrix_from_long(rows: Iterable[tuple[str, str, str]]) -> AnnotationMatrix:
     """Pivot long-form (item_id, rater_id, category) rows into a matrix.
 
-    Keeps the first ``n_raters`` ratings per item in input order; raises
+    Keeps the first ``N_RATERS`` ratings per item in input order; raises
     on duplicate (item, rater) pairs or on items with fewer ratings.
     """
     per_item: dict[str, list[str]] = {}
@@ -77,7 +76,7 @@ def matrix_from_long(
         seen.add(key)
         categories.add(category)
         ratings = per_item.setdefault(item_id, [])
-        if len(ratings) < n_raters:
+        if len(ratings) < N_RATERS:
             ratings.append(category)
     cats = tuple(sorted(categories))
     col = {c: j for j, c in enumerate(cats)}
@@ -85,9 +84,9 @@ def matrix_from_long(
     counts = np.zeros((len(item_ids), len(cats)), dtype=np.int64)
     for i, item_id in enumerate(item_ids):
         ratings = per_item[item_id]
-        if len(ratings) < n_raters:
+        if len(ratings) < N_RATERS:
             raise HeterogeneousRatersError(
-                f"item {item_id!r} has {len(ratings)} ratings, need {n_raters}"
+                f"item {item_id!r} has {len(ratings)} ratings, need {N_RATERS}"
             )
         for category in ratings:
             counts[i, col[category]] += 1

@@ -302,21 +302,25 @@ def cmd_grid(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 
 def cmd_ingest(args, cfg, out_dir: Path) -> tuple[dict, str]:
-    recs, failures = records.parse_snaps(_config_path(cfg, "snaps"))
+    cities = _city_regions(cfg)
+    parsed, failures = records.parse_snaps(_config_path(cfg, "snaps"))
+    recs = [rec for rec in parsed if rec.city_id in cities]
+    unknown = len(parsed) - len(recs)
     summary = records.deletion_summary(recs)
     active = records.filter_active(recs)
     outputs = {
         CLEANED: partial(records.write_snaps, active),
         "ingest.json": {
-            "parsed": len(recs),
+            "parsed": len(parsed),
             "parse_failures": len(failures),
+            "unknown_city": unknown,
             "deleted": summary.deleted,
             "deletion_rate_pct": summary.rate_pct,
             "kept": len(active),
         },
     }
     return outputs, (
-        f"ingest: parsed {len(recs)} ({len(failures)} bad lines), "
+        f"ingest: parsed {len(parsed)} ({len(failures)} bad lines, {unknown} of unknown cities), "
         f"dropped {summary.deleted} deleted ({summary.rate_pct:.2f}%), kept {len(active)}"
     )
 
@@ -512,7 +516,7 @@ def cmd_report(args, cfg, out_dir: Path) -> tuple[dict, str]:
 STAGES = {
     "synth": (cmd_synth, "generate a synthetic corpus with planted truth", ()),
     "grid": (cmd_grid, "build metric tile grids for configured cities", ()),
-    "ingest": (cmd_ingest, "parse raw snaps, drop deleted, write cleaned.jsonl", (CLEANED, "ingest.json")),
+    "ingest": (cmd_ingest, "parse raw snaps, keep known cities' undeleted ones in cleaned.jsonl", (CLEANED, "ingest.json")),
     "annotate": (cmd_annotate, "agreement and adjudication from rater CSV", ("annotation.json",)),
     "classify": (cmd_classify, "vote frame scores into predictions.csv", (PREDICTIONS, "classify.json")),
     "extent": (cmd_extent, "driving fraction per city and pooled", ("extent.json",)),
@@ -540,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "synth":
             p.add_argument("--seed", type=int, required=True)
             p.add_argument("--out-dir", required=True)
-            p.add_argument("--cities", type=int, default=10)
-            p.add_argument("--records", type=int, default=30_000, help="records per city")
+            p.add_argument("--cities", type=int, default=synth.N_CITIES)
+            p.add_argument("--records", type=int, default=synth.N_RECORDS, help="records per city")
             p.add_argument("--annotated", type=int, default=200, help="annotated records per city")
             continue
         p.add_argument("--config", help="pipeline YAML config")

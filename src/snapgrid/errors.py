@@ -46,10 +46,6 @@ class ShapeError(SnapGridError, ValueError):
     """Sequence lengths or array shapes do not line up."""
 
 
-class MissingCityError(SnapGridError, KeyError):
-    """A requested city has no records."""
-
-
 class DegenerateSampleError(SnapGridError, ValueError):
     """Sample cannot support the requested distribution fit."""
 

@@ -164,18 +164,6 @@ def _point_in_ring(px: float, py: float, vertices: tuple[GeoPoint, ...]) -> bool
     return inside
 
 
-def point_in_polygon(p: GeoPoint, ring: Sequence[GeoPoint]) -> bool:
-    """Even-odd membership test for ``p`` against a polygon ring.
-
-    The ring may be given open or closed; it must be simple (no
-    self-intersections) and contain at least three distinct vertices.
-    Boundary points count as inside.
-    """
-    vertices = _normalize_ring(ring)
-    _check_simple(vertices)
-    return _point_in_ring(p.lon, p.lat, vertices)
-
-
 @dataclass(frozen=True)
 class Region:
     """City geometry: a lat/lon bounding box or a simple polygon ring.
@@ -186,10 +174,6 @@ class Region:
 
     bbox: tuple[float, float, float, float]
     polygon: Optional[tuple[GeoPoint, ...]] = None
-
-    @property
-    def kind(self) -> str:
-        return "polygon" if self.polygon is not None else "bbox"
 
     @classmethod
     def from_bbox(cls, south: float, west: float, north: float, east: float) -> "Region":
@@ -240,10 +224,6 @@ class TileGrid:
     region: Region = field(repr=False)
 
     @property
-    def n_tiles(self) -> int:
-        return self.n_rows * self.n_cols
-
-    @property
     def n_active(self) -> int:
         return int(self.active.sum())
 
@@ -256,9 +236,6 @@ class TileGrid:
         """Active tile indices in row-major order."""
         rows, cols = np.nonzero(self.active)
         return [TileIndex(int(r), int(c)) for r, c in zip(rows, cols)]
-
-    def is_active(self, idx: TileIndex) -> bool:
-        return bool(self.active[idx.row, idx.col])
 
     def write_csv(self, path) -> None:
         """Export the grid: one row per tile with center coordinates."""

@@ -12,13 +12,13 @@ Deletion handling is input-driven: records arrive already flagged
 
 from __future__ import annotations
 
-import io
 import json
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .errors import ConfigError, CorruptInputError
@@ -56,8 +56,8 @@ class SnapRecord:
     deleted: bool = False
 
     def __post_init__(self):
-        if self.duration_s < 0:
-            raise ValueError(f"duration_s must be nonnegative, got {self.duration_s}")
+        if not 0 <= self.duration_s < math.inf:  # NaN too, which JSON cannot carry
+            raise ValueError(f"duration_s must be finite and nonnegative, got {self.duration_s}")
         if self.label is not None and self.label not in LABELS:
             raise ValueError(f"label must be one of {LABELS}, got {self.label!r}")
         if self.frame_scores is not None:
@@ -74,17 +74,24 @@ class ParseFailure:
     message: str
 
 
+# fields a wrong JSON type must fail rather than be coerced: "false" is not false, null is not "None"
+_FIELD_TYPES = {"id": (str, "a string"), "city_id": (str, "a string"), "deleted": (bool, "true or false")}
+
+
 def _record_from_dict(obj: dict) -> SnapRecord:
+    for key, (kind, what) in _FIELD_TYPES.items():
+        if key in obj and not isinstance(obj[key], kind):
+            raise ValueError(f"{key} must be {what}, got {json.dumps(obj[key])}")
     scores = obj.get("frame_scores")
     return SnapRecord(
-        id=str(obj["id"]),
+        id=obj["id"],
         ts_utc=parse_rfc3339(obj["ts_utc"]),
         location=GeoPoint(float(obj["lat"]), float(obj["lon"])),
-        city_id=str(obj["city_id"]),
+        city_id=obj["city_id"],
         duration_s=float(obj.get("duration_s", 0.0)),
         frame_scores=tuple(float(s) for s in scores) if scores is not None else None,
         label=obj.get("label"),
-        deleted=bool(obj.get("deleted", False)),
+        deleted=obj.get("deleted", False),
     )
 
 
@@ -106,11 +113,11 @@ def _record_to_dict(rec: SnapRecord) -> dict:
     return obj
 
 
-def parse_snaps(source: Union[str, Path, IO, Iterable[str]]) -> tuple[list[SnapRecord], list[ParseFailure]]:
-    """Parse a JSONL record stream.
+def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple[list[SnapRecord], list[ParseFailure]]:
+    """Parse JSONL records from a path or an iterable of lines.
 
-    Valid records come back in input order; each malformed line is
-    reported with its 1-based line number rather than silently dropped.
+    Valid records come back in input order; each malformed or wrongly typed
+    line is reported with its 1-based line number rather than dropped.
     Raises :class:`CorruptInputError` when failures outnumber successes; its
     message names the file, when ``source`` is a path, and the first bad line.
     """
@@ -135,17 +142,11 @@ def parse_snaps(source: Union[str, Path, IO, Iterable[str]]) -> tuple[list[SnapR
     return records, failures
 
 
-def write_snaps(records: Iterable[SnapRecord], sink: Union[str, Path, IO]) -> None:
-    """Serialize records as JSONL, one object per line."""
-    with open(sink, "w", newline="") if isinstance(sink, (str, Path)) else nullcontext(sink) as fh:
+def write_snaps(records: Iterable[SnapRecord], path: Union[str, Path]) -> None:
+    """Write records to ``path`` as JSONL, one object per line."""
+    with open(path, "w", newline="") as fh:
         for rec in records:
             fh.write(json.dumps(_record_to_dict(rec), separators=(",", ":")) + "\n")
-
-
-def snaps_to_string(records: Iterable[SnapRecord]) -> str:
-    buf = io.StringIO()
-    write_snaps(records, buf)
-    return buf.getvalue()
 
 
 def get_zone(tz_id: str) -> ZoneInfo:

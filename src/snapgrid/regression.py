@@ -137,9 +137,6 @@ class OLSResult:
     n: int
     df_resid: int
 
-    def coef(self, term: str) -> float:
-        return float(self.coefs[self.columns.index(term)])
-
 
 def ols_fit(X: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OLSResult:
     """QR-based least squares with classical (homoskedastic) standard errors."""

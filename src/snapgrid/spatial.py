@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,30 +57,22 @@ class TileCountVector:
     def positive_counts(self) -> np.ndarray:
         return self.counts[self.counts >= 1]
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
+def tile_counts(records: Sequence[SnapRecord], grid: TileGrid, city_id: str) -> TileCountVector:
+    """Count one city's records per active tile of its grid.
 
-def tile_counts(records: Sequence[SnapRecord], grid: TileGrid, city_id: Optional[str] = None) -> TileCountVector:
-    """Count records per active tile; records locating nowhere go to an out-of-grid tally.
-
-    When ``city_id`` is given, records from other cities are ignored.
+    Records that locate nowhere go to an out-of-grid tally.
     """
     tiles = tuple(grid.active_tiles())
     index_of = {t: i for i, t in enumerate(tiles)}
     counts = np.zeros(len(tiles), dtype=np.int64)
     out = 0
     for rec in records:
-        if city_id is not None and rec.city_id != city_id:
-            continue
         idx = locate(rec.location, grid)
         if idx is None:
             out += 1
         else:
             counts[index_of[idx]] += 1
-    if city_id is None:
-        city_id = records[0].city_id if records else ""
     return TileCountVector(city_id=city_id, tiles=tiles, counts=counts, out_of_grid=out)
 
 

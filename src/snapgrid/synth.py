@@ -64,9 +64,9 @@ class CitySynthConfig:
     tz_id: str
     origin_lat: float
     origin_lon: float
+    n_records: int
     n_rows: int = 10
     n_cols: int = 10
-    n_records: int = 30_000
     family: str = "power_law"
     family_params: dict = field(default_factory=lambda: {"alpha": 2.5, "x_min": 1.0})
     driving_fraction: float = 0.2356
@@ -84,7 +84,12 @@ class SynthSpec:
     tile_size_m: float = 1000.0
 
 
-def default_spec(seed: int, n_cities: int = 10, n_records: int = 30_000) -> SynthSpec:
+# The default corpus size; `snapgrid synth` takes its defaults from here too.
+N_CITIES = 10
+N_RECORDS = 30_000
+
+
+def default_spec(seed: int, n_cities: int = N_CITIES, n_records: int = N_RECORDS) -> SynthSpec:
     """A ready-made corpus: power-law tiles everywhere, alpha varying by city."""
     cities = []
     for i in range(n_cities):
@@ -146,8 +151,9 @@ def _largest_remainder(raw: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def _hour_weights(factor: float, window: NightWindow = NightWindow()) -> np.ndarray:
-    w = np.array([factor if window.contains(h) else 1.0 for h in range(24)])
+def _hour_weights(factor: float) -> np.ndarray:
+    """Hour-of-day weights: hours in the default night window weigh ``factor``."""
+    w = np.array([factor if NightWindow().contains(h) else 1.0 for h in range(24)])
     return w / w.sum()
 
 

@@ -42,23 +42,12 @@ class HourlyProfile:
             raise ShapeError(f"hourly profile needs 24 bins, got shape {counts.shape}")
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
-    def fractions(self) -> np.ndarray:
-        if self.total == 0:
-            raise EmptyInputError("profile has no records")
-        return self.counts / self.total
-
-
-def hourly_profile(records: Sequence[SnapRecord], tz_id: str, city_id: str = "") -> HourlyProfile:
+def hourly_profile(records: Sequence[SnapRecord], tz_id: str, city_id: str) -> HourlyProfile:
     """Bucket records by their local wall-clock hour."""
     counts = np.zeros(24, dtype=np.int64)
     for rec in records:
         counts[to_local_time(rec.ts_utc, tz_id).hour] += 1
-    if not city_id and records:
-        city_id = records[0].city_id
     return HourlyProfile(city_id=city_id, counts=counts)
 
 
@@ -80,9 +69,6 @@ class NightWindow:
         if self.start_hour < self.end_hour:
             return self.start_hour <= hour < self.end_hour
         return hour >= self.start_hour or hour < self.end_hour
-
-    def hours(self) -> tuple[int, ...]:
-        return tuple(h for h in range(24) if self.contains(h))
 
 
 def night_uplift(profile: HourlyProfile, window: NightWindow = NightWindow()) -> float:

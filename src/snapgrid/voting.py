@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import EmptyInputError, MissingCityError, ShapeError
+from .errors import EmptyInputError, ShapeError
 from .records import DRIVING, NON_DRIVING, SnapRecord
 
 THRESHOLD_CHOICES = (10, 30, 50, 70, 90)
@@ -138,12 +138,8 @@ class ExtentReport:
     ranking: tuple[tuple[str, float], ...]  # (city_id, fraction), descending
 
 
-def extent(records: Sequence[SnapRecord], cities: Optional[Sequence[str]] = None) -> ExtentReport:
-    """Driving fraction per city and pooled over all records.
-
-    When ``cities`` is given, every requested city must have at least one
-    record.
-    """
+def extent(records: Sequence[SnapRecord]) -> ExtentReport:
+    """Driving fraction per city and pooled over all records."""
     if not records:
         raise EmptyInputError("need at least one classified record")
     driving: dict[str, int] = {}
@@ -154,11 +150,6 @@ def extent(records: Sequence[SnapRecord], cities: Optional[Sequence[str]] = None
         totals[rec.city_id] = totals.get(rec.city_id, 0) + 1
         if rec.label == DRIVING:
             driving[rec.city_id] = driving.get(rec.city_id, 0) + 1
-    if cities is not None:
-        for city in cities:
-            if city not in totals:
-                raise MissingCityError(f"no records for city {city!r}")
-        totals = {c: totals[c] for c in cities}
     per_city = {c: driving.get(c, 0) / totals[c] for c in totals}
     pooled_total = sum(totals.values())
     pooled_driving = sum(driving.get(c, 0) for c in totals)

@@ -105,7 +105,7 @@ def test_matrix_from_long_basic():
 def test_matrix_from_long_truncates_extra_raters():
     rows = [("s1", f"r{i}", "driving") for i in range(4)]
     rows += [("s2", "r0", "non_driving"), ("s2", "r1", "driving"), ("s2", "r2", "driving")]
-    m = matrix_from_long(rows, n_raters=3)
+    m = matrix_from_long(rows)
     # the fourth rating of s1 is dropped, keeping a constant rater count
     assert m.counts.sum(axis=1).tolist() == [3, 3]
     assert m.counts[0].tolist() == [3, 0]

@@ -87,6 +87,25 @@ def test_ingest_stage(pipeline_dir):
     assert 0.0 < info["deletion_rate_pct"] < 10.0
 
 
+def test_ingest_drops_records_of_unknown_cities(tmp_path):
+    assert main(["synth", "--seed", "4", "--out-dir", str(tmp_path), "--cities", "2", "--records", "300",
+                 "--annotated", "10"]) == 0
+    lines = (tmp_path / "snaps.jsonl").read_text().splitlines(keepends=True)
+    strays = [json.loads(line) | {"id": f"zz-{i}", "city_id": "zz"} for i, line in enumerate(lines[:40])]
+    with open(tmp_path / "snaps.jsonl", "a") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in strays)
+    config = str(tmp_path / "pipeline.yaml")
+    for stage in ("ingest", "classify", "extent", "spatial"):
+        assert main([stage, "--config", config]) == 0, stage
+    assert read_json(tmp_path / "ingest.json")["unknown_city"] == 40
+    heatmap_total = 0
+    for city in ("city00", "city01"):
+        with open(tmp_path / f"heatmap_{city}.csv", newline="") as fh:
+            heatmap_total += sum(int(row["total_count"]) for row in csv.DictReader(fh))
+    assert heatmap_total == read_json(tmp_path / "classify.json")["n_classified"]
+    assert set(read_json(tmp_path / "extent.json")["per_city"]) == {"city00", "city01"}
+
+
 def test_annotate_stage(pipeline_dir):
     info = read_json(pipeline_dir / "annotation.json")
     assert info["n_items"] == 450

@@ -13,7 +13,6 @@ from snapgrid.geo import (
     TileIndex,
     build_grid,
     locate,
-    point_in_polygon,
     project_local,
     unproject_local,
 )
@@ -79,30 +78,32 @@ UNIT_SQUARE = (
 
 
 def test_point_in_polygon_interior_and_exterior():
-    assert point_in_polygon(GeoPoint(0.5, 0.5), UNIT_SQUARE)
-    assert not point_in_polygon(GeoPoint(1.5, 0.5), UNIT_SQUARE)
-    assert not point_in_polygon(GeoPoint(-0.1, 0.5), UNIT_SQUARE)
+    square = Region.from_polygon(UNIT_SQUARE)
+    assert square.contains(GeoPoint(0.5, 0.5))
+    assert not square.contains(GeoPoint(1.5, 0.5))
+    assert not square.contains(GeoPoint(-0.1, 0.5))
 
 
 def test_point_in_polygon_boundary_is_inside():
-    assert point_in_polygon(GeoPoint(0.0, 0.5), UNIT_SQUARE)  # edge
-    assert point_in_polygon(GeoPoint(1.0, 1.0), UNIT_SQUARE)  # vertex
-    assert point_in_polygon(GeoPoint(0.5, 0.0), UNIT_SQUARE)  # vertical edge
+    square = Region.from_polygon(UNIT_SQUARE)
+    assert square.contains(GeoPoint(0.0, 0.5))  # edge
+    assert square.contains(GeoPoint(1.0, 1.0))  # vertex
+    assert square.contains(GeoPoint(0.5, 0.0))  # vertical edge
 
 
 def test_point_in_polygon_concave():
     # L-shape: the notch at the top right is outside
-    ring = (
+    ell = Region.from_polygon((
         GeoPoint(0.0, 0.0),
         GeoPoint(0.0, 2.0),
         GeoPoint(1.0, 2.0),
         GeoPoint(1.0, 1.0),
         GeoPoint(2.0, 1.0),
         GeoPoint(2.0, 0.0),
-    )
-    assert point_in_polygon(GeoPoint(0.5, 1.5), ring)
-    assert not point_in_polygon(GeoPoint(1.5, 1.5), ring)
-    assert point_in_polygon(GeoPoint(1.5, 0.5), ring)
+    ))
+    assert ell.contains(GeoPoint(0.5, 1.5))
+    assert not ell.contains(GeoPoint(1.5, 1.5))
+    assert ell.contains(GeoPoint(1.5, 0.5))
 
 
 def test_self_intersecting_ring_rejected():
@@ -113,7 +114,7 @@ def test_self_intersecting_ring_rejected():
         GeoPoint(0.0, 1.0),
     )
     with pytest.raises(InvalidPolygonError):
-        point_in_polygon(GeoPoint(0.5, 0.5), bowtie)
+        Region.from_polygon(bowtie)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +124,6 @@ def test_self_intersecting_ring_rejected():
 def test_build_grid_exact_multiple():
     grid = build_grid(bbox_region(2000.0, 2000.0), tile_size_m=1000.0)
     assert (grid.n_rows, grid.n_cols) == (2, 2)
-    assert grid.n_tiles == 4
     assert grid.n_active == 4  # bbox regions activate everything
 
 
@@ -193,7 +193,7 @@ def test_polygon_mask_matches_independent_ray_cast():
         for col in range(grid.n_cols):
             center = grid.tile_center(TileIndex(row, col))
             expect = crossing_number_oracle(center.lon, center.lat, region.polygon)
-            assert grid.is_active(TileIndex(row, col)) == expect, (row, col)
+            assert grid.active[row, col] == expect, (row, col)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_locate_outside_grid_is_none():
 def test_locate_inactive_tile_is_none():
     grid = build_grid(triangle_region(), tile_size_m=1000.0)
     dead = grid.tile_center(TileIndex(2, 2))
-    assert not grid.is_active(TileIndex(2, 2))
+    assert not grid.active[2, 2]
     assert locate(dead, grid) is None
     alive = grid.tile_center(TileIndex(0, 0))
     assert locate(alive, grid) == TileIndex(0, 0)
@@ -244,7 +244,7 @@ def brute_force_locate(p: GeoPoint, grid):
             if col * s <= x < (col + 1) * s and row * s <= y < (row + 1) * s:
                 hits.append(TileIndex(row, col))
     assert len(hits) <= 1
-    if not hits or not grid.is_active(hits[0]):
+    if not hits or not grid.active[hits[0].row, hits[0].col]:
         return None
     return hits[0]
 
@@ -270,5 +270,5 @@ def test_grid_csv_export(tmp_path):
     grid.write_csv(path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "row,col,center_lat,center_lon,active"
-    assert len(lines) == 1 + grid.n_tiles
+    assert len(lines) == 1 + grid.n_rows * grid.n_cols
     assert lines[1].endswith("true")

@@ -1,6 +1,6 @@
 """Record parsing, serialization, timezones, deletions."""
 
-import io
+import json
 
 import pytest
 
@@ -13,7 +13,6 @@ from snapgrid.records import (
     format_rfc3339,
     parse_rfc3339,
     parse_snaps,
-    snaps_to_string,
     to_local_time,
     write_snaps,
 )
@@ -78,12 +77,13 @@ def test_unknown_timezone_raises():
 # serialization round trips
 
 
-def test_jsonl_round_trip():
+def test_jsonl_round_trip(tmp_path):
     recs = [make_record(i) for i in range(5)]
     recs[2] = make_record(2, label=None, frame_scores=None)
     recs[3] = make_record(3, deleted=True)
-    text = snaps_to_string(recs)
-    parsed, failures = parse_snaps(io.StringIO(text))
+    path = tmp_path / "snaps.jsonl"
+    write_snaps(recs, path)
+    parsed, failures = parse_snaps(path.read_text().splitlines())
     assert failures == []
     assert parsed == recs
 
@@ -98,15 +98,22 @@ def test_file_round_trip(tmp_path):
 
 
 def test_parse_failures_carry_line_numbers():
+    good = {"id": "a", "ts_utc": "2019-04-01T00:00:00Z", "lat": 1.0, "lon": 2.0, "city_id": "x"}
     lines = [
-        '{"id": "a", "ts_utc": "2019-04-01T00:00:00Z", "lat": 1.0, "lon": 2.0, "city_id": "x"}',
+        json.dumps(good),
         "this is not json",
-        '{"id": "b", "ts_utc": "2019-04-01T00:01:00Z", "lat": 1.0, "lon": 2.0, "city_id": "x"}',
-        '{"id": "c", "ts_utc": "bogus", "lat": 1.0, "lon": 2.0, "city_id": "x"}',
-    ]
+        json.dumps({**good, "id": "b"}),
+        json.dumps({**good, "ts_utc": "bogus"}),
+        # a wrongly typed field fails rather than being coerced, and NaN is no JSON number
+        json.dumps({**good, "deleted": "false"}),
+        json.dumps({**good, "id": None}),
+        json.dumps({**good, "city_id": None}),
+        json.dumps({**good, "duration_s": float("nan")}),
+    ] + [json.dumps(good)] * 5  # enough good lines that failures do not outnumber them
     records, failures = parse_snaps(lines)
-    assert [r.id for r in records] == ["a", "b"]
-    assert [f.line_number for f in failures] == [2, 4]
+    assert [r.id for r in records] == ["a", "b"] + ["a"] * 5
+    assert [f.line_number for f in failures] == [2, 4, 5, 6, 7, 8]
+    assert [f.message.split(" must ")[0] for f in failures[2:]] == ["deleted", "id", "city_id", "duration_s"]
 
 
 def test_blank_lines_are_skipped_without_failures():

@@ -100,8 +100,8 @@ def test_ols_simple_line():
     x = np.array([1.0, 2.0, 3.0])
     X = np.column_stack([np.ones(3), x])
     fit = ols_fit(X, x, ("intercept", "x"))
-    assert fit.coef("x") == pytest.approx(1.0)
-    assert fit.coef("intercept") == pytest.approx(0.0, abs=1e-12)
+    assert fit.coefs[fit.columns.index("x")] == pytest.approx(1.0)
+    assert fit.coefs[fit.columns.index("intercept")] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ols_five_point_normal_equations():
@@ -111,8 +111,8 @@ def test_ols_five_point_normal_equations():
     y = np.array([1.0, 2.0, 2.0, 3.0, 5.0])
     X = np.column_stack([np.ones(5), x])
     fit = ols_fit(X, y, ("intercept", "x"))
-    assert fit.coef("x") == pytest.approx(0.9)
-    assert fit.coef("intercept") == pytest.approx(0.8)
+    assert fit.coefs[fit.columns.index("x")] == pytest.approx(0.9)
+    assert fit.coefs[fit.columns.index("intercept")] == pytest.approx(0.8)
     assert fit.ssr == pytest.approx(1.1)
     assert fit.std_errors[1] == pytest.approx(math.sqrt(11.0 / 300.0))
     assert fit.std_errors[0] == pytest.approx(math.sqrt(11.0 / 50.0))

@@ -218,28 +218,18 @@ def test_tile_counts_places_records():
         snap_at(grid, 1500.0, 1500.0, 3),  # tile (1, 1)
         snap_at(grid, 9000.0, 500.0, 4),   # off the grid
     ]
-    vec = tile_counts(records, grid)
+    vec = tile_counts(records, grid, "metro")
     assert vec.counts.tolist() == [1, 2, 0, 1]  # row-major over active tiles
     assert vec.out_of_grid == 1
-    assert vec.total == 4
+    assert vec.counts.sum() == 4
     assert vec.positive_counts.tolist() == [1, 2, 1]
-
-
-def test_tile_counts_filters_by_city():
-    grid = grid_2x2()
-    records = [
-        snap_at(grid, 500.0, 500.0, 0, city="metro"),
-        snap_at(grid, 500.0, 500.0, 1, city="other"),
-    ]
-    vec = tile_counts(records, grid, city_id="metro")
-    assert vec.counts.sum() == 1
 
 
 def test_heatmap_export(tmp_path):
     grid = grid_2x2()
     records = [snap_at(grid, 500.0, 500.0, i) for i in range(3)]
-    total = tile_counts(records, grid)
-    driving = tile_counts(records[:1], grid)
+    total = tile_counts(records, grid, "metro")
+    driving = tile_counts(records[:1], grid, "metro")
     path = tmp_path / "heat.csv"
     heatmap_export(grid, driving, total, path)
     lines = path.read_text().strip().split("\n")
@@ -252,8 +242,8 @@ def test_heatmap_export(tmp_path):
 
 def test_heatmap_export_rejects_misaligned_vectors():
     grid = grid_2x2()
-    vec = tile_counts([], grid)
+    vec = tile_counts([], grid, "metro")
     smaller = build_grid(Region.from_bbox(0.0, 0.0, 0.005, 0.005), 1000.0)  # 1x1
-    other = tile_counts([], smaller)
+    other = tile_counts([], smaller, "metro")
     with pytest.raises(ShapeError):
         heatmap_export(grid, vec, other, "/dev/null")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from snapgrid.annotation import adjudicate, fleiss_kappa, matrix_from_long
-from snapgrid.records import DRIVING, NON_DRIVING, parse_rfc3339, snaps_to_string
+from snapgrid.records import DRIVING, NON_DRIVING, parse_rfc3339
 from snapgrid.regression import DESIGN_TERMS, build_design, ols_fit
 from snapgrid.spatial import compare_fits, tile_counts
 from snapgrid.synth import (
@@ -55,14 +55,14 @@ SMALL = SynthSpec(
 def test_same_seed_reproduces_corpus_bit_for_bit():
     corpus_a, _ = gen_corpus(SMALL)
     corpus_b, _ = gen_corpus(SMALL)
-    assert snaps_to_string(corpus_a) == snaps_to_string(corpus_b)
+    assert corpus_a == corpus_b
 
 
 def test_different_seed_changes_corpus():
     other = SynthSpec(seed=4, cities=SMALL.cities)
     corpus_a, _ = gen_corpus(SMALL)
     corpus_b, _ = gen_corpus(other)
-    assert snaps_to_string(corpus_a) != snaps_to_string(corpus_b)
+    assert corpus_a != corpus_b
 
 
 def test_city_streams_are_independent_and_stable():
@@ -119,7 +119,7 @@ def test_near_uniform_weights_spread_counts_evenly():
         family="normal", family_params={"mu": 5.0, "sigma": 1e-9},
     )
     records, grid = gen_city(cfg, 0, SynthSpec(seed=2, cities=(cfg,)))
-    vec = tile_counts(records, grid)
+    vec = tile_counts(records, grid, "flat")
     counts = vec.counts
     assert counts.min() > 0
     assert counts.max() / counts.min() < 1.2
@@ -129,7 +129,7 @@ def test_tile_counts_recover_planted_power_law():
     spec = default_spec(seed=0, n_cities=1)
     records, grid = gen_city(spec.cities[0], 0, spec)
     driving = [r for r in records if r.label == DRIVING]
-    comp = compare_fits(tile_counts(driving, grid).positive_counts, "city00")
+    comp = compare_fits(tile_counts(driving, grid, "city00").positive_counts, "city00")
     assert comp.best_by_bic == "power_law"
 
 

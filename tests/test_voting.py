@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from snapgrid.errors import EmptyInputError, MissingCityError
+from snapgrid.errors import EmptyInputError
 from snapgrid.geo import GeoPoint
 from snapgrid.records import DRIVING, NON_DRIVING, SnapRecord
 from snapgrid.voting import (
@@ -219,12 +219,6 @@ def test_extent_zero_driving():
     report = extent(records)
     assert report.per_city == {"a": 0.0}
     assert report.overall == 0.0
-
-
-def test_extent_requested_city_must_exist():
-    records = [rec(0, "a", DRIVING)]
-    with pytest.raises(MissingCityError):
-        extent(records, cities=["a", "zz"])
 
 
 def test_extent_rejects_unlabeled():
