@@ -9,9 +9,11 @@ it returns its outputs, ``{file name: content}``, and a summary, and
 ``main`` commits the outputs all or nothing, so a failed stage leaves the
 previous artifacts as they were. A re-run reproduces them byte for byte.
 
-``cleaned.jsonl`` (from ingest) is the one record-level intermediate;
-classify writes only ``predictions.csv``, an ``id,label`` row per scored
-record of it, which the stages after classify join back to it by position.
+``cleaned.jsonl`` (from ingest) is the one record-level intermediate.
+classify stores no per-record label: ``classify.json`` records the voting
+rule and cutoff it applied and a CRC-32 of the scored records' ids, and the
+stages after it check that CRC against ``cleaned.jsonl`` and re-apply the
+rule through the same ``voting.classify_scores``.
 
 Exit status: 0 on success, 2 for usage/config errors and missing or
 mismatched intermediates, 1 for runtime failures; each prints a single
@@ -27,9 +29,9 @@ import json
 import math
 import os
 import sys
+import zlib
 from dataclasses import asdict, replace
 from functools import partial
-from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -51,7 +53,6 @@ DEFAULT_CONFIG = {
 # input paths, resolved against the config file's directory
 PATH_KEYS = ("snaps", "annotations", "city_stats")
 CLEANED = "cleaned.jsonl"
-PREDICTIONS = "predictions.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +117,7 @@ def load_config(path: Optional[str]) -> dict:
     for key, value in loaded.items():
         if key not in DEFAULT_CONFIG and key not in PATH_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        _reject_booleans(key, value)
         if isinstance(cfg.get(key), dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {key!r} must be a mapping, got {value!r}")
@@ -128,6 +130,15 @@ def load_config(path: Optional[str]) -> dict:
             cfg[key] = value
     cfg["_dir"] = p.parent.resolve()
     return cfg
+
+
+def _reject_booleans(name: str, value) -> None:
+    """No setting takes YAML's true or false, which Python would read as the numbers 1 and 0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"bad {name}: {str(value).lower()} is not a valid setting")
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        _reject_booleans(f"{name}.{key}", item)
 
 
 def _config_path(cfg: dict, key: str) -> Path:
@@ -152,7 +163,7 @@ def _city_regions(cfg: dict) -> dict[str, tuple[Region, str]]:
 
 def _tile_size(cfg: dict) -> float:
     size = cfg["tile_size_m"]
-    if not isinstance(size, (int, float)) or not 0 < size < math.inf:
+    if type(size) not in (int, float) or not 0 < size < math.inf:  # a bool is an int
         raise ConfigError(f"tile_size_m must be a positive number of metres, got {size!r}")
     return size
 
@@ -173,8 +184,8 @@ def _voting_rule(cfg: dict, rule: Optional[str], threshold: Optional[int]) -> vo
     return _setting("voting rule", voting.VotingRule, name, pct)
 
 
-def _voting_cutoff(cfg: dict) -> float:
-    cutoff = _setting("voting cutoff", float, cfg["voting"]["cutoff"])
+def _voting_cutoff(value) -> float:
+    cutoff = _setting("voting cutoff", float, value)
     if not 0.0 <= cutoff < 1.0:
         raise ConfigError(f"bad voting cutoff: must be in [0, 1), got {cutoff!r}")
     return cutoff
@@ -206,30 +217,41 @@ def _load_cleaned(out_dir: Path) -> list[records.SnapRecord]:
     return recs
 
 
-def _load_classified(out_dir: Path) -> list[records.SnapRecord]:
-    """The scored records of ``cleaned.jsonl``, labeled with classify's predictions.
+def _ids_crc32(recs) -> int:
+    """CRC-32 of the records' ids in order; each is length-prefixed, so no two id lists share a byte string."""
+    crc = 0
+    for rec in recs:
+        data = rec.id.encode("utf-8", "surrogatepass")
+        crc = zlib.crc32(b"%d:%b" % (len(data), data), crc)
+    return crc
 
-    ``predictions.csv`` must list exactly those records' ids, in file order;
-    otherwise it belongs to another corpus or is damaged, and classify must
-    run again.
+
+def _load_classified(out_dir: Path) -> list[records.SnapRecord]:
+    """The scored records of ``cleaned.jsonl``, labeled by the rule that ``classify.json`` records.
+
+    ``classify.json`` must hold the CRC-32 of exactly those records' ids, in
+    file order; otherwise it belongs to another corpus or is damaged, and
+    classify must run again.
     """
     recs = [rec for rec in _load_cleaned(out_dir) if rec.frame_scores]
-    path = out_dir / PREDICTIONS
+    path = out_dir / "classify.json"
     try:
-        with open(path, newline="") as fh:
-            rows = csv.reader(fh)
-            if next(rows, None) != ["id", "label"]:
-                raise ValueError("header is not id,label")
-            for i, (rec, row) in enumerate(zip_longest(recs, rows)):
-                if rec is None or row is None or len(row) != 2 or row[0] != rec.id:
-                    raise ValueError(f"prediction {i + 1} does not match the scored records of cleaned.jsonl")
-                if rec.label != row[1]:
-                    # relabel in place so that one list of records stays alive
-                    recs[i] = replace(rec, label=row[1])
+        info = json.loads(path.read_text())
+        if not isinstance(info, dict):
+            raise ValueError("not a JSON object")
+        if info.get("scored_ids_crc32") != _ids_crc32(recs):
+            raise ValueError(f"scored_ids_crc32 does not match the scored records of {CLEANED}")
+        rule = voting.VotingRule(info.get("rule"), info.get("threshold_pct"))
+        cutoff = _voting_cutoff(info.get("cutoff"))
     except FileNotFoundError:
         raise _rerun(path)
-    except (ValueError, csv.Error) as exc:
+    except (ValueError, ConfigError) as exc:
         raise _rerun(path, f"{path}: {exc}")
+    for i, rec in enumerate(recs):
+        label = voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff)
+        if rec.label != label:
+            # relabel in place so that one list of records stays alive
+            recs[i] = replace(rec, label=label)
     return recs
 
 
@@ -346,28 +368,25 @@ def cmd_annotate(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 def cmd_classify(args, cfg, out_dir: Path) -> tuple[dict, str]:
     rule = _voting_rule(cfg, args.rule, args.threshold)
-    cutoff = _voting_cutoff(cfg)
+    cutoff = _voting_cutoff(cfg["voting"]["cutoff"])
 
     recs = _load_cleaned(out_dir)
     scored = [r for r in recs if r.frame_scores]
-    predictions = [voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff) for rec in scored]
+    votes = [voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff) for rec in scored]
 
     out = {
         "rule": rule.kind,
         "threshold_pct": rule.threshold_pct,
         "cutoff": cutoff,
-        "n_classified": len(predictions),
+        "n_classified": len(votes),
         "n_skipped_unscored": len(recs) - len(scored),
+        "scored_ids_crc32": _ids_crc32(scored),
     }
     truths = [r.label for r in scored]
     if all(t is not None for t in truths) and truths:
-        out["eval"] = asdict(voting.evaluate(predictions, truths))
-    outputs = {
-        PREDICTIONS: _csv_text(("id", "label"), zip((rec.id for rec in scored), predictions)),
-        "classify.json": out,
-    }
+        out["eval"] = asdict(voting.evaluate(votes, truths))
     suffix = f", accuracy={out['eval']['accuracy']:.4f}" if "eval" in out else ""
-    return outputs, f"classify: {len(predictions)} records via {rule.kind}{suffix}"
+    return {"classify.json": out}, f"classify: {len(votes)} records via {rule.kind}{suffix}"
 
 
 def cmd_extent(args, _cfg, out_dir: Path) -> tuple[dict, str]:
@@ -518,7 +537,7 @@ STAGES = {
     "grid": (cmd_grid, "build metric tile grids for configured cities", ()),
     "ingest": (cmd_ingest, "parse raw snaps, keep known cities' undeleted ones in cleaned.jsonl", (CLEANED, "ingest.json")),
     "annotate": (cmd_annotate, "agreement and adjudication from rater CSV", ("annotation.json",)),
-    "classify": (cmd_classify, "vote frame scores into predictions.csv", (PREDICTIONS, "classify.json")),
+    "classify": (cmd_classify, "vote frame scores; the rule is handed on in classify.json", ("classify.json",)),
     "extent": (cmd_extent, "driving fraction per city and pooled", ("extent.json",)),
     "spatial": (cmd_spatial, "per-tile counts and distribution fits", ("spatial.json",)),
     "temporal": (cmd_temporal, "hourly profiles and night uplift", ("temporal.json",)),

@@ -74,22 +74,27 @@ class ParseFailure:
     message: str
 
 
-# fields a wrong JSON type must fail rather than be coerced: "false" is not false, null is not "None"
-_FIELD_TYPES = {"id": (str, "a string"), "city_id": (str, "a string"), "deleted": (bool, "true or false")}
+_STR, _NUMBER = ((str,), "a string"), ((int, float), "a number")
+# each field's JSON types; any other fails rather than being coerced: "false" is
+# not false, null is not "None", and neither "1.5" nor true is a number
+_FIELD_TYPES = {"id": _STR, "city_id": _STR, "deleted": ((bool,), "true or false"), "lat": _NUMBER,
+                "lon": _NUMBER, "duration_s": _NUMBER, "frame_scores": ((list, type(None)), "a list")}
 
 
 def _record_from_dict(obj: dict) -> SnapRecord:
-    for key, (kind, what) in _FIELD_TYPES.items():
-        if key in obj and not isinstance(obj[key], kind):
+    for key, (kinds, what) in _FIELD_TYPES.items():
+        if key in obj and type(obj[key]) not in kinds:
             raise ValueError(f"{key} must be {what}, got {json.dumps(obj[key])}")
     scores = obj.get("frame_scores")
+    if scores is not None and not set(map(type, scores)) <= {int, float}:
+        raise ValueError(f"frame_scores must be numbers, got {json.dumps(scores)}")
     return SnapRecord(
         id=obj["id"],
         ts_utc=parse_rfc3339(obj["ts_utc"]),
         location=GeoPoint(float(obj["lat"]), float(obj["lon"])),
         city_id=obj["city_id"],
         duration_s=float(obj.get("duration_s", 0.0)),
-        frame_scores=tuple(float(s) for s in scores) if scores is not None else None,
+        frame_scores=tuple(map(float, scores)) if scores is not None else None,
         label=obj.get("label"),
         deleted=obj.get("deleted", False),
     )

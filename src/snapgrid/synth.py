@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .annotation import N_RATERS
 from .geo import METERS_PER_DEG_LAT, GeoPoint, Region, TileGrid, build_grid
 from .records import DRIVING, NON_DRIVING, SnapRecord, get_zone
 from .regression import DESIGN_TERMS, CityStats
@@ -251,7 +252,7 @@ def gen_annotations(
     flip_prob: float,
     seed: int,
 ) -> list[tuple[str, str, str]]:
-    """Simulated rater judgments: each of 3 raters flips the true label with flip_prob.
+    """Simulated rater judgments: each of N_RATERS raters flips the true label with flip_prob.
 
     Returns long-format rows (item_id, rater_id, category).
     """
@@ -262,7 +263,7 @@ def gen_annotations(
     for rec in records:
         if rec.label is None:
             raise ValueError(f"record {rec.id} has no true label to annotate")
-        for r in range(3):
+        for r in range(N_RATERS):
             flip = rng.random() < flip_prob
             if flip:
                 category = NON_DRIVING if rec.label == DRIVING else DRIVING

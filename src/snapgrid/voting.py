@@ -18,6 +18,7 @@ synthetic corpora, from the generator).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,35 +55,27 @@ class VotingRule:
         return cls("threshold", pct)
 
 
-def frame_label(score: float, cutoff: float = 0.5) -> str:
-    """Binarize one frame score; strictly above the cutoff counts as driving."""
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score {score} outside [0, 1]")
-    return DRIVING if score > cutoff else NON_DRIVING
-
-
-def labels_from_scores(scores: Sequence[float], cutoff: float = 0.5) -> list[str]:
-    return [frame_label(s, cutoff) for s in scores]
+def _decide(positive: int, n: int, rule: VotingRule) -> str:
+    """The clip label for ``positive`` of ``n`` positive frames; integer comparisons keep ties exact."""
+    if n == 0:
+        raise EmptyInputError("cannot vote over zero frames")
+    if rule.kind == "single":
+        hit = positive >= 1
+    elif rule.kind == "majority":
+        hit = 2 * positive > n
+    else:
+        hit = 100 * positive > rule.threshold_pct * n
+    return DRIVING if hit else NON_DRIVING
 
 
 def aggregate_votes(frame_labels: Sequence[str], rule: VotingRule) -> str:
     """Fold per-frame labels into one clip label under the voting rule."""
-    if len(frame_labels) == 0:
-        raise EmptyInputError("cannot aggregate an empty label sequence")
-    positive = sum(1 for lab in frame_labels if lab == DRIVING)
-    fraction = positive / len(frame_labels)
-    if rule.kind == "single":
-        hit = positive >= 1
-    elif rule.kind == "majority":
-        hit = fraction > 0.5
-    else:
-        hit = fraction > rule.threshold_pct / 100.0
-    return DRIVING if hit else NON_DRIVING
+    return _decide(sum(1 for lab in frame_labels if lab == DRIVING), len(frame_labels), rule)
 
 
 def classify_scores(scores: Sequence[float], rule: VotingRule, cutoff: float = 0.5) -> str:
-    """Score sequence -> clip label: binarize then vote."""
-    return aggregate_votes(labels_from_scores(scores, cutoff), rule)
+    """Score sequence -> clip label: a frame strictly above ``cutoff`` is positive, then vote."""
+    return _decide(sum(1 for s in scores if s > cutoff), len(scores), rule)
 
 
 @dataclass(frozen=True)
@@ -97,24 +90,14 @@ class EvalReport:
     minor_class: str
 
 
-def evaluate(predictions: Sequence[str], truths: Sequence[str]) -> EvalReport:
-    """Accuracy/precision/recall/F1 of predictions against ground truth, driving as positive."""
-    if len(predictions) != len(truths):
-        raise ShapeError(f"length mismatch: {len(predictions)} predictions vs {len(truths)} truths")
-    if len(predictions) == 0:
-        raise EmptyInputError("need at least one prediction")
-    tp = fp = fn = tn = 0
-    for pred, truth in zip(predictions, truths):
-        if pred == DRIVING:
-            if truth == DRIVING:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if truth == DRIVING:
-                fn += 1
-            else:
-                tn += 1
+def evaluate(predicted: Sequence[str], truths: Sequence[str]) -> EvalReport:
+    """Accuracy/precision/recall/F1 of predicted labels against ground truth, driving as positive."""
+    if len(predicted) != len(truths):
+        raise ShapeError(f"length mismatch: {len(predicted)} predicted vs {len(truths)} true labels")
+    if len(predicted) == 0:
+        raise EmptyInputError("need at least one predicted label")
+    pairs = Counter((pred == DRIVING, truth == DRIVING) for pred, truth in zip(predicted, truths))
+    tp, fp, fn, tn = pairs[True, True], pairs[True, False], pairs[False, True], pairs[False, False]
     total = tp + fp + fn + tn
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -142,20 +125,11 @@ def extent(records: Sequence[SnapRecord]) -> ExtentReport:
     """Driving fraction per city and pooled over all records."""
     if not records:
         raise EmptyInputError("need at least one classified record")
-    driving: dict[str, int] = {}
-    totals: dict[str, int] = {}
-    for rec in records:
-        if rec.label is None:
-            raise ValueError(f"record {rec.id!r} is unlabeled")
-        totals[rec.city_id] = totals.get(rec.city_id, 0) + 1
-        if rec.label == DRIVING:
-            driving[rec.city_id] = driving.get(rec.city_id, 0) + 1
-    per_city = {c: driving.get(c, 0) / totals[c] for c in totals}
-    pooled_total = sum(totals.values())
-    pooled_driving = sum(driving.get(c, 0) for c in totals)
+    unlabeled = next((rec for rec in records if rec.label is None), None)
+    if unlabeled is not None:
+        raise ValueError(f"record {unlabeled.id!r} is unlabeled")
+    totals = Counter(rec.city_id for rec in records)
+    driving = Counter(rec.city_id for rec in records if rec.label == DRIVING)
+    per_city = {c: driving[c] / totals[c] for c in totals}
     ranking = tuple(sorted(per_city.items(), key=lambda kv: (-kv[1], kv[0])))
-    return ExtentReport(
-        per_city=per_city,
-        overall=pooled_driving / pooled_total,
-        ranking=ranking,
-    )
+    return ExtentReport(per_city=per_city, overall=sum(driving.values()) / len(records), ranking=ranking)

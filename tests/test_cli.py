@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from snapgrid.cli import DEFAULT_CONFIG, STAGES, _commit, build_parser, load_config, main
+from snapgrid import cli
+from snapgrid.cli import DEFAULT_CONFIG, STAGES, _commit, _tile_size, build_parser, load_config, main
 from snapgrid.errors import ConfigError
 
 
@@ -215,9 +216,9 @@ def test_commit_failure_keeps_previous_artifacts(tmp_path):
 
 
 def test_failed_stage_write_keeps_previous_artifact(pipeline_dir, tmp_path, monkeypatch):
-    for name in ("cleaned.jsonl", "predictions.csv"):
+    for name in ("cleaned.jsonl", "classify.json"):
         shutil.copy(pipeline_dir / name, tmp_path / name)
-    before = (tmp_path / "predictions.csv").read_bytes()
+    before = (tmp_path / "classify.json").read_bytes()
 
     def failing_write_bytes(path, data):
         with open(path, "wb") as fh:
@@ -230,8 +231,8 @@ def test_failed_stage_write_keeps_previous_artifact(pipeline_dir, tmp_path, monk
         # another rule, so a completed write would change the file
         rc = main(["classify", "--config", config, "--out-dir", str(tmp_path), "--rule", "single"])
     assert rc == 1
-    assert (tmp_path / "predictions.csv").read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.jsonl", "predictions.csv"]
+    assert (tmp_path / "classify.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["classify.json", "cleaned.jsonl"]
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +328,23 @@ _CITY = "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
         ("cluster", "clustering:\n  k: 0\n", "clustering k"),
         ("cluster", "clustering:\n  k: -2\n", "clustering k"),
         ("temporal", "night_window:\n  start_hour: 2\n  end_hour: 2\n", "night_window"),
+        # YAML's true and false are not numbers, though Python reads them as 1 and 0
+        ("cluster", "clustering:\n  k: true\n", "clustering.k"),
+        ("temporal", "night_window:\n  start_hour: true\n", "night_window.start_hour"),
+        ("cluster", "seed: true\n", "seed"),
+        ("grid", "tile_size_m: true\n", "tile_size_m"),
+        ("classify", "voting:\n  cutoff: false\n", "voting.cutoff"),
+        ("grid", "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, true, 0.01]\n", "cities.a.bbox.2"),
     ],
     ids=["voting-null", "cutoff-text", "window-key", "hour-24", "tile-text", "tile-zero",
          "tile-negative", "k-text", "cities-null", "voting-key", "top-level-key", "clustering-key",
          "cutoff-above-1", "cutoff-1", "cutoff-nan", "cutoff-inf", "cutoff-negative",
-         "k-zero", "k-negative", "window-whole-day"],
+         "k-zero", "k-negative", "window-whole-day", "k-bool", "hour-bool", "seed-bool", "tile-bool",
+         "cutoff-bool", "bbox-bool"],
 )
-def test_malformed_config_exits_2(tmp_path, capsys, stage, setting, named):
+def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, stage, setting, named):
+    # a bad setting fails before any grid is built: a 1 m tile would mean 10^8 tiles per city
+    monkeypatch.setattr(cli, "build_grid", lambda *args: pytest.fail("a grid was built"))
     # cities first so a later "cities" setting replaces them
     path = tmp_path / "c.yaml"
     path.write_text(_CITY + setting)
@@ -341,6 +352,11 @@ def test_malformed_config_exits_2(tmp_path, capsys, stage, setting, named):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"snapgrid {stage}: ")
     assert named in err
+
+
+def test_tile_size_must_not_be_a_boolean():
+    with pytest.raises(ConfigError, match="tile_size_m"):
+        _tile_size({"tile_size_m": True})
 
 
 def test_ingest_of_mostly_corrupt_corpus_names_file_and_line(tmp_path, capsys):
@@ -372,7 +388,7 @@ def test_classify_without_ingest_exits_2(pipeline_dir, tmp_path, capsys):
     assert main(["classify", "--config", config, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "cleaned.jsonl" in err and "ingest" in err
-    assert not (tmp_path / "predictions.csv").exists()
+    assert not (tmp_path / "classify.json").exists()
 
 
 def test_classify_with_corrupt_cleaned_exits_2(pipeline_dir, tmp_path, capsys):
@@ -384,32 +400,53 @@ def test_classify_with_corrupt_cleaned_exits_2(pipeline_dir, tmp_path, capsys):
     assert main(["classify", "--config", config, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "cleaned.jsonl" in err and "ingest" in err
-    assert not (tmp_path / "predictions.csv").exists()
+    assert not (tmp_path / "classify.json").exists()
 
 
-def _reader_fails_naming_predictions(stage, config, out_dir, capsys):
+def _reader_fails_naming_classify(stage, config, out_dir, capsys):
     assert main([stage, "--config", config, "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "predictions.csv" in err and "classify" in err
+    assert err.count("\n") == 1 and "classify.json" in err and "the classify stage" in err
 
 
-@pytest.mark.parametrize("damage", ["missing", "swapped", "truncated", "extra", "header", "label"])
-def test_reader_with_bad_predictions_exits_2(pipeline_dir, tmp_path, capsys, damage):
-    shutil.copy(pipeline_dir / "cleaned.jsonl", tmp_path / "cleaned.jsonl")
-    lines = (pipeline_dir / "predictions.csv").read_text().splitlines(keepends=True)
+READERS = ("extent", "spatial", "temporal", "cluster")
+
+
+@pytest.mark.parametrize("damage", ["missing", "malformed", "rule", "cutoff", "crc", "swapped"])
+@pytest.mark.parametrize("stage", READERS)
+def test_reader_with_bad_classify_json_exits_2(pipeline_dir, tmp_path, capsys, stage, damage):
+    lines = (pipeline_dir / "cleaned.jsonl").read_text().splitlines(keepends=True)
+    info = read_json(pipeline_dir / "classify.json")
     if damage == "swapped":
-        lines[1], lines[2] = lines[2], lines[1]
-    elif damage == "truncated":
-        lines.pop()
-    elif damage == "extra":
-        lines.append("x-1,driving\n")
-    elif damage == "header":
-        lines[0] = "id,prediction\n"
-    elif damage == "label":
-        lines[1] = lines[1].split(",")[0] + ",maybe\n"
-    if damage != "missing":
-        (tmp_path / "predictions.csv").write_text("".join(lines))
-    _reader_fails_naming_predictions("extent", str(pipeline_dir / "pipeline.yaml"), tmp_path, capsys)
+        # the same records in another order are another corpus to the ids' CRC
+        lines[0], lines[1] = lines[1], lines[0]
+    elif damage == "rule":
+        info["rule"] = "plurality"
+    elif damage == "cutoff":
+        info["cutoff"] = 1.5
+    elif damage == "crc":
+        info["scored_ids_crc32"] ^= 1
+    (tmp_path / "cleaned.jsonl").write_text("".join(lines))
+    if damage == "malformed":
+        (tmp_path / "classify.json").write_text("[]")
+    elif damage != "missing":
+        (tmp_path / "classify.json").write_text(json.dumps(info))
+    _reader_fails_naming_classify(stage, str(pipeline_dir / "pipeline.yaml"), tmp_path, capsys)
+    assert not (tmp_path / f"{stage}.json").exists()
+
+
+def test_readers_apply_the_rule_classify_recorded(pipeline_dir, tmp_path):
+    # the config still says majority; the readers follow classify.json
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run)
+    config = str(run / "pipeline.yaml")
+    for argv in (["classify", "--rule", "single"], ["extent"], ["temporal"]):
+        assert main([*argv, "--config", config]) == 0, argv
+    classify = read_json(run / "classify.json")
+    tp, fp, _fn, _tn = classify["eval"]["confusion"]
+    assert read_json(run / "extent.json")["overall"] == (tp + fp) / classify["n_classified"]
+    assert sum(read_json(run / "temporal.json")["pooled"]["profile"]) == tp + fp
+    assert tp + fp > read_json(pipeline_dir / "classify.json")["eval"]["confusion"][0]
 
 
 def _reingest_another_corpus(pipeline_dir, tmp_path, capsys) -> Path:
@@ -428,8 +465,8 @@ def test_reingest_of_another_corpus_makes_readers_exit_2(pipeline_dir, tmp_path,
     run = _reingest_another_corpus(pipeline_dir, tmp_path, capsys)
     config = str(run / "pipeline.yaml")
     before = (run / "extent.json").read_bytes()
-    for stage in ("extent", "spatial", "temporal", "cluster"):
-        _reader_fails_naming_predictions(stage, config, run, capsys)
+    for stage in READERS:
+        _reader_fails_naming_classify(stage, config, run, capsys)
     assert (run / "extent.json").read_bytes() == before
 
 
@@ -482,19 +519,21 @@ def test_labels_round_trip_ids_with_commas_and_quotes(tmp_path):
 
 
 def test_predictions_round_trip_ids_with_commas_and_quotes(tmp_path):
+    # classify hands its rule on, and extent finds the same scored records, whatever their ids hold
     (tmp_path / "c.yaml").write_text("seed: 0\n")
     base = {"ts_utc": "2025-03-03T12:00:00Z", "lat": 1.0, "lon": 1.0, "city_id": "a"}
     rows = [
         {**base, "id": 'a,"0"', "frame_scores": [0.9, 0.8]},
         {**base, "id": "a-1"},
         {**base, "id": "a\n2", "frame_scores": [0.1]},
+        {**base, "id": "\ud800", "frame_scores": [0.2]},
     ]
     (tmp_path / "cleaned.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
     config = str(tmp_path / "c.yaml")
     assert main(["classify", "--config", config]) == 0
     assert main(["extent", "--config", config]) == 0
-    assert read_json(tmp_path / "classify.json")["n_classified"] == 2
-    assert read_json(tmp_path / "extent.json")["per_city"] == {"a": 0.5}
+    assert read_json(tmp_path / "classify.json")["n_classified"] == 3
+    assert read_json(tmp_path / "extent.json")["per_city"] == {"a": 1 / 3}
 
 
 def test_stages_take_no_jobs_flag(capsys):
@@ -525,15 +564,19 @@ def test_invalid_threshold_choice_exits_2(pipeline_dir):
 
 
 def _write_classified(out_dir, points, label):
-    """``cleaned.jsonl`` with one scored record per ``(city, lat, lon)``, all predicted ``label``."""
-    ids = [f"{city}-{i}" for i, (city, _lat, _lon) in enumerate(points)]
+    """``cleaned.jsonl`` with one scored record per ``(city, lat, lon)``, classified ``label``.
+
+    Each record's one frame score puts it on ``label``'s side of the cutoff,
+    and classify runs under ``out_dir/c.yaml``.
+    """
+    score = 0.9 if label == "driving" else 0.1
     rows = [
-        {"id": rec_id, "ts_utc": "2025-03-03T12:00:00Z", "lat": lat, "lon": lon,
-         "city_id": city, "frame_scores": [0.9]}
-        for rec_id, (city, lat, lon) in zip(ids, points)
+        {"id": f"{city}-{i}", "ts_utc": "2025-03-03T12:00:00Z", "lat": lat, "lon": lon,
+         "city_id": city, "frame_scores": [score]}
+        for i, (city, lat, lon) in enumerate(points)
     ]
     (out_dir / "cleaned.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
-    (out_dir / "predictions.csv").write_text("id,label\n" + "".join(f"{i},{label}\n" for i in ids))
+    assert main(["classify", "--config", str(out_dir / "c.yaml")]) == 0
 
 
 def test_extent_with_no_driving_labels(tmp_path):
@@ -548,7 +591,7 @@ def test_extent_with_no_driving_labels(tmp_path):
 
 def test_cluster_with_k_equal_to_city_count(pipeline_dir, tmp_path):
     # silhouette is undefined at k == n; the stage should still succeed
-    for name in ("pipeline.yaml", "cleaned.jsonl", "predictions.csv"):
+    for name in ("pipeline.yaml", "cleaned.jsonl", "classify.json"):
         shutil.copy(pipeline_dir / name, tmp_path / name)
     _set_k(tmp_path / "pipeline.yaml", 3)
     assert main(["cluster", "--config", str(tmp_path / "pipeline.yaml")]) == 0
@@ -594,7 +637,7 @@ def test_failed_spatial_leaves_every_artifact_unchanged(tmp_path, capsys):
 
     # a's heatmap would change; b, the last city, has one driving tile and cannot be fitted
     _write_classified(tmp_path, spread("a", 0.0, range(1, 5)) + [("b", 1.0045, 1.0045)] * 3, "driving")
-    inputs = {name: (tmp_path / name).read_bytes() for name in ("cleaned.jsonl", "predictions.csv")}
+    inputs = {name: (tmp_path / name).read_bytes() for name in ("cleaned.jsonl", "classify.json")}
     assert main(["spatial", "--config", str(config)]) == 1
     assert capsys.readouterr().err.startswith("snapgrid spatial: city b: ")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {**before, **inputs}

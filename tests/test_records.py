@@ -109,11 +109,19 @@ def test_parse_failures_carry_line_numbers():
         json.dumps({**good, "id": None}),
         json.dumps({**good, "city_id": None}),
         json.dumps({**good, "duration_s": float("nan")}),
-    ] + [json.dumps(good)] * 5  # enough good lines that failures do not outnumber them
+        # a JSON number is an int or a float, never a bool or a string; frame_scores is a list
+        json.dumps({**good, "lat": True}),
+        json.dumps({**good, "lat": "1.5"}),
+        json.dumps({**good, "duration_s": False}),
+        json.dumps({**good, "frame_scores": "1"}),
+        json.dumps({**good, "frame_scores": ["0.9", True]}),
+    ] + [json.dumps(good)] * 10  # enough good lines that failures do not outnumber them
     records, failures = parse_snaps(lines)
-    assert [r.id for r in records] == ["a", "b"] + ["a"] * 5
-    assert [f.line_number for f in failures] == [2, 4, 5, 6, 7, 8]
-    assert [f.message.split(" must ")[0] for f in failures[2:]] == ["deleted", "id", "city_id", "duration_s"]
+    assert [r.id for r in records] == ["a", "b"] + ["a"] * 10
+    assert [f.line_number for f in failures] == [2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]
+    assert [f.message.split(" must ")[0] for f in failures[2:]] == [
+        "deleted", "id", "city_id", "duration_s", "lat", "lat", "duration_s", "frame_scores", "frame_scores"
+    ]
 
 
 def test_blank_lines_are_skipped_without_failures():

@@ -8,8 +8,9 @@ stage too; the smoke test runs synth and every stage under it. The script
 is read or run with ``-B``, never imported, so nothing is written beside
 it.
 
-Importing the CLI must not load scipy: every stage process pays for what
-that import loads, and only ``regress`` uses scipy.
+Importing the CLI must not load scipy or OpenSSL's ``_hashlib``: every
+stage process pays for what that import loads, and only ``regress`` uses
+scipy.
 """
 
 import importlib
@@ -60,7 +61,12 @@ def test_importing_cli_loads_no_scipy(modules_after_cli_import):
     assert "scipy" not in modules_after_cli_import
 
 
-# stage -> counters that only the traced calls of that stage feed
+def test_importing_cli_loads_no_hashlib(modules_after_cli_import):
+    # importing hashlib loads OpenSSL, 3.8 MB more in every stage process; ids are checked with zlib's CRC-32
+    assert "_hashlib" not in modules_after_cli_import
+
+
+# stage -> counters that the traced calls of that stage feed (the readers feed voting.frames too)
 COUNTERS = {
     "synth": ("synth.gen_corpus.records",),
     "ingest": ("records.parse_snaps.records", "records.write_snaps.mb"),

@@ -20,8 +20,6 @@ from snapgrid.voting import (
     classify_scores,
     evaluate,
     extent,
-    frame_label,
-    labels_from_scores,
 )
 
 ALL_RULES = [VotingRule.single(), VotingRule.majority()] + [
@@ -78,18 +76,52 @@ def test_aggregate_rejects_empty():
 
 
 def test_frame_label_cutoff_is_strict():
-    assert frame_label(0.5) == NON_DRIVING
-    assert frame_label(0.500001) == DRIVING
-    assert frame_label(0.3, cutoff=0.25) == DRIVING
-    with pytest.raises(ValueError):
-        frame_label(1.2)
+    # one frame: the clip label is the frame's label under every rule
+    for rule in ALL_RULES:
+        assert classify_scores([0.5], rule) == NON_DRIVING
+        assert classify_scores([0.500001], rule) == DRIVING
+        assert classify_scores([0.3], rule, cutoff=0.25) == DRIVING
+        assert classify_scores([0.25], rule, cutoff=0.25) == NON_DRIVING
+    with pytest.raises(EmptyInputError):
+        classify_scores([], VotingRule.single())
+
+
+def test_exact_ties_resolve_negative_at_every_length():
+    # exactly p% of n frames positive is a tie; one frame more is a hit
+    for n in range(10, 201, 10):
+        for rule in ALL_RULES[1:]:
+            pct = rule.threshold_pct or 50
+            tie = pct * n // 100
+            assert classify_scores([0.9] * tie + [0.1] * (n - tie), rule) == NON_DRIVING, (n, rule)
+            assert classify_scores([0.9] * (tie + 1) + [0.1] * (n - tie - 1), rule) == DRIVING, (n, rule)
 
 
 def test_classify_scores_composes_binarize_and_vote():
     scores = (0.9, 0.1, 0.2)
     assert classify_scores(scores, VotingRule.single()) == DRIVING
     assert classify_scores(scores, VotingRule.majority()) == NON_DRIVING
-    assert labels_from_scores(scores) == [DRIVING, NON_DRIVING, NON_DRIVING]
+
+
+@given(
+    # scores on the cutoffs themselves test that a frame's cutoff is strict
+    st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9, 1.0]), st.floats(0.0, 1.0)),
+             min_size=1, max_size=200),
+    rule_strategy,
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]),
+)
+def test_classify_scores_is_the_fraction_rule(scores, rule, cutoff):
+    # the integer comparisons agree with the float formula they replace, and with aggregate_votes
+    positive = sum(s > cutoff for s in scores)
+    fraction = positive / len(scores)
+    if rule.kind == "single":
+        hit = positive >= 1
+    elif rule.kind == "majority":
+        hit = fraction > 0.5
+    else:
+        hit = fraction > rule.threshold_pct / 100
+    frame_labels = [DRIVING if s > cutoff else NON_DRIVING for s in scores]
+    assert classify_scores(scores, rule, cutoff=cutoff) == (DRIVING if hit else NON_DRIVING)
+    assert classify_scores(scores, rule, cutoff=cutoff) == aggregate_votes(frame_labels, rule)
 
 
 # ---------------------------------------------------------------------------
