@@ -3,11 +3,17 @@
 One subcommand per analysis stage, each declared once in ``STAGES``: its
 function, help line and the files it hands on to later stages. The
 parser, the stage that error messages tell the user to (re-)run, and the
-parts that ``report`` merges all come from that table. A stage reads its
-settings and input paths from the YAML config only, and writes no file:
-it returns its outputs, ``{file name: content}``, and a summary, and
-``main`` commits the outputs all or nothing, so a failed stage leaves the
-previous artifacts as they were. A re-run reproduces them byte for byte.
+parts that ``report`` merges all come from that table.
+
+The YAML config holds only what differs between runs: ``seed``,
+``night_window``, ``clustering.k``, ``cities`` and three input paths, each
+checked once by ``load_config`` against the ``CHECKS`` table. The vote is
+classify's ``--rule``/``--threshold``; the frame cutoff and the tile size
+are the constants ``voting.FRAME_CUTOFF`` and ``geo.TILE_SIZE_M``. A stage
+writes no file: it returns its outputs, ``{file name: content}``, and a
+summary, and ``main`` commits the outputs all or nothing, so a failed
+stage leaves the previous artifacts as they were. A re-run reproduces
+them byte for byte.
 
 ``cleaned.jsonl`` (from ingest) is the one record-level intermediate.
 classify stores no per-record label: ``classify.json`` records the voting
@@ -26,7 +32,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import zlib
@@ -44,14 +49,38 @@ from .geo import Region, build_grid
 
 DEFAULT_CONFIG = {
     "seed": 0,
-    "tile_size_m": 1000.0,
-    "voting": {"rule": "majority", "threshold_pct": None, "cutoff": 0.5},
     "night_window": {"start_hour": 18, "end_hour": 2},
     "clustering": {"k": 3},
     "cities": {},
 }
 # input paths, resolved against the config file's directory
 PATH_KEYS = ("snaps", "annotations", "city_stats")
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # not a bool: Python would count YAML's true and false as 1 and 0
+
+
+# Every setting, by its dotted name with "*" for any city id and "#" for any
+# list index: (what a valid value is, a test that returns true for one or
+# raises TypeError or ValueError). A key that no entry names is unknown.
+CHECKS = {
+    "seed": ("an int", _is_int),
+    "night_window": ("a mapping of two different hours", lambda v: type(v) is dict and temporal.NightWindow(**v)),
+    "night_window.start_hour": ("an int", _is_int),
+    "night_window.end_hour": ("an int", _is_int),
+    "clustering": ("a mapping", lambda v: type(v) is dict),
+    "clustering.k": ("an int of at least 1", lambda v: _is_int(v) and v >= 1),
+    "cities": ("a mapping", lambda v: type(v) is dict),
+    "cities.*": ("a mapping of a bbox and a tz", lambda v: type(v) is dict and v.keys() == {"bbox", "tz"}),
+    "cities.*.bbox": (
+        "[south, west, north, east] in degrees",
+        lambda v: type(v) is list and len(v) == 4 and Region.from_bbox(*v),
+    ),
+    "cities.*.bbox.#": ("a number", lambda v: type(v) in (int, float)),
+    "cities.*.tz": ("an IANA time zone", lambda v: type(v) is str and records.get_zone(v)),
+    **{key: ("a path", lambda v: type(v) is str) for key in PATH_KEYS},
+}
 CLEANED = "cleaned.jsonl"
 
 
@@ -98,11 +127,9 @@ def _csv_text(header, rows) -> str:
 
 
 def load_config(path: Optional[str]) -> dict:
-    """Read the YAML config, fill defaults, resolve paths relative to the file."""
-    cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULT_CONFIG.items()}
+    """Read the YAML config, fill defaults, check every setting against ``CHECKS``."""
     if path is None:
-        cfg["_dir"] = Path.cwd()
-        return cfg
+        return dict(DEFAULT_CONFIG, _dir=Path.cwd())
     p = Path(path)
     try:
         loaded = yaml.safe_load(p.read_text())
@@ -114,81 +141,48 @@ def load_config(path: Optional[str]) -> dict:
         loaded = {}
     if not isinstance(loaded, dict):
         raise ConfigError(f"config root must be a mapping, got {type(loaded).__name__}")
+    cfg = dict(DEFAULT_CONFIG)
     for key, value in loaded.items():
-        if key not in DEFAULT_CONFIG and key not in PATH_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        _reject_booleans(key, value)
-        if isinstance(cfg.get(key), dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be a mapping, got {value!r}")
-            if key != "cities":
-                unknown = sorted(map(str, value.keys() - cfg[key].keys()))
-                if unknown:
-                    raise ConfigError(f"unknown config key {unknown[0]!r} in section {key!r}")
-            cfg[key].update(value)
-        else:
-            cfg[key] = value
-    cfg["_dir"] = p.parent.resolve()
-    return cfg
+        default = DEFAULT_CONFIG.get(key)
+        cfg[key] = {**default, **value} if isinstance(default, dict) and isinstance(value, dict) else value
+    _check_settings(cfg)
+    return dict(cfg, _dir=p.parent.resolve())
 
 
-def _reject_booleans(name: str, value) -> None:
-    """No setting takes YAML's true or false, which Python would read as the numbers 1 and 0."""
-    if isinstance(value, bool):
-        raise ConfigError(f"bad {name}: {str(value).lower()} is not a valid setting")
-    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
-    for key, item in items:
-        _reject_booleans(f"{name}.{key}", item)
+def _check_settings(value, name: str = "", pattern: str = "") -> None:
+    """Check ``value``, the setting ``name`` (the whole config when empty), against ``CHECKS``, its parts first."""
+    prefix, here = (f"{pattern}.", f"{name}.") if pattern else ("", "")
+    if isinstance(value, dict) and any(key.startswith(prefix) and key != f"{prefix}#" for key in CHECKS):
+        for key, part in value.items():
+            if type(key) is not str:
+                raise ConfigError(f"bad {here}{json.dumps(key, default=str)}: a config key must be a string")
+            sub = f"{prefix}{key}" if f"{prefix}{key}" in CHECKS else f"{prefix}*"
+            if sub not in CHECKS:
+                raise ConfigError(f"unknown config key {key!r}" + (f" in section {name!r}" if name else ""))
+            _check_settings(part, f"{here}{key}", sub)
+    elif isinstance(value, list) and f"{prefix}#" in CHECKS:
+        for i, part in enumerate(value):
+            _check_settings(part, f"{here}{i}", f"{prefix}#")
+    if pattern:
+        what, test = CHECKS[pattern]
+        try:
+            valid = test(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {name}: {exc}")
+        if not valid:
+            raise ConfigError(f"bad {name}: must be {what}, got {value!r}")
 
 
 def _config_path(cfg: dict, key: str) -> Path:
     if key not in cfg:
         raise ConfigError(f"config is missing required key {key!r}")
-    return _setting(key, lambda: (cfg["_dir"] / cfg[key]).resolve())
+    return (cfg["_dir"] / cfg[key]).resolve()
 
 
 def _city_regions(cfg: dict) -> dict[str, tuple[Region, str]]:
-    out = {}
-    for city_id, spec in sorted(cfg["cities"].items()):
-        try:
-            south, west, north, east = spec["bbox"]
-            region = Region.from_bbox(south, west, north, east)
-            out[city_id] = (region, spec["tz"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad city entry {city_id!r}: {exc}")
-    if not out:
+    if not cfg["cities"]:
         raise ConfigError("config defines no cities")
-    return out
-
-
-def _tile_size(cfg: dict) -> float:
-    size = cfg["tile_size_m"]
-    if type(size) not in (int, float) or not 0 < size < math.inf:  # a bool is an int
-        raise ConfigError(f"tile_size_m must be a positive number of metres, got {size!r}")
-    return size
-
-
-def _setting(what: str, make, *args):
-    """``make(*args)``, with a TypeError or ValueError reported as a bad ``what``."""
-    try:
-        return make(*args)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {exc}")
-
-
-def _voting_rule(cfg: dict, rule: Optional[str], threshold: Optional[int]) -> voting.VotingRule:
-    name = rule or cfg["voting"]["rule"]
-    pct = threshold
-    if pct is None and name == "threshold":
-        pct = cfg["voting"]["threshold_pct"]
-    return _setting("voting rule", voting.VotingRule, name, pct)
-
-
-def _voting_cutoff(value) -> float:
-    cutoff = _setting("voting cutoff", float, value)
-    if not 0.0 <= cutoff < 1.0:
-        raise ConfigError(f"bad voting cutoff: must be in [0, 1), got {cutoff!r}")
-    return cutoff
+    return {c: (Region.from_bbox(*spec["bbox"]), spec["tz"]) for c, spec in sorted(cfg["cities"].items())}
 
 
 def _producer(name: str) -> str:
@@ -242,10 +236,12 @@ def _load_classified(out_dir: Path) -> list[records.SnapRecord]:
         if info.get("scored_ids_crc32") != _ids_crc32(recs):
             raise ValueError(f"scored_ids_crc32 does not match the scored records of {CLEANED}")
         rule = voting.VotingRule(info.get("rule"), info.get("threshold_pct"))
-        cutoff = _voting_cutoff(info.get("cutoff"))
+        cutoff = info.get("cutoff")
+        if type(cutoff) not in (int, float) or not 0.0 <= cutoff < 1.0:  # a bool or a string is not a cutoff
+            raise ValueError(f"cutoff must be a number in [0, 1), got {cutoff!r}")
     except FileNotFoundError:
         raise _rerun(path)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         raise _rerun(path, f"{path}: {exc}")
     for i, rec in enumerate(recs):
         label = voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff)
@@ -283,11 +279,10 @@ def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
     manifest = synth.build_manifest(spec, regression_sigma=reg_sigma)
     pipeline = {
         "seed": spec.seed,
-        "tile_size_m": spec.tile_size_m,
         "snaps": "snaps.jsonl",
         "annotations": "annotations.csv",
         "city_stats": "city_stats.csv",
-        **{key: DEFAULT_CONFIG[key] for key in ("voting", "night_window", "clustering")},
+        **{key: DEFAULT_CONFIG[key] for key in ("night_window", "clustering")},
         "cities": {
             c.city_id: {
                 "tz": c.tz_id,
@@ -308,10 +303,9 @@ def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
 
 
 def cmd_grid(args, cfg, out_dir: Path) -> tuple[dict, str]:
-    tile_size = _tile_size(cfg)
     outputs, shapes = {}, {}
     for city_id, (region, _tz) in _city_regions(cfg).items():
-        grid = build_grid(region, tile_size)
+        grid = build_grid(region)
         outputs[f"grid_{city_id}.csv"] = grid.write_csv
         shapes[city_id] = {
             "n_rows": grid.n_rows,
@@ -367,17 +361,19 @@ def cmd_annotate(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 
 def cmd_classify(args, cfg, out_dir: Path) -> tuple[dict, str]:
-    rule = _voting_rule(cfg, args.rule, args.threshold)
-    cutoff = _voting_cutoff(cfg["voting"]["cutoff"])
+    try:
+        rule = voting.VotingRule(args.rule or "majority", args.threshold)
+    except ValueError as exc:
+        raise ConfigError(f"bad voting rule: {exc}")
 
     recs = _load_cleaned(out_dir)
     scored = [r for r in recs if r.frame_scores]
-    votes = [voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff) for rec in scored]
+    votes = [voting.classify_scores(rec.frame_scores, rule) for rec in scored]
 
     out = {
         "rule": rule.kind,
         "threshold_pct": rule.threshold_pct,
-        "cutoff": cutoff,
+        "cutoff": voting.FRAME_CUTOFF,
         "n_classified": len(votes),
         "n_skipped_unscored": len(recs) - len(scored),
         "scored_ids_crc32": _ids_crc32(scored),
@@ -399,11 +395,10 @@ def cmd_extent(args, _cfg, out_dir: Path) -> tuple[dict, str]:
 
 def cmd_spatial(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
-    tile_size = _tile_size(cfg)
     recs = _load_classified(out_dir)
     outputs, comparisons = {}, []
     for city_id, city_recs in _by_city(recs, regions).items():
-        grid = build_grid(regions[city_id][0], tile_size)
+        grid = build_grid(regions[city_id][0])
         driving = spatial.tile_counts(
             [r for r in city_recs if r.label == records.DRIVING], grid, city_id
         )
@@ -421,7 +416,7 @@ def cmd_spatial(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 def cmd_temporal(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
-    window = _setting("night_window", lambda: temporal.NightWindow(**cfg["night_window"]))
+    window = temporal.NightWindow(**cfg["night_window"])
     recs = _load_classified(out_dir)
 
     per_city = {}
@@ -455,10 +450,7 @@ def cmd_temporal(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 def cmd_cluster(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
-    k = _setting("clustering k", int, cfg["clustering"]["k"])
-    if k < 1:
-        raise ConfigError(f"bad clustering k: must be at least 1, got {k}")
-    seed = _setting("seed", int, cfg["seed"])
+    k, seed = cfg["clustering"]["k"], cfg["seed"]
     recs = _load_classified(out_dir)
 
     tz_map = {c: tz for c, (_region, tz) in regions.items()}

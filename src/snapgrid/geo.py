@@ -1,7 +1,7 @@
 """Metric tile grids over city regions.
 
 A city region (bounding box or polygon ring) is partitioned into square
-tiles of a fixed metric size, default 1000 m. All geometry runs on a
+tiles of a fixed metric size, ``TILE_SIZE_M`` (1000 m). All geometry runs on a
 local equirectangular projection anchored at the southwest corner of the
 region's bounding box: one degree of latitude is treated as 111,320 m
 and one degree of longitude as 111,320 m scaled by the cosine of the
@@ -31,6 +31,8 @@ import numpy as np
 from .errors import InvalidPolygonError, InvalidRegionError
 
 METERS_PER_DEG_LAT = 111_320.0
+# the tile edge of every grid the pipeline builds
+TILE_SIZE_M = 1000.0
 
 # Tolerance (in tiles) when counting rows/columns, so a region constructed
 # to span an exact number of tiles does not gain a spurious extra row from
@@ -254,7 +256,7 @@ class TileGrid:
                     ])
 
 
-def build_grid(region: Region, tile_size_m: float = 1000.0) -> TileGrid:
+def build_grid(region: Region, tile_size_m: float = TILE_SIZE_M) -> TileGrid:
     """Tile the region's bounding box with square tiles of ``tile_size_m``.
 
     Column and row counts are ceilings of the projected bbox extent over

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .annotation import N_RATERS
-from .geo import METERS_PER_DEG_LAT, GeoPoint, Region, TileGrid, build_grid
+from .geo import METERS_PER_DEG_LAT, TILE_SIZE_M, GeoPoint, Region, TileGrid, build_grid
 from .records import DRIVING, NON_DRIVING, SnapRecord, get_zone
 from .regression import DESIGN_TERMS, CityStats
 from .temporal import HOURS_PER_WEEK, NightWindow
@@ -82,7 +82,7 @@ class SynthSpec:
     start_date: str = "2025-03-03"  # a Monday, local in every city
     n_days: int = 28
     duration_range: tuple[float, float] = (3.0, 10.0)
-    tile_size_m: float = 1000.0
+    tile_size_m: float = TILE_SIZE_M
 
 
 # The default corpus size; `snapgrid synth` takes its defaults from here too.
@@ -108,7 +108,7 @@ def default_spec(seed: int, n_cities: int = N_CITIES, n_records: int = N_RECORDS
     return SynthSpec(seed=seed, cities=tuple(cities))
 
 
-def city_region(cfg: CitySynthConfig, tile_size_m: float = 1000.0) -> Region:
+def city_region(cfg: CitySynthConfig, tile_size_m: float = TILE_SIZE_M) -> Region:
     """Bounding box spanning exactly the configured tile layout."""
     origin = GeoPoint(cfg.origin_lat, cfg.origin_lon)
     north = origin.lat + cfg.n_rows * tile_size_m / METERS_PER_DEG_LAT

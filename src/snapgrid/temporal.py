@@ -59,9 +59,10 @@ class NightWindow:
     end_hour: int = 2  # exclusive
 
     def __post_init__(self):
-        for h in (self.start_hour, self.end_hour):
-            if not 0 <= h <= 23:
-                raise ValueError(f"hour {h} outside 0..23")
+        for name in ("start_hour", "end_hour"):
+            h = getattr(self, name)
+            if type(h) is not int or not 0 <= h <= 23:  # 18.5 would drop hour 18; a bool is not an hour
+                raise ValueError(f"{name} must be an int in 0..23, got {h!r}")
         if self.start_hour == self.end_hour:
             raise ValueError(f"start_hour == end_hour == {self.start_hour} would cover the whole day")
 

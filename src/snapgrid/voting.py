@@ -26,6 +26,8 @@ from .errors import EmptyInputError, ShapeError
 from .records import DRIVING, NON_DRIVING, SnapRecord
 
 THRESHOLD_CHOICES = (10, 30, 50, 70, 90)
+# a frame is positive when its score is strictly above this
+FRAME_CUTOFF = 0.5
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class VotingRule:
         if self.kind not in ("single", "majority", "threshold"):
             raise ValueError(f"unknown voting rule {self.kind!r}")
         if self.kind == "threshold":
-            if self.threshold_pct not in THRESHOLD_CHOICES:
+            if type(self.threshold_pct) is not int or self.threshold_pct not in THRESHOLD_CHOICES:
                 raise ValueError(f"threshold_pct must be one of {THRESHOLD_CHOICES}, got {self.threshold_pct}")
         elif self.threshold_pct is not None:
             raise ValueError(f"threshold_pct only applies to threshold voting, not {self.kind!r}")
@@ -73,7 +75,7 @@ def aggregate_votes(frame_labels: Sequence[str], rule: VotingRule) -> str:
     return _decide(sum(1 for lab in frame_labels if lab == DRIVING), len(frame_labels), rule)
 
 
-def classify_scores(scores: Sequence[float], rule: VotingRule, cutoff: float = 0.5) -> str:
+def classify_scores(scores: Sequence[float], rule: VotingRule, cutoff: float = FRAME_CUTOFF) -> str:
     """Score sequence -> clip label: a frame strictly above ``cutoff`` is positive, then vote."""
     return _decide(sum(1 for s in scores if s > cutoff), len(scores), rule)
 

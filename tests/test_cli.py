@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from snapgrid import cli
-from snapgrid.cli import DEFAULT_CONFIG, STAGES, _commit, _tile_size, build_parser, load_config, main
+from snapgrid.cli import DEFAULT_CONFIG, STAGES, _commit, build_parser, load_config, main
 from snapgrid.errors import ConfigError
 
 
@@ -241,18 +241,18 @@ def test_failed_stage_write_keeps_previous_artifact(pipeline_dir, tmp_path, monk
 
 def test_load_config_defaults():
     cfg = load_config(None)
+    assert len(DEFAULT_CONFIG) == 4
     for key in DEFAULT_CONFIG:
         assert key in cfg
-    assert cfg["voting"]["rule"] == "majority"
+    assert cfg["night_window"] == {"start_hour": 18, "end_hour": 2}
 
 
 def test_load_config_merges_nested_sections(tmp_path):
     path = tmp_path / "c.yaml"
-    path.write_text("seed: 9\nvoting:\n  cutoff: 0.4\n")
+    path.write_text("seed: 9\nnight_window:\n  start_hour: 20\n")
     cfg = load_config(str(path))
     assert cfg["seed"] == 9
-    assert cfg["voting"]["cutoff"] == 0.4
-    assert cfg["voting"]["rule"] == "majority"  # default preserved
+    assert cfg["night_window"] == {"start_hour": 20, "end_hour": 2}  # default end preserved
     assert cfg["_dir"] == tmp_path.resolve()
 
 
@@ -305,11 +305,13 @@ def test_stage_out_of_order_exits_2(tmp_path, capsys, stage):
 _CITY = "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
 
 
+# The vote, its frame cutoff and the tile size are not settings: an old config
+# that still sets them is rejected for an unknown key.
 @pytest.mark.parametrize(
     "stage, setting, named",
     [
         ("classify", "voting: null\n", "voting"),
-        ("classify", "voting:\n  cutoff: abc\n", "cutoff"),
+        ("classify", "voting:\n  cutoff: abc\n", "'voting'"),
         ("temporal", "night_window:\n  start: 18\n", "night_window"),
         ("temporal", "night_window:\n  end_hour: 24\n", "night_window"),
         ("grid", "tile_size_m: abc\n", "tile_size_m"),
@@ -317,23 +319,23 @@ _CITY = "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
         ("grid", "tile_size_m: -5\n", "tile_size_m"),
         ("cluster", "clustering:\n  k: abc\n", "clustering"),
         ("report", "cities: null\n", "cities"),
-        ("classify", "voting:\n  rule: majority\n  rul: single\n", "'rul'"),
+        ("classify", "voting:\n  rule: majority\n  rul: single\n", "'voting'"),
         ("grid", "tile_size: 500\n", "'tile_size'"),
         ("cluster", "clustering:\n  n_clusters: 2\n", "'n_clusters'"),
-        ("classify", "voting:\n  cutoff: 1.5\n", "voting cutoff"),
-        ("classify", "voting:\n  cutoff: 1.0\n", "voting cutoff"),
-        ("classify", "voting:\n  cutoff: .nan\n", "voting cutoff"),
-        ("classify", "voting:\n  cutoff: .inf\n", "voting cutoff"),
-        ("classify", "voting:\n  cutoff: -3\n", "voting cutoff"),
-        ("cluster", "clustering:\n  k: 0\n", "clustering k"),
-        ("cluster", "clustering:\n  k: -2\n", "clustering k"),
+        ("classify", "voting:\n  cutoff: 1.5\n", "'voting'"),
+        ("classify", "voting:\n  cutoff: 1.0\n", "'voting'"),
+        ("classify", "voting:\n  cutoff: .nan\n", "'voting'"),
+        ("classify", "voting:\n  cutoff: .inf\n", "'voting'"),
+        ("classify", "voting:\n  cutoff: -3\n", "'voting'"),
+        ("cluster", "clustering:\n  k: 0\n", "clustering.k"),
+        ("cluster", "clustering:\n  k: -2\n", "clustering.k"),
         ("temporal", "night_window:\n  start_hour: 2\n  end_hour: 2\n", "night_window"),
         # YAML's true and false are not numbers, though Python reads them as 1 and 0
         ("cluster", "clustering:\n  k: true\n", "clustering.k"),
         ("temporal", "night_window:\n  start_hour: true\n", "night_window.start_hour"),
         ("cluster", "seed: true\n", "seed"),
         ("grid", "tile_size_m: true\n", "tile_size_m"),
-        ("classify", "voting:\n  cutoff: false\n", "voting.cutoff"),
+        ("classify", "voting:\n  cutoff: false\n", "'voting'"),
         ("grid", "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, true, 0.01]\n", "cities.a.bbox.2"),
     ],
     ids=["voting-null", "cutoff-text", "window-key", "hour-24", "tile-text", "tile-zero",
@@ -354,9 +356,34 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, stage, setting,
     assert named in err
 
 
-def test_tile_size_must_not_be_a_boolean():
-    with pytest.raises(ConfigError, match="tile_size_m"):
-        _tile_size({"tile_size_m": True})
+_BBOX = "    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
+
+
+@pytest.mark.parametrize(
+    "setting, named",
+    [
+        ("clustering:\n  k: 2.7\n", "clustering.k"),
+        ("seed: 1.9\n", "seed"),
+        ("night_window:\n  start_hour: 18.5\n", "night_window.start_hour"),
+        ("cities:\n  false:\n" + _BBOX, "cities.false"),
+        ("cities:\n  123:\n" + _BBOX, "cities.123"),
+        ("cities:\n  a:\n    tz: Mars/Base\n    bbox: [0.0, 0.0, 0.01, 0.01]\n", "cities.a.tz"),
+        ("voting:\n  rule: majority\n", "'voting'"),
+        ("tile_size_m: 1000.0\n", "'tile_size_m'"),
+    ],
+    ids=["k-fraction", "seed-fraction", "hour-fraction", "city-key-bool", "city-key-int", "tz-unknown",
+         "voting-section", "tile-size"],
+)
+@pytest.mark.parametrize("stage", [stage for stage in STAGES if stage != "synth"])
+def test_bad_setting_exits_2_at_every_stage(tmp_path, capsys, stage, setting, named):
+    # load_config checks every setting, whether or not the stage reads it
+    path = tmp_path / "c.yaml"
+    path.write_text(_CITY + setting)
+    assert main([stage, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"snapgrid {stage}: ")
+    assert named in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
 
 
 def test_ingest_of_mostly_corrupt_corpus_names_file_and_line(tmp_path, capsys):
@@ -377,7 +404,7 @@ def test_threshold_rule_requires_threshold(pipeline_dir):
 
 
 def test_threshold_without_rule_exits_2(pipeline_dir, capsys):
-    # the config's rule is majority; a threshold must not be silently ignored
+    # the default rule is majority; a threshold must not be silently ignored
     config = str(pipeline_dir / "pipeline.yaml")
     assert main(["classify", "--config", config, "--threshold", "30"]) == 2
     assert "threshold_pct only applies to threshold voting" in capsys.readouterr().err
@@ -412,7 +439,9 @@ def _reader_fails_naming_classify(stage, config, out_dir, capsys):
 READERS = ("extent", "spatial", "temporal", "cluster")
 
 
-@pytest.mark.parametrize("damage", ["missing", "malformed", "rule", "cutoff", "crc", "swapped"])
+@pytest.mark.parametrize(
+    "damage", ["missing", "malformed", "rule", "cutoff", "cutoff_text", "threshold_float", "crc", "swapped"]
+)
 @pytest.mark.parametrize("stage", READERS)
 def test_reader_with_bad_classify_json_exits_2(pipeline_dir, tmp_path, capsys, stage, damage):
     lines = (pipeline_dir / "cleaned.jsonl").read_text().splitlines(keepends=True)
@@ -424,6 +453,10 @@ def test_reader_with_bad_classify_json_exits_2(pipeline_dir, tmp_path, capsys, s
         info["rule"] = "plurality"
     elif damage == "cutoff":
         info["cutoff"] = 1.5
+    elif damage == "cutoff_text":
+        info["cutoff"] = "0.4"
+    elif damage == "threshold_float":
+        info["rule"], info["threshold_pct"] = "threshold", 30.0
     elif damage == "crc":
         info["scored_ids_crc32"] ^= 1
     (tmp_path / "cleaned.jsonl").write_text("".join(lines))
@@ -436,7 +469,7 @@ def test_reader_with_bad_classify_json_exits_2(pipeline_dir, tmp_path, capsys, s
 
 
 def test_readers_apply_the_rule_classify_recorded(pipeline_dir, tmp_path):
-    # the config still says majority; the readers follow classify.json
+    # the readers take no rule of their own; they follow classify.json
     run = tmp_path / "run"
     shutil.copytree(pipeline_dir, run)
     config = str(run / "pipeline.yaml")
@@ -518,7 +551,7 @@ def test_labels_round_trip_ids_with_commas_and_quotes(tmp_path):
     assert sorted(rows[1:]) == [[i, "driving", "2"] for i in sorted(ids)]
 
 
-def test_predictions_round_trip_ids_with_commas_and_quotes(tmp_path):
+def test_classify_hand_off_round_trips_ids_with_commas_and_quotes(tmp_path):
     # classify hands its rule on, and extent finds the same scored records, whatever their ids hold
     (tmp_path / "c.yaml").write_text("seed: 0\n")
     base = {"ts_utc": "2025-03-03T12:00:00Z", "lat": 1.0, "lon": 1.0, "city_id": "a"}

@@ -1,8 +1,10 @@
 """Record parsing, serialization, timezones, deletions."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snapgrid.errors import ConfigError, CorruptInputError
 from snapgrid.geo import GeoPoint
@@ -122,6 +124,67 @@ def test_parse_failures_carry_line_numbers():
     assert [f.message.split(" must ")[0] for f in failures[2:]] == [
         "deleted", "id", "city_id", "duration_s", "lat", "lat", "duration_s", "frame_scores", "frame_scores"
     ]
+
+
+# Fuzz: a line has valid fields and at most one wrongly typed one: a JSON
+# value of another type, NaN or an int too large for a float.
+_WRONG = st.one_of(
+    st.text(max_size=5), st.booleans(), st.none(), st.lists(st.integers(), max_size=2), st.just(math.nan),
+    st.integers(min_value=2**1100), st.integers(max_value=-(2**1100)),
+)
+_NUMBER = st.integers(-10**6, 10**6) | st.floats(-1e6, 1e6)
+_FIELDS = {  # field: (valid values, wrong values, may be left out)
+    "id": (st.text(max_size=8), _WRONG.filter(lambda v: type(v) is not str), False),
+    "ts_utc": (st.integers(0, 2**31).map(format_rfc3339), _WRONG.filter(lambda v: type(v) is not str), False),
+    "lat": (st.integers(-90, 90) | st.floats(-90, 90), _WRONG, False),
+    "lon": (st.integers(-180, 180) | st.floats(-180, 180), _WRONG, False),
+    "city_id": (st.text(max_size=8), _WRONG.filter(lambda v: type(v) is not str), False),
+    "duration_s": (st.integers(0, 10**6) | st.floats(0, 1e6), _WRONG, True),
+    "frame_scores": (
+        st.none() | st.lists(st.integers(0, 1) | st.floats(0, 1), min_size=1, max_size=4),
+        _WRONG.filter(lambda v: v is not None and type(v) is not list)
+        | st.lists(_NUMBER, max_size=2).flatmap(lambda ok: _WRONG.map(lambda v: [*ok, v])),
+        True,
+    ),
+    "label": (st.sampled_from([None, "driving", "non_driving"]), _WRONG.filter(lambda v: v is not None), True),
+    "deleted": (st.booleans(), _WRONG.filter(lambda v: type(v) is not bool), True),
+}
+
+
+@st.composite
+def _snap_line(draw) -> tuple[str, bool]:
+    """A JSONL line and whether one of its fields is wrongly typed; or a blank line."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "  ", "\t"])), False
+    bad = draw(st.sampled_from([None, *_FIELDS]))
+    obj = {}
+    for field, (valid, wrong, optional) in _FIELDS.items():
+        if field == bad:
+            obj[field] = draw(wrong)
+        elif not optional or draw(st.booleans()):
+            obj[field] = draw(valid)
+    return json.dumps(obj), bad is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_snap_line(), max_size=12))
+def test_fuzzed_lines_give_a_typed_record_or_a_numbered_failure(lines):
+    padding = '{"id": "pad", "ts_utc": "2019-04-01T00:00:00Z", "lat": 0, "lon": 0, "city_id": "x"}'
+    # enough good lines that failures never outnumber records
+    records, failures = parse_snaps([text for text, _bad in lines] + [padding] * len(lines))
+    records = records[: len(records) - len(lines)]
+    bad = [i for i, (text, is_bad) in enumerate(lines, 1) if is_bad]
+    good = [json.loads(text) for text, is_bad in lines if text.strip() and not is_bad]
+    # one outcome per non-blank line; every wrongly typed line, and no other, fails with its number
+    assert len(records) + len(failures) == sum(1 for text, _bad in lines if text.strip())
+    assert [f.line_number for f in failures] == bad
+    assert [r.id for r in records] == [obj["id"] for obj in good]
+    for rec in records:
+        assert (type(rec.location.lat), type(rec.location.lon), type(rec.duration_s)) == (float, float, float)
+        assert type(rec.ts_utc) is int and type(rec.deleted) is bool
+        assert rec.frame_scores is None or (
+            type(rec.frame_scores) is tuple and {type(x) for x in rec.frame_scores} == {float}
+        )
 
 
 def test_blank_lines_are_skipped_without_failures():

@@ -69,6 +69,15 @@ def test_night_window_plain_interval():
     assert [h for h in range(24) if window.contains(h)] == [9, 10, 11]
 
 
+@pytest.mark.parametrize(
+    "hours", [(18.5, 2), (True, 2), (18, "2"), (18, 24), (-1, 2)], ids=["fraction", "bool", "text", "24", "negative"]
+)
+def test_night_window_hours_are_ints_of_the_day(hours):
+    # NightWindow(18.5, 2) would leave hour 18 out of the night; a bool is not an hour
+    with pytest.raises(ValueError, match="_hour must be an int in 0..23"):
+        NightWindow(*hours)
+
+
 def test_night_uplift_flat_profile_is_zero():
     profile = HourlyProfile(city_id="x", counts=np.full(24, 7, dtype=np.int64))
     assert night_uplift(profile) == pytest.approx(0.0)

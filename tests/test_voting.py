@@ -43,6 +43,9 @@ def test_rule_constructors_validate():
         VotingRule.threshold(55)  # not one of the supported cutoffs
     with pytest.raises(ValueError):
         VotingRule("majority", threshold_pct=50)
+    for pct in (30.0, True, "30"):  # only an int threshold, though 30.0 == 30
+        with pytest.raises(ValueError):
+            VotingRule("threshold", pct)
 
 
 # ---------------------------------------------------------------------------
