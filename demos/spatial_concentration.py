@@ -11,8 +11,8 @@ Run: python demos/spatial_concentration.py [--seed N] [--alpha A]
 import argparse
 
 from snapgrid import synth
-from snapgrid.geo import build_grid
-from snapgrid.records import DRIVING
+from snapgrid.geo import build_grid, locate_points
+from snapgrid.records import DRIVING, SnapColumns
 from snapgrid.spatial import compare_fits, tile_counts
 
 
@@ -32,10 +32,10 @@ def main():
     )
     spec = synth.SynthSpec(seed=args.seed, cities=(cfg,))
     corpus, _grids = synth.gen_corpus(spec)
-    driving = [r for r in corpus if r.label == DRIVING and not r.deleted]
+    driving = SnapColumns.from_records([r for r in corpus if r.label == DRIVING and not r.deleted])
 
     grid = build_grid(synth.city_region(cfg), tile_size_m=1000.0)
-    counts = tile_counts(driving, grid, city_id="demo")
+    counts = tile_counts(locate_points(driving.lat, driving.lon, grid), grid, city_id="demo")
     occupied = counts.positive_counts
     print(
         f"{len(driving)} driving posts over {grid.n_active} tiles; "

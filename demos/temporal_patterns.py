@@ -43,9 +43,9 @@ def main():
     print("hour-of-day profile of driving posts (local time, 00..23)")
     profiles = {}
     for cfg in spec.cities:
-        driving = [
-            r for r in corpus if r.city_id == cfg.city_id and r.label == DRIVING and not r.deleted
-        ]
+        driving = np.array([
+            r.ts_utc for r in corpus if r.city_id == cfg.city_id and r.label == DRIVING and not r.deleted
+        ])
         profile = hourly_profile(driving, cfg.tz_id, cfg.city_id)
         profiles[cfg.city_id] = profile
         uplift = night_uplift(profile, window)

@@ -15,11 +15,12 @@ summary, and ``main`` commits the outputs all or nothing, so a failed
 stage leaves the previous artifacts as they were. A re-run reproduces
 them byte for byte.
 
-``cleaned.jsonl`` (from ingest) is the one record-level intermediate.
-classify stores no per-record label: ``classify.json`` records the voting
-rule and cutoff it applied and a CRC-32 of the scored records' ids, and the
-stages after it check that CRC against ``cleaned.jsonl`` and re-apply the
-rule through the same ``voting.classify_scores``.
+``cleaned.npz`` (from ingest, the one stage that decodes JSONL) is the one
+record-level intermediate: ``records.SnapColumns``, loaded whole by every
+later stage. classify stores no per-record label: ``classify.json`` records
+the voting rule and cutoff it applied and a CRC-32 of the scored records'
+ids, and the stages after it check that CRC and re-apply the rule through
+the same ``voting.classify_scores``.
 
 Exit status: 0 on success, 2 for usage/config errors and missing or
 mismatched intermediates, 1 for runtime failures; each prints a single
@@ -35,7 +36,7 @@ import json
 import os
 import sys
 import zlib
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -44,8 +45,8 @@ import numpy as np
 import yaml
 
 from . import annotation, records, regression, spatial, synth, temporal, voting
-from .errors import ConfigError, CorruptInputError, SnapGridError
-from .geo import Region, build_grid
+from .errors import ConfigError, SnapGridError
+from .geo import Region, build_grid, locate_points
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -81,7 +82,7 @@ CHECKS = {
     "cities.*.tz": ("an IANA time zone", lambda v: type(v) is str and records.get_zone(v)),
     **{key: ("a path", lambda v: type(v) is str) for key in PATH_KEYS},
 }
-CLEANED = "cleaned.jsonl"
+CLEANED = "cleaned.npz"
 
 
 # ---------------------------------------------------------------------------
@@ -197,43 +198,39 @@ def _rerun(path: Path, problem=None) -> ConfigError:
     return ConfigError(f"{problem}; re-run the {_producer(path.name)} stage")
 
 
-def _load_cleaned(out_dir: Path) -> list[records.SnapRecord]:
-    """The records of ``cleaned.jsonl``."""
+def _load_cleaned(out_dir: Path) -> records.SnapColumns:
+    """The columns of ``cleaned.npz``."""
     path = out_dir / CLEANED
-    if not path.exists():
-        raise _rerun(path)
     try:
-        recs, failures = records.parse_snaps(path)
-    except CorruptInputError as exc:
-        raise _rerun(path, exc)
-    if failures:
-        raise _rerun(path, f"{path}: line {failures[0].line_number}: {failures[0].message}")
-    return recs
+        return records.SnapColumns.load(path)
+    except FileNotFoundError:
+        raise _rerun(path)
+    except ValueError as exc:
+        raise _rerun(path, f"{path}: {exc}")
 
 
-def _ids_crc32(recs) -> int:
-    """CRC-32 of the records' ids in order; each is length-prefixed, so no two id lists share a byte string."""
-    crc = 0
-    for rec in recs:
-        data = rec.id.encode("utf-8", "surrogatepass")
-        crc = zlib.crc32(b"%d:%b" % (len(data), data), crc)
-    return crc
+def _ids_crc32(cols: records.SnapColumns, rows: np.ndarray) -> int:
+    """CRC-32 of the ids where ``rows`` is true, in order; each is length-prefixed, so no two lists share bytes."""
+    data, ends = cols.ids.tobytes(), cols.id_offsets.tolist()
+    return zlib.crc32(b"".join(b"%d:%b" % (ends[i + 1] - ends[i], data[ends[i]:ends[i + 1]])
+                               for i in np.flatnonzero(rows).tolist()))
 
 
-def _load_classified(out_dir: Path) -> list[records.SnapRecord]:
-    """The scored records of ``cleaned.jsonl``, labeled by the rule that ``classify.json`` records.
+def _load_classified(out_dir: Path) -> tuple[records.SnapColumns, np.ndarray, np.ndarray]:
+    """The columns of ``cleaned.npz``, which records are scored, and which ``classify.json``'s rule votes driving.
 
-    ``classify.json`` must hold the CRC-32 of exactly those records' ids, in
-    file order; otherwise it belongs to another corpus or is damaged, and
-    classify must run again.
+    ``classify.json`` must hold the CRC-32 of exactly the scored records'
+    ids, in file order; otherwise it belongs to another corpus or is
+    damaged, and classify must run again.
     """
-    recs = [rec for rec in _load_cleaned(out_dir) if rec.frame_scores]
+    cols = _load_cleaned(out_dir)
+    scored = cols.scored
     path = out_dir / "classify.json"
     try:
         info = json.loads(path.read_text())
         if not isinstance(info, dict):
             raise ValueError("not a JSON object")
-        if info.get("scored_ids_crc32") != _ids_crc32(recs):
+        if info.get("scored_ids_crc32") != _ids_crc32(cols, scored):
             raise ValueError(f"scored_ids_crc32 does not match the scored records of {CLEANED}")
         rule = voting.VotingRule(info.get("rule"), info.get("threshold_pct"))
         cutoff = info.get("cutoff")
@@ -243,25 +240,13 @@ def _load_classified(out_dir: Path) -> list[records.SnapRecord]:
         raise _rerun(path)
     except ValueError as exc:
         raise _rerun(path, f"{path}: {exc}")
-    for i, rec in enumerate(recs):
-        label = voting.classify_scores(rec.frame_scores, rule, cutoff=cutoff)
-        if rec.label != label:
-            # relabel in place so that one list of records stays alive
-            recs[i] = replace(rec, label=label)
-    return recs
+    return cols, scored, voting.classify_scores(cols.scores, cols.score_offsets, rule, cutoff=cutoff)
 
 
-def _by_city(recs, cities, label: Optional[str] = None) -> dict[str, list[records.SnapRecord]]:
-    """``recs`` split by city, keyed by ``cities`` in their order.
-
-    Records of other cities, and with ``label`` given, records with another
-    label, are left out.
-    """
-    out: dict[str, list[records.SnapRecord]] = {c: [] for c in cities}
-    for rec in recs:
-        if rec.city_id in out and (label is None or rec.label == label):
-            out[rec.city_id].append(rec)
-    return out
+def _city_rows(cols: records.SnapColumns, cities, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """For each of ``cities``, in their order, the indices of its records where ``rows`` is true."""
+    code = {c: i for i, c in enumerate(cols.cities.tolist())}
+    return {c: np.flatnonzero(rows & (cols.city == code.get(c, -1))) for c in cities}
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +310,7 @@ def cmd_ingest(args, cfg, out_dir: Path) -> tuple[dict, str]:
     summary = records.deletion_summary(recs)
     active = records.filter_active(recs)
     outputs = {
-        CLEANED: partial(records.write_snaps, active),
+        CLEANED: records.SnapColumns.from_records(active).save,
         "ingest.json": {
             "parsed": len(parsed),
             "parse_failures": len(failures),
@@ -366,27 +351,29 @@ def cmd_classify(args, cfg, out_dir: Path) -> tuple[dict, str]:
     except ValueError as exc:
         raise ConfigError(f"bad voting rule: {exc}")
 
-    recs = _load_cleaned(out_dir)
-    scored = [r for r in recs if r.frame_scores]
-    votes = [voting.classify_scores(rec.frame_scores, rule) for rec in scored]
+    cols = _load_cleaned(out_dir)
+    scored = cols.scored
+    votes = voting.classify_scores(cols.scores, cols.score_offsets, rule)[scored]
 
     out = {
         "rule": rule.kind,
         "threshold_pct": rule.threshold_pct,
         "cutoff": voting.FRAME_CUTOFF,
         "n_classified": len(votes),
-        "n_skipped_unscored": len(recs) - len(scored),
-        "scored_ids_crc32": _ids_crc32(scored),
+        "n_skipped_unscored": len(cols) - len(votes),
+        "scored_ids_crc32": _ids_crc32(cols, scored),
     }
-    truths = [r.label for r in scored]
-    if all(t is not None for t in truths) and truths:
-        out["eval"] = asdict(voting.evaluate(votes, truths))
+    truths = cols.label[scored]
+    if len(truths) and (truths >= 0).all():
+        predicted = np.where(votes, records.DRIVING, records.NON_DRIVING)
+        out["eval"] = asdict(voting.evaluate(predicted, np.array(records.LABELS)[truths]))
     suffix = f", accuracy={out['eval']['accuracy']:.4f}" if "eval" in out else ""
     return {"classify.json": out}, f"classify: {len(votes)} records via {rule.kind}{suffix}"
 
 
 def cmd_extent(args, _cfg, out_dir: Path) -> tuple[dict, str]:
-    report = voting.extent(_load_classified(out_dir))
+    cols, scored, driving = _load_classified(out_dir)
+    report = voting.extent(cols.city[scored], driving[scored], cols.cities.tolist())
     return (
         {"extent.json": asdict(report)},
         f"extent: overall driving fraction {report.overall:.4f} over {len(report.per_city)} cities",
@@ -395,16 +382,15 @@ def cmd_extent(args, _cfg, out_dir: Path) -> tuple[dict, str]:
 
 def cmd_spatial(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
-    recs = _load_classified(out_dir)
+    cols, scored, driving = _load_classified(out_dir)
     outputs, comparisons = {}, []
-    for city_id, city_recs in _by_city(recs, regions).items():
+    for city_id, rows in _city_rows(cols, regions, scored).items():
         grid = build_grid(regions[city_id][0])
-        driving = spatial.tile_counts(
-            [r for r in city_recs if r.label == records.DRIVING], grid, city_id
-        )
-        total = spatial.tile_counts(city_recs, grid, city_id)
-        comparisons.append(spatial.compare_fits(driving.positive_counts, city_id))
-        outputs[f"heatmap_{city_id}.csv"] = partial(spatial.heatmap_export, grid, driving, total)
+        tiles = locate_points(cols.lat[rows], cols.lon[rows], grid)
+        driving_counts = spatial.tile_counts(tiles[driving[rows]], grid, city_id)
+        total = spatial.tile_counts(tiles, grid, city_id)
+        comparisons.append(spatial.compare_fits(driving_counts.positive_counts, city_id))
+        outputs[f"heatmap_{city_id}.csv"] = partial(spatial.heatmap_export, grid, driving_counts, total)
     wins = spatial.concentration_summary(comparisons)
     outputs["spatial.json"] = {
         "cities": {c.city_id: spatial.comparison_to_dict(c) for c in comparisons},
@@ -417,12 +403,12 @@ def cmd_spatial(args, cfg, out_dir: Path) -> tuple[dict, str]:
 def cmd_temporal(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
     window = temporal.NightWindow(**cfg["night_window"])
-    recs = _load_classified(out_dir)
+    cols, _scored, driving = _load_classified(out_dir)
 
     per_city = {}
     pooled = np.zeros(24, dtype=np.int64)
-    for city_id, driving in _by_city(recs, regions, records.DRIVING).items():
-        profile = temporal.hourly_profile(driving, regions[city_id][1], city_id)
+    for city_id, rows in _city_rows(cols, regions, driving).items():
+        profile = temporal.hourly_profile(cols.ts[rows], regions[city_id][1], city_id)
         pooled += profile.counts
         per_city[city_id] = {
             "profile": profile.counts.tolist(),
@@ -451,10 +437,11 @@ def cmd_temporal(args, cfg, out_dir: Path) -> tuple[dict, str]:
 def cmd_cluster(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
     k, seed = cfg["clustering"]["k"], cfg["seed"]
-    recs = _load_classified(out_dir)
+    cols, _scored, driving = _load_classified(out_dir)
 
     tz_map = {c: tz for c, (_region, tz) in regions.items()}
-    X, kept = temporal.week_vectors(_by_city(recs, regions, records.DRIVING), tz_map)
+    ts_by_city = {c: cols.ts[rows] for c, rows in _city_rows(cols, regions, driving).items()}
+    X, kept = temporal.week_vectors(ts_by_city, tz_map)
 
     result = temporal.kmeans(X, k, seed=seed)
     # silhouette needs 2 <= k < n; report null when the metric is undefined
@@ -527,7 +514,7 @@ def cmd_report(args, cfg, out_dir: Path) -> tuple[dict, str]:
 STAGES = {
     "synth": (cmd_synth, "generate a synthetic corpus with planted truth", ()),
     "grid": (cmd_grid, "build metric tile grids for configured cities", ()),
-    "ingest": (cmd_ingest, "parse raw snaps, keep known cities' undeleted ones in cleaned.jsonl", (CLEANED, "ingest.json")),
+    "ingest": (cmd_ingest, "parse raw snaps, keep known cities' undeleted ones in cleaned.npz", (CLEANED, "ingest.json")),
     "annotate": (cmd_annotate, "agreement and adjudication from rater CSV", ("annotation.json",)),
     "classify": (cmd_classify, "vote frame scores; the rule is handed on in classify.json", ("classify.json",)),
     "extent": (cmd_extent, "driving fraction per city and pooled", ("extent.json",)),

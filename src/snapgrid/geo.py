@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -48,6 +49,8 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (self.lat, self.lon)):
+            raise ValueError(f"coordinates must be real numbers, got ({self.lat!r}, {self.lon!r})")
         # normalize numpy scalars so serialized output stays plain decimal text
         object.__setattr__(self, "lat", float(self.lat))
         object.__setattr__(self, "lon", float(self.lon))
@@ -179,14 +182,13 @@ class Region:
 
     @classmethod
     def from_bbox(cls, south: float, west: float, north: float, east: float) -> "Region":
-        if not south < north:
+        # the corners first, so that strings are rejected rather than compared as text
+        sw, ne = GeoPoint(south, west), GeoPoint(north, east)
+        if not sw.lat < ne.lat:
             raise InvalidRegionError(f"bbox needs south < north, got {south} / {north}")
-        if not west < east:
+        if not sw.lon < ne.lon:
             raise InvalidRegionError(f"bbox needs west < east, got {west} / {east}")
-        # Validate corner coordinates.
-        GeoPoint(south, west)
-        GeoPoint(north, east)
-        return cls(bbox=(south, west, north, east))
+        return cls(bbox=(sw.lat, sw.lon, ne.lat, ne.lon))
 
     @classmethod
     def from_polygon(cls, ring: Sequence[GeoPoint]) -> "Region":
@@ -307,3 +309,17 @@ def locate(p: GeoPoint, grid: TileGrid) -> Optional[TileIndex]:
     if not grid.active[row, col]:
         return None
     return TileIndex(row, col)
+
+
+def locate_points(lat: np.ndarray, lon: np.ndarray, grid: TileGrid) -> np.ndarray:
+    """:func:`locate` over arrays: each point's tile ``row * n_cols + col``, or -1 where locate gives None.
+
+    The projection repeats :func:`project_local`'s operations in order, the
+    cosine a Python float, so each point lands bit for bit where locate puts it.
+    """
+    y = (np.asarray(lat, dtype=float) - grid.origin.lat) * METERS_PER_DEG_LAT
+    x = (np.asarray(lon, dtype=float) - grid.origin.lon) * METERS_PER_DEG_LAT * math.cos(math.radians(grid.origin.lat))
+    col, row = np.floor(x / grid.tile_size_m), np.floor(y / grid.tile_size_m)
+    inside = (x >= 0) & (y >= 0) & (col < grid.n_cols) & (row < grid.n_rows)  # NaN is outside too
+    tile = np.where(inside, row * grid.n_cols + col, 0).astype(np.int64)
+    return np.where(inside & grid.active.ravel()[tile], tile, -1)

@@ -1,10 +1,12 @@
 """Post-record ingest: parsing, serialization, local time, deletions.
 
-Records travel as JSONL, one object per line. Timestamps are stored
-internally as UTC epoch seconds; wall-clock local time is computed on
-demand from an IANA timezone identifier, so there is a single temporal
-source of truth. Post timestamps are treated as creation time (creation
-and upload are assumed to coincide).
+Records arrive as JSONL, one object per line, checked into
+:class:`SnapRecord` objects; past ingest a corpus travels as
+:class:`SnapColumns`. Timestamps are stored internally as UTC epoch
+seconds; wall-clock local time is computed on demand from an IANA
+timezone identifier, so there is a single temporal source of truth. Post
+timestamps are treated as creation time (creation and upload are assumed
+to coincide).
 
 Deletion handling is input-driven: records arrive already flagged
 ``deleted``, and this module only counts and filters them.
@@ -14,12 +16,16 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
+
+import numpy as np
 
 from .errors import ConfigError, CorruptInputError
 from .geo import GeoPoint
@@ -152,6 +158,95 @@ def write_snaps(records: Iterable[SnapRecord], path: Union[str, Path]) -> None:
     with open(path, "w", newline="") as fh:
         for rec in records:
             fh.write(json.dumps(_record_to_dict(rec), separators=(",", ":")) + "\n")
+
+
+@dataclass(frozen=True, eq=False)
+class SnapColumns:
+    """Records as numpy columns in file order, saved as an uncompressed ``.npz``.
+
+    Frame scores and UTF-8 ids are lists in Arrow's list layout: a flat array and
+    ``len + 1`` offsets, record ``i`` holding ``flat[offsets[i]:offsets[i + 1]]``.
+    """
+
+    ts: np.ndarray  # UTC epoch seconds
+    lat: np.ndarray
+    lon: np.ndarray
+    city: np.ndarray  # index into cities, the sorted city ids
+    cities: np.ndarray
+    label: np.ndarray  # index into LABELS, -1 for none
+    scores: np.ndarray
+    score_offsets: np.ndarray
+    ids: np.ndarray
+    id_offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    @property
+    def scored(self) -> np.ndarray:
+        return np.diff(self.score_offsets) > 0
+
+    @classmethod
+    def from_records(cls, recs: Sequence[SnapRecord]) -> "SnapColumns":
+        cities = sorted({rec.city_id for rec in recs})
+        code = {c: i for i, c in enumerate(cities)}
+        frames = [rec.frame_scores or () for rec in recs]
+        score_offsets = np.cumsum([0, *map(len, frames)], dtype=np.int64)
+
+        def column(values, dtype):  # without a list of one Python object per record, which ingest's peak would hold
+            return np.fromiter(values, dtype=dtype, count=len(recs))
+
+        return cls(
+            ts=column((rec.ts_utc for rec in recs), np.int64),
+            lat=column((rec.location.lat for rec in recs), np.float64),
+            lon=column((rec.location.lon for rec in recs), np.float64),
+            city=column((code[rec.city_id] for rec in recs), np.int32),
+            cities=np.array(cities, dtype=str),
+            label=column((-1 if rec.label is None else LABELS.index(rec.label) for rec in recs), np.int8),
+            scores=np.fromiter(chain.from_iterable(frames), dtype=np.float64, count=score_offsets[-1]),
+            score_offsets=score_offsets,
+            ids=np.frombuffer("".join(rec.id for rec in recs).encode(*_UTF8), dtype=np.uint8),
+            id_offsets=np.cumsum([0, *(len(rec.id.encode(*_UTF8)) for rec in recs)], dtype=np.int64),
+        )
+
+    def save(self, path: Union[str, Path]) -> None:
+        with open(path, "wb") as fh:  # given a name, np.savez would append ".npz" to it
+            np.savez(fh, **vars(self))
+
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> "SnapColumns":
+        """Read what :meth:`save` wrote; ValueError for a damaged file, FileNotFoundError for none."""
+        try:
+            with np.load(path) as npz:  # allow_pickle=False: an object array fails to load
+                cols = cls(**{name: npz[name] for name in _LAYOUT})
+        except KeyError as exc:
+            raise ValueError(f"a column is missing: {exc}") from exc
+        except (TypeError, zipfile.BadZipFile, EOFError) as exc:  # not an archive, or a truncated one
+            raise ValueError(f"not a column archive: {exc}") from exc
+        n = cols.ts.size  # checked for one dimension below
+        for name, (dtype, extra) in _LAYOUT.items():
+            col = getattr(cols, name)
+            if col.ndim != 1 or (col.dtype.kind != "U" if dtype is str else col.dtype != dtype):
+                raise ValueError(f"column {name!r} is not a 1-d {np.dtype(dtype).name} array")
+            if extra is not None and len(col) != n + extra:
+                raise ValueError(f"column {name!r} has {len(col)} entries for {n} records")
+        for name, flat in (("score_offsets", cols.scores), ("id_offsets", cols.ids)):
+            offsets = getattr(cols, name)
+            if offsets[0] != 0 or (np.diff(offsets) < 0).any() or offsets[-1] != len(flat):
+                raise ValueError(f"column {name!r} is not offsets that run from 0 to {len(flat)} and never decrease")
+        if n and not (0 <= cols.city.min() and cols.city.max() < len(cols.cities)
+                      and -1 <= cols.label.min() and cols.label.max() < len(LABELS)):
+            raise ValueError("a city or label code outside its table")
+        return cols
+
+
+_UTF8 = ("utf-8", "surrogatepass")  # a lone surrogate in an id is kept
+# each column's dtype and its length: the record count plus 0, plus 1 for offsets, or any (None)
+_LAYOUT = {
+    "ts": (np.int64, 0), "lat": (np.float64, 0), "lon": (np.float64, 0), "city": (np.int32, 0),
+    "cities": (str, None), "label": (np.int8, 0), "scores": (np.float64, None), "score_offsets": (np.int64, 1),
+    "ids": (np.uint8, None), "id_offsets": (np.int64, 1),
+}
 
 
 def get_zone(tz_id: str) -> ZoneInfo:

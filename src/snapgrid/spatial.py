@@ -29,8 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSampleError, InsufficientFitsError, ShapeError
-from .geo import TileGrid, TileIndex, locate
-from .records import SnapRecord
+from .geo import TileGrid, TileIndex
 
 FAMILIES = ("power_law", "normal", "log_normal", "exponential")
 
@@ -58,22 +57,17 @@ class TileCountVector:
         return self.counts[self.counts >= 1]
 
 
-def tile_counts(records: Sequence[SnapRecord], grid: TileGrid, city_id: str) -> TileCountVector:
-    """Count one city's records per active tile of its grid.
+def tile_counts(tiles: np.ndarray, grid: TileGrid, city_id: str) -> TileCountVector:
+    """Count one city's located records per active tile of its grid.
 
-    Records that locate nowhere go to an out-of-grid tally.
+    ``tiles`` holds each record's tile as :func:`geo.locate_points` gives
+    it; a record that locates nowhere (-1) goes to an out-of-grid tally.
     """
-    tiles = tuple(grid.active_tiles())
-    index_of = {t: i for i, t in enumerate(tiles)}
-    counts = np.zeros(len(tiles), dtype=np.int64)
-    out = 0
-    for rec in records:
-        idx = locate(rec.location, grid)
-        if idx is None:
-            out += 1
-        else:
-            counts[index_of[idx]] += 1
-    return TileCountVector(city_id=city_id, tiles=tiles, counts=counts, out_of_grid=out)
+    located = tiles[tiles >= 0]
+    rank = np.cumsum(grid.active.ravel()) - 1  # each active tile's place in row-major order
+    counts = np.bincount(rank[located], minlength=grid.n_active)
+    return TileCountVector(city_id=city_id, tiles=tuple(grid.active_tiles()), counts=counts,
+                           out_of_grid=len(tiles) - len(located))
 
 
 @dataclass(frozen=True)

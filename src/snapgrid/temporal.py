@@ -24,7 +24,7 @@ from .errors import (
     UndefinedSilhouetteError,
     UndefinedUpliftError,
 )
-from .records import SnapRecord, to_local_time
+from .records import to_local_time
 
 HOURS_PER_WEEK = 168
 
@@ -43,12 +43,10 @@ class HourlyProfile:
         object.__setattr__(self, "counts", counts)
 
 
-def hourly_profile(records: Sequence[SnapRecord], tz_id: str, city_id: str) -> HourlyProfile:
-    """Bucket records by their local wall-clock hour."""
-    counts = np.zeros(24, dtype=np.int64)
-    for rec in records:
-        counts[to_local_time(rec.ts_utc, tz_id).hour] += 1
-    return HourlyProfile(city_id=city_id, counts=counts)
+def hourly_profile(ts: np.ndarray, tz_id: str, city_id: str) -> HourlyProfile:
+    """Bucket UTC epoch seconds ``ts`` by their local wall-clock hour."""
+    hours = [to_local_time(t, tz_id).hour for t in ts.tolist()]
+    return HourlyProfile(city_id=city_id, counts=np.bincount(hours, minlength=24))
 
 
 @dataclass(frozen=True)
@@ -101,28 +99,21 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return float((xc * yc).sum() / denom)
 
 
-def week_vector(records: Sequence[SnapRecord], tz_id: str) -> np.ndarray:
-    """168 hour-of-week activity fractions; index 0 is Monday 00:00 local."""
-    counts = np.zeros(HOURS_PER_WEEK, dtype=np.int64)
-    for rec in records:
-        local = to_local_time(rec.ts_utc, tz_id)
-        counts[local.weekday() * 24 + local.hour] += 1
-    total = counts.sum()
-    if total == 0:
+def week_vector(ts: np.ndarray, tz_id: str) -> np.ndarray:
+    """168 hour-of-week activity fractions of UTC epoch seconds ``ts``; index 0 is Monday 00:00 local."""
+    if len(ts) == 0:
         raise EmptyInputError("no records to build a week vector from")
-    return counts / total
+    hours = [local.weekday() * 24 + local.hour for local in (to_local_time(t, tz_id) for t in ts.tolist())]
+    counts = np.bincount(hours, minlength=HOURS_PER_WEEK)
+    return counts / counts.sum()
 
 
-def week_vectors(
-    records_by_city: Mapping[str, Sequence[SnapRecord]],
-    tz_by_city: Mapping[str, str],
-) -> tuple[np.ndarray, list[str]]:
+def week_vectors(ts_by_city: Mapping[str, np.ndarray], tz_by_city: Mapping[str, str]) -> tuple[np.ndarray, list[str]]:
     """Stack per-city week vectors; cities with no activity are dropped with a warning."""
-    rows = []
-    kept = []
-    for city_id in records_by_city:
+    rows, kept = [], []
+    for city_id in ts_by_city:
         try:
-            rows.append(week_vector(records_by_city[city_id], tz_by_city[city_id]))
+            rows.append(week_vector(ts_by_city[city_id], tz_by_city[city_id]))
         except EmptyInputError:
             warnings.warn(f"city {city_id!r} has no activity; dropped from week vectors")
             continue

@@ -18,12 +18,13 @@ synthetic corpora, from the generator).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import EmptyInputError, ShapeError
-from .records import DRIVING, NON_DRIVING, SnapRecord
+from .records import DRIVING, NON_DRIVING
 
 THRESHOLD_CHOICES = (10, 30, 50, 70, 90)
 # a frame is positive when its score is strictly above this
@@ -75,9 +76,20 @@ def aggregate_votes(frame_labels: Sequence[str], rule: VotingRule) -> str:
     return _decide(sum(1 for lab in frame_labels if lab == DRIVING), len(frame_labels), rule)
 
 
-def classify_scores(scores: Sequence[float], rule: VotingRule, cutoff: float = FRAME_CUTOFF) -> str:
-    """Score sequence -> clip label: a frame strictly above ``cutoff`` is positive, then vote."""
-    return _decide(sum(1 for s in scores if s > cutoff), len(scores), rule)
+def classify_scores(scores: np.ndarray, offsets: np.ndarray, rule: VotingRule,
+                    cutoff: float = FRAME_CUTOFF) -> np.ndarray:
+    """Each clip's vote, true for driving: clip ``i`` is ``scores[offsets[i]:offsets[i + 1]]``.
+
+    A frame strictly above ``cutoff`` is positive; :func:`_decide`'s integer
+    comparisons keep ties exact. A clip with no frames is never driving.
+    """
+    positive = np.concatenate(([0], np.cumsum(np.asarray(scores) > cutoff, dtype=np.int64)))[offsets]
+    pos, n = np.diff(positive), np.diff(offsets)
+    if rule.kind == "single":
+        return pos >= 1
+    if rule.kind == "majority":
+        return 2 * pos > n
+    return 100 * pos > rule.threshold_pct * n
 
 
 @dataclass(frozen=True)
@@ -98,8 +110,9 @@ def evaluate(predicted: Sequence[str], truths: Sequence[str]) -> EvalReport:
         raise ShapeError(f"length mismatch: {len(predicted)} predicted vs {len(truths)} true labels")
     if len(predicted) == 0:
         raise EmptyInputError("need at least one predicted label")
-    pairs = Counter((pred == DRIVING, truth == DRIVING) for pred, truth in zip(predicted, truths))
-    tp, fp, fn, tn = pairs[True, True], pairs[True, False], pairs[False, True], pairs[False, False]
+    pred, truth = np.asarray(predicted) == DRIVING, np.asarray(truths) == DRIVING
+    tp, fp = int(np.count_nonzero(pred & truth)), int(np.count_nonzero(pred & ~truth))
+    fn, tn = int(np.count_nonzero(~pred & truth)), int(np.count_nonzero(~pred & ~truth))
     total = tp + fp + fn + tn
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -123,15 +136,12 @@ class ExtentReport:
     ranking: tuple[tuple[str, float], ...]  # (city_id, fraction), descending
 
 
-def extent(records: Sequence[SnapRecord]) -> ExtentReport:
-    """Driving fraction per city and pooled over all records."""
-    if not records:
+def extent(city: np.ndarray, driving: np.ndarray, cities: Sequence[str]) -> ExtentReport:
+    """Driving fraction per city and pooled; ``city`` is each record's index into ``cities``, ``driving`` its vote."""
+    if len(city) == 0:
         raise EmptyInputError("need at least one classified record")
-    unlabeled = next((rec for rec in records if rec.label is None), None)
-    if unlabeled is not None:
-        raise ValueError(f"record {unlabeled.id!r} is unlabeled")
-    totals = Counter(rec.city_id for rec in records)
-    driving = Counter(rec.city_id for rec in records if rec.label == DRIVING)
-    per_city = {c: driving[c] / totals[c] for c in totals}
+    totals = np.bincount(city, minlength=len(cities)).tolist()
+    hits = np.bincount(city[driving], minlength=len(cities)).tolist()
+    per_city = {c: hits[i] / totals[i] for i, c in enumerate(cities) if totals[i]}
     ranking = tuple(sorted(per_city.items(), key=lambda kv: (-kv[1], kv[0])))
-    return ExtentReport(per_city=per_city, overall=sum(driving.values()) / len(records), ranking=ranking)
+    return ExtentReport(per_city=per_city, overall=sum(hits) / len(city), ranking=ranking)

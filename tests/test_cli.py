@@ -5,12 +5,15 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from snapgrid import cli
 from snapgrid.cli import DEFAULT_CONFIG, STAGES, _commit, build_parser, load_config, main
 from snapgrid.errors import ConfigError
+from snapgrid.geo import GeoPoint
+from snapgrid.records import SnapColumns, SnapRecord, parse_snaps
 
 
 @pytest.fixture(scope="module")
@@ -186,13 +189,14 @@ def test_stages_rewrite_outputs_byte_identically(pipeline_dir):
 
 
 def test_no_temp_files_left_after_pipeline(pipeline_dir):
-    assert sorted(p.name for p in pipeline_dir.glob("*.tmp")) == []
+    # np.savez would add ".npz" to a temp file's name
+    assert sorted(p.name for p in pipeline_dir.glob("*.tmp*")) == []
 
 
 def test_every_handed_on_file_is_written(pipeline_dir):
     # STAGES names, per stage, the files later stages read
     declared = [name for *_, files in STAGES.values() for name in files]
-    assert "cleaned.jsonl" in declared and "classify.json" in declared
+    assert "cleaned.npz" in declared and "classify.json" in declared
     assert [name for name in declared if not (pipeline_dir / name).exists()] == []
 
 
@@ -215,15 +219,16 @@ def test_commit_failure_keeps_previous_artifacts(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+def failing_write_bytes(path, data):
+    with open(path, "wb") as fh:
+        fh.write(data[:7])
+    raise OSError("disk full")
+
+
 def test_failed_stage_write_keeps_previous_artifact(pipeline_dir, tmp_path, monkeypatch):
-    for name in ("cleaned.jsonl", "classify.json"):
+    for name in ("cleaned.npz", "classify.json"):
         shutil.copy(pipeline_dir / name, tmp_path / name)
     before = (tmp_path / "classify.json").read_bytes()
-
-    def failing_write_bytes(path, data):
-        with open(path, "wb") as fh:
-            fh.write(data[:7])
-        raise OSError("disk full")
 
     config = str(pipeline_dir / "pipeline.yaml")
     with monkeypatch.context() as m:
@@ -232,7 +237,22 @@ def test_failed_stage_write_keeps_previous_artifact(pipeline_dir, tmp_path, monk
         rc = main(["classify", "--config", config, "--out-dir", str(tmp_path), "--rule", "single"])
     assert rc == 1
     assert (tmp_path / "classify.json").read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["classify.json", "cleaned.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["classify.json", "cleaned.npz"]
+
+
+def test_ingest_failing_after_its_column_write_keeps_previous_artifacts(pipeline_dir, tmp_path, monkeypatch):
+    # ingest writes cleaned.npz, then fails on ingest.json: neither changes, and no temp file is left
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("pipeline.yaml", "snaps.jsonl"):
+        shutil.copy(pipeline_dir / name, run / name)
+    (run / "cleaned.npz").write_bytes(b"previous")
+    (run / "ingest.json").write_bytes(b"previous")
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_bytes", failing_write_bytes)
+        assert main(["ingest", "--config", str(run / "pipeline.yaml")]) == 1
+    assert sorted(p.name for p in run.iterdir()) == ["cleaned.npz", "ingest.json", "pipeline.yaml", "snaps.jsonl"]
+    assert (run / "cleaned.npz").read_bytes() == (run / "ingest.json").read_bytes() == b"previous"
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +319,7 @@ def test_stage_out_of_order_exits_2(tmp_path, capsys, stage):
     assert main([stage, "--config", str(path)]) == 2  # ingest never ran
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"snapgrid {stage}: ")
-    assert "cleaned.jsonl" in err and "run the ingest stage first" in err
+    assert "cleaned.npz" in err and "run the ingest stage first" in err
 
 
 _CITY = "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
@@ -394,7 +414,7 @@ def test_ingest_of_mostly_corrupt_corpus_names_file_and_line(tmp_path, capsys):
     assert main(["ingest", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "bad.jsonl" in err and "2 of 3 lines" in err and "line 2" in err
-    assert not (tmp_path / "cleaned.jsonl").exists()
+    assert not (tmp_path / "cleaned.npz").exists()
 
 
 def test_threshold_rule_requires_threshold(pipeline_dir):
@@ -414,20 +434,63 @@ def test_classify_without_ingest_exits_2(pipeline_dir, tmp_path, capsys):
     config = str(pipeline_dir / "pipeline.yaml")
     assert main(["classify", "--config", config, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "cleaned.jsonl" in err and "ingest" in err
+    assert "cleaned.npz" in err and "ingest" in err
     assert not (tmp_path / "classify.json").exists()
 
 
-def test_classify_with_corrupt_cleaned_exits_2(pipeline_dir, tmp_path, capsys):
-    cleaned = tmp_path / "cleaned.jsonl"
-    shutil.copy(pipeline_dir / "cleaned.jsonl", cleaned)
-    with open(cleaned, "a") as fh:
-        fh.write("{truncated\n")
+def _columns(path) -> dict:
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _damage(cleaned: Path, damage: str) -> None:
+    """Damage the column file ``cleaned`` in place."""
+    if damage == "truncated":
+        cleaned.write_bytes(cleaned.read_bytes()[:-100])
+        return
+    cols = _columns(cleaned)
+    if damage == "missing_member":
+        del cols["lat"]
+    elif damage == "mismatched_length":
+        cols["ts"] = cols["ts"][:-1]
+    elif damage == "bad_offsets":
+        cols["score_offsets"][2] = cols["score_offsets"][1] - 1
+    elif damage == "object_array":
+        cols["cities"] = cols["cities"].astype(object)
+    elif damage == "city_code":
+        cols["city"][-1] = len(cols["cities"])
+    elif damage == "label_code":
+        cols["label"][0] = 7
+    with open(cleaned, "wb") as fh:
+        np.savez(fh, **cols)
+
+
+@pytest.mark.parametrize(
+    "damage", ["truncated", "missing_member", "mismatched_length", "bad_offsets", "object_array", "city_code",
+               "label_code"]
+)
+def test_classify_with_corrupt_cleaned_exits_2(pipeline_dir, tmp_path, capsys, damage):
+    cleaned = tmp_path / "cleaned.npz"
+    shutil.copy(pipeline_dir / "cleaned.npz", cleaned)
+    _damage(cleaned, damage)
     config = str(pipeline_dir / "pipeline.yaml")
     assert main(["classify", "--config", config, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "cleaned.jsonl" in err and "ingest" in err
-    assert not (tmp_path / "classify.json").exists()
+    assert err.count("\n") == 1 and "cleaned.npz" in err and "re-run the ingest stage" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.npz"]
+
+
+def _kept_records(run: Path) -> list[SnapRecord]:
+    """The records of ``run``'s corpus that ingest keeps: every city is configured, the deleted go."""
+    return [rec for rec in parse_snaps(run / "snaps.jsonl")[0] if not rec.deleted]
+
+
+def test_ingest_writes_the_kept_records_as_columns(pipeline_dir):
+    want = vars(SnapColumns.from_records(_kept_records(pipeline_dir)))
+    got = _columns(pipeline_dir / "cleaned.npz")
+    assert want.keys() == got.keys()
+    for name in want:
+        assert want[name].dtype == got[name].dtype and np.array_equal(want[name], got[name]), name
 
 
 def _reader_fails_naming_classify(stage, config, out_dir, capsys):
@@ -444,12 +507,15 @@ READERS = ("extent", "spatial", "temporal", "cluster")
 )
 @pytest.mark.parametrize("stage", READERS)
 def test_reader_with_bad_classify_json_exits_2(pipeline_dir, tmp_path, capsys, stage, damage):
-    lines = (pipeline_dir / "cleaned.jsonl").read_text().splitlines(keepends=True)
     info = read_json(pipeline_dir / "classify.json")
     if damage == "swapped":
         # the same records in another order are another corpus to the ids' CRC
-        lines[0], lines[1] = lines[1], lines[0]
-    elif damage == "rule":
+        recs = _kept_records(pipeline_dir)
+        recs[0], recs[1] = recs[1], recs[0]
+        SnapColumns.from_records(recs).save(tmp_path / "cleaned.npz")
+    else:
+        shutil.copy(pipeline_dir / "cleaned.npz", tmp_path / "cleaned.npz")
+    if damage == "rule":
         info["rule"] = "plurality"
     elif damage == "cutoff":
         info["cutoff"] = 1.5
@@ -459,7 +525,6 @@ def test_reader_with_bad_classify_json_exits_2(pipeline_dir, tmp_path, capsys, s
         info["rule"], info["threshold_pct"] = "threshold", 30.0
     elif damage == "crc":
         info["scored_ids_crc32"] ^= 1
-    (tmp_path / "cleaned.jsonl").write_text("".join(lines))
     if damage == "malformed":
         (tmp_path / "classify.json").write_text("[]")
     elif damage != "missing":
@@ -551,17 +616,20 @@ def test_labels_round_trip_ids_with_commas_and_quotes(tmp_path):
     assert sorted(rows[1:]) == [[i, "driving", "2"] for i in sorted(ids)]
 
 
+def _save_cleaned(out_dir: Path, recs) -> None:
+    SnapColumns.from_records(recs).save(out_dir / "cleaned.npz")
+
+
 def test_classify_hand_off_round_trips_ids_with_commas_and_quotes(tmp_path):
     # classify hands its rule on, and extent finds the same scored records, whatever their ids hold
     (tmp_path / "c.yaml").write_text("seed: 0\n")
-    base = {"ts_utc": "2025-03-03T12:00:00Z", "lat": 1.0, "lon": 1.0, "city_id": "a"}
-    rows = [
-        {**base, "id": 'a,"0"', "frame_scores": [0.9, 0.8]},
-        {**base, "id": "a-1"},
-        {**base, "id": "a\n2", "frame_scores": [0.1]},
-        {**base, "id": "\ud800", "frame_scores": [0.2]},
-    ]
-    (tmp_path / "cleaned.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    base = {"ts_utc": 1741003200, "location": GeoPoint(1.0, 1.0), "city_id": "a"}
+    _save_cleaned(tmp_path, [
+        SnapRecord(**base, id='a,"0"', frame_scores=(0.9, 0.8)),
+        SnapRecord(**base, id="a-1"),
+        SnapRecord(**base, id="a\n2", frame_scores=(0.1,)),
+        SnapRecord(**base, id="\ud800", frame_scores=(0.2,)),
+    ])
     config = str(tmp_path / "c.yaml")
     assert main(["classify", "--config", config]) == 0
     assert main(["extent", "--config", config]) == 0
@@ -597,18 +665,17 @@ def test_invalid_threshold_choice_exits_2(pipeline_dir):
 
 
 def _write_classified(out_dir, points, label):
-    """``cleaned.jsonl`` with one scored record per ``(city, lat, lon)``, classified ``label``.
+    """``cleaned.npz`` with one scored record per ``(city, lat, lon)``, classified ``label``.
 
     Each record's one frame score puts it on ``label``'s side of the cutoff,
     and classify runs under ``out_dir/c.yaml``.
     """
     score = 0.9 if label == "driving" else 0.1
-    rows = [
-        {"id": f"{city}-{i}", "ts_utc": "2025-03-03T12:00:00Z", "lat": lat, "lon": lon,
-         "city_id": city, "frame_scores": [score]}
+    _save_cleaned(out_dir, [
+        SnapRecord(id=f"{city}-{i}", ts_utc=1741003200, location=GeoPoint(lat, lon), city_id=city,
+                   frame_scores=(score,))
         for i, (city, lat, lon) in enumerate(points)
-    ]
-    (out_dir / "cleaned.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    ])
     assert main(["classify", "--config", str(out_dir / "c.yaml")]) == 0
 
 
@@ -624,7 +691,7 @@ def test_extent_with_no_driving_labels(tmp_path):
 
 def test_cluster_with_k_equal_to_city_count(pipeline_dir, tmp_path):
     # silhouette is undefined at k == n; the stage should still succeed
-    for name in ("pipeline.yaml", "cleaned.jsonl", "classify.json"):
+    for name in ("pipeline.yaml", "cleaned.npz", "classify.json"):
         shutil.copy(pipeline_dir / name, tmp_path / name)
     _set_k(tmp_path / "pipeline.yaml", 3)
     assert main(["cluster", "--config", str(tmp_path / "pipeline.yaml")]) == 0
@@ -670,7 +737,7 @@ def test_failed_spatial_leaves_every_artifact_unchanged(tmp_path, capsys):
 
     # a's heatmap would change; b, the last city, has one driving tile and cannot be fitted
     _write_classified(tmp_path, spread("a", 0.0, range(1, 5)) + [("b", 1.0045, 1.0045)] * 3, "driving")
-    inputs = {name: (tmp_path / name).read_bytes() for name in ("cleaned.jsonl", "classify.json")}
+    inputs = {name: (tmp_path / name).read_bytes() for name in ("cleaned.npz", "classify.json")}
     assert main(["spatial", "--config", str(config)]) == 1
     assert capsys.readouterr().err.startswith("snapgrid spatial: city b: ")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {**before, **inputs}

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from snapgrid.errors import InvalidPolygonError, InvalidRegionError
 from snapgrid.geo import (
@@ -13,6 +14,7 @@ from snapgrid.geo import (
     TileIndex,
     build_grid,
     locate,
+    locate_points,
     project_local,
     unproject_local,
 )
@@ -64,6 +66,29 @@ def test_geopoint_validates_ranges():
         GeoPoint(0.0, 181.0)
     with pytest.raises(ValueError):
         GeoPoint(float("nan"), 0.0)
+
+
+@pytest.mark.parametrize("lat, lon", [("1", 1.0), (1.0, "1"), (True, 1.0), (1.0, False), (np.bool_(True), 1.0),
+                                      (None, 1.0), (b"1", 1.0)])
+def test_geopoint_rejects_what_is_not_a_real_number(lat, lon):
+    with pytest.raises(ValueError, match="real numbers"):
+        GeoPoint(lat, lon)
+
+
+def test_geopoint_takes_python_and_numpy_real_scalars():
+    assert GeoPoint(np.float32(1.5), np.int64(2)) == GeoPoint(1.5, 2.0)
+    assert GeoPoint(1, 2) == GeoPoint(1.0, 2.0)
+    assert type(GeoPoint(np.float64(1.5), 2).lat) is float
+
+
+def test_bbox_constructor_rejects_strings_and_booleans():
+    with pytest.raises(ValueError, match="real numbers"):
+        Region.from_bbox("0", "0", "0.01", "0.01")
+    with pytest.raises(ValueError, match="real numbers"):
+        Region.from_bbox("10", 0.0, "9", 0.01)  # as text, "10" < "9"
+    with pytest.raises(ValueError, match="real numbers"):
+        Region.from_bbox(0.0, False, 0.01, True)
+    assert Region.from_bbox(np.float32(0.5), 0, 1, np.int64(1)).bbox == (0.5, 0.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +297,40 @@ def test_grid_csv_export(tmp_path):
     assert lines[0] == "row,col,center_lat,center_lon,active"
     assert len(lines) == 1 + grid.n_rows * grid.n_cols
     assert lines[1].endswith("true")
+
+
+# Points around a 3 x 3 grid: whole and half tiles (exact tile edges and centers), their
+# floating-point neighbours, and arbitrary offsets, from two tiles south-west of the
+# origin (negative projected coordinates) to past the far edges.
+_EDGE_M = st.integers(-2, 8).map(lambda k: 500.0 * k)
+_NEAR_EDGE_M = _EDGE_M.flatmap(lambda v: st.sampled_from([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]))
+_OFFSET_M = st.one_of(_NEAR_EDGE_M, st.floats(-2000.0, 4000.0))
+
+
+@given(st.lists(st.tuples(_OFFSET_M, _OFFSET_M), max_size=50),
+       st.sampled_from(["bbox", "triangle", "north"]))
+def test_locate_points_is_locate(offsets, region):
+    # the triangle's inactive tiles locate nowhere; "north" has a cosine well below 1
+    grid = build_grid({"bbox": bbox_region(3000.0, 3000.0), "triangle": triangle_region(),
+                       "north": bbox_region(3000.0, 3000.0, origin=GeoPoint(59.9, 10.7))}[region], 1000.0)
+    points = [unproject_local(x, y, grid.origin) for x, y in offsets]
+    points += [GeoPoint(grid.origin.lat, grid.origin.lon + d) for d in (0.0, 1e-9, -1e-9)]  # on the origin's row
+    tiles = locate_points(np.array([p.lat for p in points]), np.array([p.lon for p in points]), grid)
+    want = [locate(p, grid) for p in points]
+    assert [None if t < 0 else TileIndex(t // grid.n_cols, t % grid.n_cols) for t in tiles.tolist()] == want
+
+
+def test_locate_points_on_exact_tile_edges():
+    # at the equator whole kilometres project back exactly: every tile corner, the far edges included
+    grid = build_grid(bbox_region(3000.0, 3000.0), 1000.0)
+    corners = [(1000.0 * i, 1000.0 * j) for i in range(4) for j in range(4)]
+    points = [unproject_local(x, y, grid.origin) for x, y in corners]
+    assert [project_local(p, grid.origin) for p in points] == corners
+    tiles = locate_points(np.array([p.lat for p in points]), np.array([p.lon for p in points]), grid)
+    assert tiles.tolist() == [-1 if 3 in (i, j) else 3 * j + i for i in range(4) for j in range(4)]
+    assert [locate(p, grid) for p in points] == [None if t < 0 else TileIndex(t // 3, t % 3) for t in tiles]
+
+
+def test_locate_points_of_nothing():
+    grid = build_grid(bbox_region(2000.0, 2000.0), 1000.0)
+    assert locate_points(np.array([]), np.array([]), grid).tolist() == []

@@ -62,13 +62,14 @@ def test_artifacts_match_the_golden_table(tmp_path):
 
 def test_shuffled_corpus_gives_the_golden_artifacts(tmp_path):
     from snapgrid.cli import _ids_crc32
-    from snapgrid.records import parse_snaps
+    from snapgrid.records import SnapColumns, parse_snaps
 
     in_order = []
 
     def shuffle(snaps: Path) -> None:
         lines = snaps.read_text().splitlines(keepends=True)
-        in_order.append(_ids_crc32(r for r in parse_snaps(lines)[0] if r.frame_scores and not r.deleted))
+        cols = SnapColumns.from_records([r for r in parse_snaps(lines)[0] if not r.deleted])
+        in_order.append(_ids_crc32(cols, cols.scored))
         random.Random(0).shuffle(lines)
         snaps.write_text("".join(lines))
 

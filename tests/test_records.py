@@ -3,12 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from snapgrid.errors import ConfigError, CorruptInputError
 from snapgrid.geo import GeoPoint
 from snapgrid.records import (
+    SnapColumns,
     SnapRecord,
     deletion_summary,
     filter_active,
@@ -228,3 +230,44 @@ def test_mark_deleted_and_filter_active():
 
 def test_deletion_summary_empty():
     assert deletion_summary([]).rate_pct == 0.0
+
+
+# ---------------------------------------------------------------------------
+# columns
+
+
+def test_columns_round_trip(tmp_path):
+    recs = [
+        make_record(0, frame_scores=None, city_id="zz"),  # unscored, first
+        make_record(1, id="\ud800,\"x\"", label=None),  # a lone surrogate, quotes and a comma
+        make_record(2, frame_scores=(0.5,), label="non_driving"),
+        make_record(3, id="", frame_scores=None),  # unscored, last
+    ]
+    path = tmp_path / "cols.tmp"
+    SnapColumns.from_records(recs).save(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["cols.tmp"]  # no ".npz" appended
+    cols = SnapColumns.load(path)
+    assert len(cols) == 4
+    assert cols.cities.tolist() == ["nyc", "zz"] and cols.city.tolist() == [1, 0, 0, 0]
+    assert cols.label.tolist() == [0, -1, 1, 0]
+    assert cols.ts.tolist() == [r.ts_utc for r in recs]
+    assert cols.lat.tolist() == [r.location.lat for r in recs]
+    assert cols.scored.tolist() == [False, True, True, False]
+    assert cols.scores.tolist() == [0.9, 0.2, 0.7, 0.5] and cols.score_offsets.tolist() == [0, 0, 3, 4, 4]
+    ends = cols.id_offsets.tolist()
+    assert [cols.ids[a:b].tobytes().decode("utf-8", "surrogatepass") for a, b in zip(ends, ends[1:])] == [
+        r.id for r in recs
+    ]
+
+
+def test_columns_of_no_records_round_trip(tmp_path):
+    SnapColumns.from_records([]).save(tmp_path / "c.npz")
+    cols = SnapColumns.load(tmp_path / "c.npz")
+    assert len(cols) == 0 and cols.score_offsets.tolist() == [0] and cols.scored.tolist() == []
+
+
+def test_columns_load_rejects_a_wrong_dtype(tmp_path):
+    cols = vars(SnapColumns.from_records([make_record(0)]))
+    np.savez(tmp_path / "c.npz", **{**cols, "city": cols["city"].astype(float)})
+    with pytest.raises(ValueError, match="'city' is not a 1-d int32 array"):
+        SnapColumns.load(tmp_path / "c.npz")

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from snapgrid.errors import DegenerateSampleError, InsufficientFitsError, ShapeError
-from snapgrid.geo import GeoPoint, Region, build_grid, unproject_local
-from snapgrid.records import SnapRecord
+from snapgrid.geo import Region, build_grid, locate_points, unproject_local
 from snapgrid.spatial import (
     FAMILIES,
     N_PARAMS,
@@ -200,25 +199,22 @@ def grid_2x2():
     return build_grid(region, tile_size_m=1000.0)
 
 
-def snap_at(grid, x_m, y_m, i=0, city="metro"):
-    return SnapRecord(
-        id=f"{city}-{i:04d}",
-        ts_utc=1554076800,
-        location=unproject_local(x_m, y_m, grid.origin),
-        city_id=city,
-    )
+def counts_at(grid, points_m):
+    """``tile_counts`` of points given by their projected ``(x, y)`` in meters."""
+    points = [unproject_local(x, y, grid.origin) for x, y in points_m]
+    tiles = locate_points([p.lat for p in points], [p.lon for p in points], grid)
+    return tile_counts(tiles, grid, "metro")
 
 
 def test_tile_counts_places_records():
     grid = grid_2x2()
-    records = [
-        snap_at(grid, 500.0, 500.0, 0),   # tile (0, 0)
-        snap_at(grid, 1500.0, 500.0, 1),  # tile (0, 1)
-        snap_at(grid, 1500.0, 500.0, 2),
-        snap_at(grid, 1500.0, 1500.0, 3),  # tile (1, 1)
-        snap_at(grid, 9000.0, 500.0, 4),   # off the grid
-    ]
-    vec = tile_counts(records, grid, "metro")
+    vec = counts_at(grid, [
+        (500.0, 500.0),   # tile (0, 0)
+        (1500.0, 500.0),  # tile (0, 1)
+        (1500.0, 500.0),
+        (1500.0, 1500.0),  # tile (1, 1)
+        (9000.0, 500.0),   # off the grid
+    ])
     assert vec.counts.tolist() == [1, 2, 0, 1]  # row-major over active tiles
     assert vec.out_of_grid == 1
     assert vec.counts.sum() == 4
@@ -227,9 +223,8 @@ def test_tile_counts_places_records():
 
 def test_heatmap_export(tmp_path):
     grid = grid_2x2()
-    records = [snap_at(grid, 500.0, 500.0, i) for i in range(3)]
-    total = tile_counts(records, grid, "metro")
-    driving = tile_counts(records[:1], grid, "metro")
+    total = counts_at(grid, [(500.0, 500.0)] * 3)
+    driving = counts_at(grid, [(500.0, 500.0)])
     path = tmp_path / "heat.csv"
     heatmap_export(grid, driving, total, path)
     lines = path.read_text().strip().split("\n")
@@ -242,8 +237,8 @@ def test_heatmap_export(tmp_path):
 
 def test_heatmap_export_rejects_misaligned_vectors():
     grid = grid_2x2()
-    vec = tile_counts([], grid, "metro")
+    vec = counts_at(grid, [])
     smaller = build_grid(Region.from_bbox(0.0, 0.0, 0.005, 0.005), 1000.0)  # 1x1
-    other = tile_counts([], smaller, "metro")
+    other = counts_at(smaller, [])
     with pytest.raises(ShapeError):
         heatmap_export(grid, vec, other, "/dev/null")

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from snapgrid.annotation import adjudicate, fleiss_kappa, matrix_from_long
-from snapgrid.records import DRIVING, NON_DRIVING, parse_rfc3339
+from snapgrid.records import DRIVING, NON_DRIVING, SnapColumns, parse_rfc3339
 from snapgrid.regression import DESIGN_TERMS, build_design, ols_fit
+from snapgrid.geo import locate_points
 from snapgrid.spatial import compare_fits, tile_counts
 from snapgrid.synth import (
     COVARIATE_RANGES,
@@ -112,6 +113,11 @@ def test_zero_driving_fraction_has_no_driving_records():
     assert all(r.label == NON_DRIVING for r in records)
 
 
+def located_counts(records, grid, city_id):
+    cols = SnapColumns.from_records(records)
+    return tile_counts(locate_points(cols.lat, cols.lon, grid), grid, city_id)
+
+
 def test_near_uniform_weights_spread_counts_evenly():
     cfg = CitySynthConfig(
         city_id="flat", tz_id="UTC", origin_lat=0.0, origin_lon=0.0,
@@ -119,7 +125,7 @@ def test_near_uniform_weights_spread_counts_evenly():
         family="normal", family_params={"mu": 5.0, "sigma": 1e-9},
     )
     records, grid = gen_city(cfg, 0, SynthSpec(seed=2, cities=(cfg,)))
-    vec = tile_counts(records, grid, "flat")
+    vec = located_counts(records, grid, "flat")
     counts = vec.counts
     assert counts.min() > 0
     assert counts.max() / counts.min() < 1.2
@@ -129,7 +135,7 @@ def test_tile_counts_recover_planted_power_law():
     spec = default_spec(seed=0, n_cities=1)
     records, grid = gen_city(spec.cities[0], 0, spec)
     driving = [r for r in records if r.label == DRIVING]
-    comp = compare_fits(tile_counts(driving, grid, "city00").positive_counts, "city00")
+    comp = compare_fits(located_counts(driving, grid, "city00").positive_counts, "city00")
     assert comp.best_by_bic == "power_law"
 
 

@@ -13,8 +13,7 @@ from snapgrid.errors import (
     UndefinedSilhouetteError,
     UndefinedUpliftError,
 )
-from snapgrid.geo import GeoPoint
-from snapgrid.records import SnapRecord, parse_rfc3339
+from snapgrid.records import parse_rfc3339
 from snapgrid.temporal import (
     HOURS_PER_WEEK,
     Embedding,
@@ -32,13 +31,9 @@ from snapgrid.temporal import (
 )
 
 
-def rec_at(ts: str, i: int = 0, city: str = "metro") -> SnapRecord:
-    return SnapRecord(
-        id=f"{city}-{i:05d}",
-        ts_utc=parse_rfc3339(ts),
-        location=GeoPoint(24.7, 46.7),
-        city_id=city,
-    )
+def at(*stamps: str) -> np.ndarray:
+    """UTC epoch seconds of RFC-3339 ``stamps``."""
+    return np.array([parse_rfc3339(t) for t in stamps], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +41,8 @@ def rec_at(ts: str, i: int = 0, city: str = "metro") -> SnapRecord:
 
 
 def test_hourly_profile_uses_local_clock():
-    records = [
-        rec_at("2025-03-03T00:10:00Z", 0),
-        rec_at("2025-03-03T00:50:00Z", 1),
-        rec_at("2025-03-03T21:00:00Z", 2),
-    ]
-    profile = hourly_profile(records, "Etc/GMT-3", "x")  # fixed UTC+3
+    ts = at("2025-03-03T00:10:00Z", "2025-03-03T00:50:00Z", "2025-03-03T21:00:00Z")
+    profile = hourly_profile(ts, "Etc/GMT-3", "x")  # fixed UTC+3
     assert profile.counts[3] == 2   # midnight UTC is 03:00 local
     assert profile.counts[0] == 1   # 21:00 UTC rolls into next local day
     assert profile.counts.sum() == 3
@@ -144,12 +135,12 @@ def test_pearson_undefined_on_constant_series():
 
 
 def test_week_vector_origin_is_monday_midnight():
-    records = [
-        rec_at("2025-03-03T00:30:00Z", 0),  # Monday 00:xx UTC
-        rec_at("2025-03-04T05:05:00Z", 1),  # Tuesday 05:xx
-        rec_at("2025-03-09T23:59:59Z", 2),  # Sunday 23:xx
-    ]
-    vec = week_vector(records, "UTC")
+    ts = at(
+        "2025-03-03T00:30:00Z",  # Monday 00:xx UTC
+        "2025-03-04T05:05:00Z",  # Tuesday 05:xx
+        "2025-03-09T23:59:59Z",  # Sunday 23:xx
+    )
+    vec = week_vector(ts, "UTC")
     assert vec.shape == (HOURS_PER_WEEK,)
     assert vec[0] == pytest.approx(1 / 3)
     assert vec[24 + 5] == pytest.approx(1 / 3)
@@ -160,17 +151,17 @@ def test_week_vector_origin_is_monday_midnight():
 
 def test_week_vector_respects_timezone():
     # Monday 23:30 UTC is already Tuesday 02:30 at UTC+3
-    vec = week_vector([rec_at("2025-03-03T23:30:00Z")], "Etc/GMT-3")
+    vec = week_vector(at("2025-03-03T23:30:00Z"), "Etc/GMT-3")
     assert vec[24 + 2] == pytest.approx(1.0)
 
 
 def test_week_vector_empty_raises():
     with pytest.raises(EmptyInputError):
-        week_vector([], "UTC")
+        week_vector(at(), "UTC")
 
 
 def test_week_vectors_drop_silent_cities_with_warning():
-    by_city = {"a": [rec_at("2025-03-03T10:00:00Z", city="a")], "b": []}
+    by_city = {"a": at("2025-03-03T10:00:00Z"), "b": at()}
     tz = {"a": "UTC", "b": "UTC"}
     with pytest.warns(UserWarning, match="'b'"):
         X, kept = week_vectors(by_city, tz)

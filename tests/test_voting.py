@@ -7,15 +7,17 @@ monotonicity, threshold nesting) alongside the worked examples.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from snapgrid.errors import EmptyInputError
-from snapgrid.geo import GeoPoint
-from snapgrid.records import DRIVING, NON_DRIVING, SnapRecord
+from snapgrid.records import DRIVING, NON_DRIVING
 from snapgrid.voting import (
+    FRAME_CUTOFF,
     THRESHOLD_CHOICES,
     VotingRule,
+    _decide,
     aggregate_votes,
     classify_scores,
     evaluate,
@@ -30,6 +32,12 @@ labels_strategy = st.lists(
     st.sampled_from([DRIVING, NON_DRIVING]), min_size=1, max_size=40
 )
 rule_strategy = st.sampled_from(ALL_RULES)
+
+
+def vote(scores, rule, cutoff=FRAME_CUTOFF) -> str:
+    """The label :func:`classify_scores` gives one clip of ``scores``."""
+    hit = classify_scores(np.array(scores, dtype=float), np.array([0, len(scores)]), rule, cutoff=cutoff)
+    return DRIVING if hit[0] else NON_DRIVING
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +89,12 @@ def test_aggregate_rejects_empty():
 def test_frame_label_cutoff_is_strict():
     # one frame: the clip label is the frame's label under every rule
     for rule in ALL_RULES:
-        assert classify_scores([0.5], rule) == NON_DRIVING
-        assert classify_scores([0.500001], rule) == DRIVING
-        assert classify_scores([0.3], rule, cutoff=0.25) == DRIVING
-        assert classify_scores([0.25], rule, cutoff=0.25) == NON_DRIVING
-    with pytest.raises(EmptyInputError):
-        classify_scores([], VotingRule.single())
+        assert vote([0.5], rule) == NON_DRIVING
+        assert vote([0.500001], rule) == DRIVING
+        assert vote([0.3], rule, cutoff=0.25) == DRIVING
+        assert vote([0.25], rule, cutoff=0.25) == NON_DRIVING
+        # a clip with no frames is never driving
+        assert vote([], rule) == NON_DRIVING
 
 
 def test_exact_ties_resolve_negative_at_every_length():
@@ -95,14 +103,14 @@ def test_exact_ties_resolve_negative_at_every_length():
         for rule in ALL_RULES[1:]:
             pct = rule.threshold_pct or 50
             tie = pct * n // 100
-            assert classify_scores([0.9] * tie + [0.1] * (n - tie), rule) == NON_DRIVING, (n, rule)
-            assert classify_scores([0.9] * (tie + 1) + [0.1] * (n - tie - 1), rule) == DRIVING, (n, rule)
+            assert vote([0.9] * tie + [0.1] * (n - tie), rule) == NON_DRIVING, (n, rule)
+            assert vote([0.9] * (tie + 1) + [0.1] * (n - tie - 1), rule) == DRIVING, (n, rule)
 
 
 def test_classify_scores_composes_binarize_and_vote():
     scores = (0.9, 0.1, 0.2)
-    assert classify_scores(scores, VotingRule.single()) == DRIVING
-    assert classify_scores(scores, VotingRule.majority()) == NON_DRIVING
+    assert vote(scores, VotingRule.single()) == DRIVING
+    assert vote(scores, VotingRule.majority()) == NON_DRIVING
 
 
 @given(
@@ -123,8 +131,42 @@ def test_classify_scores_is_the_fraction_rule(scores, rule, cutoff):
     else:
         hit = fraction > rule.threshold_pct / 100
     frame_labels = [DRIVING if s > cutoff else NON_DRIVING for s in scores]
-    assert classify_scores(scores, rule, cutoff=cutoff) == (DRIVING if hit else NON_DRIVING)
-    assert classify_scores(scores, rule, cutoff=cutoff) == aggregate_votes(frame_labels, rule)
+    assert vote(scores, rule, cutoff=cutoff) == (DRIVING if hit else NON_DRIVING)
+    assert vote(scores, rule, cutoff=cutoff) == aggregate_votes(frame_labels, rule)
+
+
+CUTOFFS = (0.0, 0.25, 0.5, 0.75, 0.9)
+
+
+@st.composite
+def clip(draw, cutoff):
+    """One clip's frame scores: often empty, a single frame, or an exact tie under some rule."""
+    frame = st.one_of(st.sampled_from([0.0, cutoff, 1.0, 0.9, 0.1]), st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["empty", "single", "free", "tie"]))
+    if kind == "empty":
+        return []
+    if kind == "single":
+        return [draw(frame)]
+    if kind == "free":
+        return draw(st.lists(frame, min_size=1, max_size=40))
+    # n a multiple of 10 puts an exact tie at 50% and at every threshold; shift it by one frame or none
+    n = 10 * draw(st.integers(1, 12))
+    pct = draw(st.sampled_from((50, *THRESHOLD_CHOICES)))
+    positive = min(n, max(0, pct * n // 100 + draw(st.sampled_from([-1, 0, 0, 1]))))
+    low = draw(st.sampled_from([0.0, cutoff]))  # a score on the cutoff is not positive
+    return draw(st.permutations([1.0] * positive + [low] * (n - positive)))
+
+
+@given(st.data(), rule_strategy, st.sampled_from(CUTOFFS))
+def test_column_vote_matches_decide(data, rule, cutoff):
+    # empty clips at the start and the end of the offsets, and wherever the draw puts them between
+    clips = [[]] * data.draw(st.integers(0, 2)) + data.draw(st.lists(clip(cutoff), max_size=25))
+    clips += [[]] * data.draw(st.integers(0, 2))
+    offsets = np.cumsum([0] + [len(c) for c in clips])
+    scores = np.array([s for c in clips for s in c], dtype=float)
+    got = classify_scores(scores, offsets, rule, cutoff=cutoff)
+    want = [bool(c) and _decide(sum(s > cutoff for s in c), len(c), rule) == DRIVING for c in clips]
+    assert got.tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -226,39 +268,22 @@ def test_evaluate_validates_lengths():
 # extent
 
 
-def rec(i, city, label):
-    return SnapRecord(
-        id=f"{city}-{i:04d}",
-        ts_utc=1554076800 + i,
-        location=GeoPoint(10.0, 10.0),
-        city_id=city,
-        label=label,
-    )
-
-
 def test_extent_per_city_and_pooled():
-    records = (
-        [rec(i, "a", DRIVING) for i in range(3)]
-        + [rec(i, "a", NON_DRIVING) for i in range(3, 10)]
-        + [rec(i, "b", DRIVING) for i in range(5)]
-        + [rec(i, "b", NON_DRIVING) for i in range(5, 10)]
-    )
-    report = extent(records)
+    city = np.array([0] * 10 + [1] * 10)
+    driving = np.array([True] * 3 + [False] * 7 + [True] * 5 + [False] * 5)
+    report = extent(city, driving, ["a", "b"])
     assert report.per_city == {"a": 0.3, "b": 0.5}
     assert report.overall == pytest.approx(8 / 20)
     assert report.ranking == (("b", 0.5), ("a", 0.3))
 
 
 def test_extent_zero_driving():
-    records = [rec(i, "a", NON_DRIVING) for i in range(4)]
-    report = extent(records)
+    report = extent(np.zeros(4, dtype=np.int32), np.zeros(4, dtype=bool), ["a", "b"])
+    # b has no records, so no fraction
     assert report.per_city == {"a": 0.0}
     assert report.overall == 0.0
 
 
-def test_extent_rejects_unlabeled():
-    unlabeled = SnapRecord(
-        id="a-1", ts_utc=0, location=GeoPoint(0, 0), city_id="a"
-    )
-    with pytest.raises(ValueError):
-        extent([unlabeled])
+def test_extent_rejects_empty_input():
+    with pytest.raises(EmptyInputError):
+        extent(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool), ["a"])
