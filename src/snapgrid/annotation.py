@@ -16,11 +16,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import (
-    DuplicateAnnotationError,
-    HeterogeneousRatersError,
-    UnsupportedCategoriesError,
-)
+from .errors import SnapGridError
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,14 +35,14 @@ class AnnotationMatrix:
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
         if counts.ndim != 2 or counts.shape != (len(self.item_ids), len(self.categories)):
-            raise ValueError(f"counts shape {counts.shape} does not match ids/categories")
+            raise SnapGridError(f"counts shape {counts.shape} does not match ids/categories")
         if len(self.categories) < 2:
-            raise ValueError("need at least 2 categories")
+            raise SnapGridError("need at least 2 categories")
         if (counts < 0).any():
-            raise ValueError("counts must be nonnegative")
+            raise SnapGridError("counts must be nonnegative")
         row_sums = counts.sum(axis=1)
         if len(row_sums) and not (row_sums == row_sums[0]).all():
-            raise HeterogeneousRatersError("rows must share a constant rater count")
+            raise SnapGridError("rows must share a constant rater count")
 
     @property
     def n_items(self) -> int:
@@ -72,7 +68,7 @@ def matrix_from_long(rows: Iterable[tuple[str, str, str]]) -> AnnotationMatrix:
     for item_id, rater_id, category in rows:
         key = (item_id, rater_id)
         if key in seen:
-            raise DuplicateAnnotationError(f"duplicate rating for item {item_id!r} by rater {rater_id!r}")
+            raise SnapGridError(f"duplicate rating for item {item_id!r} by rater {rater_id!r}")
         seen.add(key)
         categories.add(category)
         ratings = per_item.setdefault(item_id, [])
@@ -85,7 +81,7 @@ def matrix_from_long(rows: Iterable[tuple[str, str, str]]) -> AnnotationMatrix:
     for i, item_id in enumerate(item_ids):
         ratings = per_item[item_id]
         if len(ratings) < N_RATERS:
-            raise HeterogeneousRatersError(
+            raise SnapGridError(
                 f"item {item_id!r} has {len(ratings)} ratings, need {N_RATERS}"
             )
         for category in ratings:
@@ -94,11 +90,27 @@ def matrix_from_long(rows: Iterable[tuple[str, str, str]]) -> AnnotationMatrix:
 
 
 def load_annotations_csv(path: Union[str, Path]) -> AnnotationMatrix:
-    """Read a long-form annotation CSV with columns item_id, rater_id, category."""
+    """Read a long-form annotation CSV with columns item_id, rater_id, category.
+
+    A missing column, a short row or a set of ratings that makes no matrix
+    raises :class:`SnapGridError` naming the file, and the line of a short row.
+    """
+    columns = ("item_id", "rater_id", "category")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = [(row["item_id"], row["rater_id"], row["category"]) for row in reader]
-    return matrix_from_long(rows)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise SnapGridError(f"{path}: no {missing[0]!r} column")
+        rows = []
+        for row in reader:
+            fields = tuple(row[c] for c in columns)
+            if None in fields:
+                raise SnapGridError(f"{path}: line {reader.line_num}: a row needs {len(columns)} fields")
+            rows.append(fields)
+    try:
+        return matrix_from_long(rows)
+    except SnapGridError as exc:
+        raise SnapGridError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -115,11 +127,11 @@ def adjudicate(matrix: AnnotationMatrix, positive_category: str) -> list[GroundT
     with the assigned label.
     """
     if len(matrix.categories) != 2:
-        raise UnsupportedCategoriesError(f"adjudication needs 2 categories, got {len(matrix.categories)}")
+        raise SnapGridError(f"adjudication needs 2 categories, got {len(matrix.categories)}")
     if positive_category not in matrix.categories:
-        raise ValueError(f"unknown category {positive_category!r}")
+        raise SnapGridError(f"unknown category {positive_category!r}")
     if matrix.n_raters < 2:
-        raise ValueError(f"need at least 2 raters per item, got {matrix.n_raters}")
+        raise SnapGridError(f"need at least 2 raters per item, got {matrix.n_raters}")
     pos = matrix.categories.index(positive_category)
     neg = 1 - pos
     negative_category = matrix.categories[neg]
@@ -141,10 +153,10 @@ def fleiss_kappa(matrix: AnnotationMatrix) -> float:
     single category, chance agreement is 1 and kappa is defined as 1.
     """
     if matrix.n_items < 1:
-        raise ValueError("need at least one item")
+        raise SnapGridError("need at least one item")
     n = matrix.n_raters
     if n < 2:
-        raise HeterogeneousRatersError(f"need at least 2 raters per item, got {n}")
+        raise SnapGridError(f"need at least 2 raters per item, got {n}")
     counts = matrix.counts.astype(float)
     p_i = (np.square(counts).sum(axis=1) - n) / (n * (n - 1))
     p_bar = float(p_i.mean())

@@ -72,7 +72,8 @@ CHECKS = {
     "night_window.end_hour": ("an int", _is_int),
     "clustering": ("a mapping", lambda v: type(v) is dict),
     "clustering.k": ("an int of at least 1", lambda v: _is_int(v) and v >= 1),
-    "cities": ("a mapping", lambda v: type(v) is dict),
+    # a city id ending in NUL would lose it in cleaned.npz's string table
+    "cities": ("a mapping of ids without NUL", lambda v: type(v) is dict and not any("\0" in c for c in v)),
     "cities.*": ("a mapping of a bbox and a tz", lambda v: type(v) is dict and v.keys() == {"bbox", "tz"}),
     "cities.*.bbox": (
         "[south, west, north, east] in degrees",
@@ -327,9 +328,13 @@ def cmd_ingest(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 
 def cmd_annotate(args, cfg, out_dir: Path) -> tuple[dict, str]:
-    matrix = annotation.load_annotations_csv(_config_path(cfg, "annotations"))
+    path = _config_path(cfg, "annotations")
+    matrix = annotation.load_annotations_csv(path)
     kappa = annotation.fleiss_kappa(matrix)
-    labels = annotation.adjudicate(matrix, positive_category=records.DRIVING)
+    try:
+        labels = annotation.adjudicate(matrix, positive_category=records.DRIVING)
+    except SnapGridError as exc:  # the ratings lack driving or hold a third category
+        raise SnapGridError(f"{path}: {exc}") from exc
     positive = sum(1 for g in labels if g.label == records.DRIVING)
     outputs = {
         "labels.csv": _csv_text(
@@ -467,7 +472,12 @@ def cmd_cluster(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 
 def cmd_regress(args, cfg, out_dir: Path) -> tuple[dict, str]:
-    report = regression.regression_report(regression.load_city_stats(_config_path(cfg, "city_stats")))
+    path = _config_path(cfg, "city_stats")
+    cities = regression.load_city_stats(path)
+    try:
+        report = regression.regression_report(cities)
+    except SnapGridError as exc:  # too few cities with every census field for the fit
+        raise SnapGridError(f"{path}: {exc}") from exc
     lines = [f"regress: n={report.n}, R^2={report.r_squared:.4f}"]
     for t in report.terms:
         lr = f" LR={t.lr_chisq:.2f}" if t.lr_chisq is not None else ""

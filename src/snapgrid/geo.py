@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidPolygonError, InvalidRegionError
+from .errors import SnapGridError
 
 METERS_PER_DEG_LAT = 111_320.0
 # the tile edge of every grid the pipeline builds
@@ -94,7 +94,7 @@ def _normalize_ring(ring: Sequence[GeoPoint]) -> tuple[GeoPoint, ...]:
         pts = pts[:-1]
     distinct = {(p.lat, p.lon) for p in pts}
     if len(pts) < 3 or len(distinct) < 3:
-        raise InvalidPolygonError(f"polygon ring needs >=3 distinct vertices, got {len(distinct)}")
+        raise SnapGridError(f"polygon ring needs >=3 distinct vertices, got {len(distinct)}")
     return tuple(pts)
 
 
@@ -135,7 +135,7 @@ def _check_simple(vertices: tuple[GeoPoint, ...]) -> None:
             if j == i + 1 or (i == 0 and j == n - 1):
                 continue
             if _segments_cross(edges[i][0], edges[i][1], edges[j][0], edges[j][1]):
-                raise InvalidPolygonError(f"polygon ring self-intersects (edges {i} and {j})")
+                raise SnapGridError(f"polygon ring self-intersects (edges {i} and {j})")
 
 
 def _point_on_ring(px: float, py: float, vertices: tuple[GeoPoint, ...]) -> bool:
@@ -185,9 +185,9 @@ class Region:
         # the corners first, so that strings are rejected rather than compared as text
         sw, ne = GeoPoint(south, west), GeoPoint(north, east)
         if not sw.lat < ne.lat:
-            raise InvalidRegionError(f"bbox needs south < north, got {south} / {north}")
+            raise SnapGridError(f"bbox needs south < north, got {south} / {north}")
         if not sw.lon < ne.lon:
-            raise InvalidRegionError(f"bbox needs west < east, got {west} / {east}")
+            raise SnapGridError(f"bbox needs west < east, got {west} / {east}")
         return cls(bbox=(sw.lat, sw.lon, ne.lat, ne.lon))
 
     @classmethod
@@ -198,7 +198,7 @@ class Region:
         lons = [p.lon for p in vertices]
         bbox = (min(lats), min(lons), max(lats), max(lons))
         if not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
-            raise InvalidRegionError("polygon bounding box is degenerate")
+            raise SnapGridError("polygon bounding box is degenerate")
         return cls(bbox=bbox, polygon=vertices)
 
     def contains(self, p: GeoPoint) -> bool:
@@ -271,7 +271,7 @@ def build_grid(region: Region, tile_size_m: float = TILE_SIZE_M) -> TileGrid:
     origin = GeoPoint(south, west)
     width_m, height_m = project_local(GeoPoint(north, east), origin)
     if width_m <= 0 or height_m <= 0:
-        raise InvalidRegionError(f"region has degenerate extent {width_m} x {height_m} m")
+        raise SnapGridError(f"region has degenerate extent {width_m} x {height_m} m")
     n_cols = int(math.ceil(width_m / tile_size_m - _CEIL_EPS))
     n_rows = int(math.ceil(height_m / tile_size_m - _CEIL_EPS))
 

@@ -27,7 +27,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
-from .errors import ConfigError, CorruptInputError
+from .errors import ConfigError, SnapGridError
 from .geo import GeoPoint
 
 DRIVING = "driving"
@@ -129,7 +129,7 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple[list[SnapRecor
 
     Valid records come back in input order; each malformed or wrongly typed
     line is reported with its 1-based line number rather than dropped.
-    Raises :class:`CorruptInputError` when failures outnumber successes; its
+    Raises :class:`SnapGridError` when failures outnumber successes; its
     message names the file, when ``source`` is a path, and the first bad line.
     """
     named = isinstance(source, (str, Path))
@@ -146,7 +146,7 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple[list[SnapRecor
     if failures and len(failures) > len(records):
         where = f"{source}: " if named else ""
         first = failures[0]
-        raise CorruptInputError(
+        raise SnapGridError(
             f"{where}{len(failures)} of {len(failures) + len(records)} lines failed to parse; "
             f"first at line {first.line_number}: {first.message}"
         )
@@ -189,6 +189,9 @@ class SnapColumns:
     @classmethod
     def from_records(cls, recs: Sequence[SnapRecord]) -> "SnapColumns":
         cities = sorted({rec.city_id for rec in recs})
+        table = np.array(cities, dtype=str)
+        if table.tolist() != cities:  # a numpy string drops trailing NULs
+            raise SnapGridError(f"city ids {cities!r} do not survive as a string table")
         code = {c: i for i, c in enumerate(cities)}
         frames = [rec.frame_scores or () for rec in recs]
         score_offsets = np.cumsum([0, *map(len, frames)], dtype=np.int64)
@@ -201,7 +204,7 @@ class SnapColumns:
             lat=column((rec.location.lat for rec in recs), np.float64),
             lon=column((rec.location.lon for rec in recs), np.float64),
             city=column((code[rec.city_id] for rec in recs), np.int32),
-            cities=np.array(cities, dtype=str),
+            cities=table,
             label=column((-1 if rec.label is None else LABELS.index(rec.label) for rec in recs), np.int8),
             scores=np.fromiter(chain.from_iterable(frames), dtype=np.float64, count=score_offsets[-1]),
             score_offsets=score_offsets,

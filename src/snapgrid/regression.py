@@ -23,13 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CollinearityError,
-    EmptyInputError,
-    InvalidNestingError,
-    ShapeError,
-    UnderdeterminedError,
-)
+from .errors import EmptyInputError, SnapGridError
 
 DESIGN_TERMS = (
     "intercept",
@@ -41,6 +35,8 @@ DESIGN_TERMS = (
     "log_pop",
     "log_total_snaps",
 )
+# CityStats' census numbers, which city_stats.csv holds in this order before "developing"
+_CENSUS_NUMBERS = ("population", "male_pct", "age_lt20_pct", "age_20_40_pct", "age_40_60_pct")
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,9 @@ class CityStats:
 
     def __post_init__(self):
         if self.total_snaps < 0 or self.driving_snaps < 0:
-            raise ValueError(f"{self.city_id}: snap counts must be nonnegative")
+            raise SnapGridError(f"{self.city_id}: snap counts must be nonnegative")
+        if self.population is not None and self.population < 0:  # ln(population + 1) is fitted
+            raise SnapGridError(f"{self.city_id}: population must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -85,18 +83,7 @@ def build_design(cities: Sequence[CityStats]) -> Design:
     """
     rows, ys, ids, excluded = [], [], [], []
     for c in cities:
-        missing = [
-            name
-            for name, value in (
-                ("population", c.population),
-                ("male_pct", c.male_pct),
-                ("age_lt20_pct", c.age_lt20_pct),
-                ("age_20_40_pct", c.age_20_40_pct),
-                ("age_40_60_pct", c.age_40_60_pct),
-                ("developing", c.developing),
-            )
-            if value is None
-        ]
+        missing = [name for name in (*_CENSUS_NUMBERS, "developing") if getattr(c, name) is None]
         if missing:
             excluded.append((c.city_id, "missing " + ", ".join(missing)))
             continue
@@ -145,12 +132,12 @@ def ols_fit(X: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OLSResult:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ShapeError(f"incompatible shapes X{X.shape}, y{y.shape}")
+        raise SnapGridError(f"incompatible shapes X{X.shape}, y{y.shape}")
     n, p = X.shape
     if len(columns) != p:
-        raise ShapeError(f"{len(columns)} column names for {p} columns")
+        raise SnapGridError(f"{len(columns)} column names for {p} columns")
     if n <= p:
-        raise UnderdeterminedError(f"{n} observations cannot support {p} coefficients")
+        raise SnapGridError(f"{n} observations cannot support {p} coefficients")
 
     # Pivoted QR exposes rank deficiency and names the offending columns.
     _, r_piv, piv = linalg.qr(X, mode="economic", pivoting=True)
@@ -158,8 +145,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OLSResult:
     tol = diag[0] * max(n, p) * np.finfo(float).eps if diag.size else 0.0
     rank = int((diag > tol).sum())
     if rank < p:
-        dependent = tuple(columns[j] for j in sorted(piv[rank:]))
-        raise CollinearityError(f"linearly dependent columns: {', '.join(dependent)}", dependent)
+        dependent = ", ".join(columns[j] for j in sorted(piv[rank:]))
+        raise SnapGridError(f"linearly dependent columns: {dependent}")
 
     q, r = np.linalg.qr(X)
     coefs = linalg.solve_triangular(r, q.T @ y)
@@ -211,11 +198,11 @@ def lr_test(full: OLSResult, reduced: OLSResult) -> LRTestResult:
     from scipy import special
 
     if full.n != reduced.n:
-        raise InvalidNestingError(f"models fit on different n: {full.n} vs {reduced.n}")
+        raise SnapGridError(f"models fit on different n: {full.n} vs {reduced.n}")
     full_cols, red_cols = set(full.columns), set(reduced.columns)
     if not red_cols <= full_cols:
         extra = sorted(red_cols - full_cols)
-        raise InvalidNestingError(f"reduced model is not nested; extra columns: {extra}")
+        raise SnapGridError(f"reduced model is not nested; extra columns: {extra}")
     df = len(full_cols) - len(red_cols)
     if df == 0:
         return LRTestResult(chisq=0.0, df=0, p_value=1.0)
@@ -296,10 +283,21 @@ def regression_report(cities: Sequence[CityStats]) -> RegressionReport:
 
 
 def load_city_stats(path) -> list[CityStats]:
-    """Read city statistics from CSV; empty cells become None (excluded later)."""
+    """Read city statistics from CSV; empty cells become None (excluded later).
+
+    A missing column, a number that does not parse or is not finite, or a
+    negative count raises :class:`SnapGridError` naming the file, and the line
+    of a bad row.
+    """
+
+    def number(value: str) -> float:
+        x = float(value)
+        if not math.isfinite(x):
+            raise ValueError(f"{value!r} is not a finite number")
+        return x
 
     def opt_float(value: str) -> Optional[float]:
-        return float(value) if value not in ("", None) else None
+        return number(value) if value not in ("", None) else None
 
     def opt_bool(value: str) -> Optional[bool]:
         if value in ("", None):
@@ -308,50 +306,29 @@ def load_city_stats(path) -> list[CityStats]:
 
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                CityStats(
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("city_id", "total_snaps", "driving_snaps") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise SnapGridError(f"{path}: no {missing[0]!r} column")
+        for row in reader:
+            try:
+                out.append(CityStats(
                     city_id=row["city_id"],
-                    total_snaps=float(row["total_snaps"]),
-                    driving_snaps=float(row["driving_snaps"]),
-                    population=opt_float(row.get("population")),
-                    male_pct=opt_float(row.get("male_pct")),
-                    age_lt20_pct=opt_float(row.get("age_lt20_pct")),
-                    age_20_40_pct=opt_float(row.get("age_20_40_pct")),
-                    age_40_60_pct=opt_float(row.get("age_40_60_pct")),
+                    total_snaps=number(row["total_snaps"]),
+                    driving_snaps=number(row["driving_snaps"]),
                     developing=opt_bool(row.get("developing")),
-                )
-            )
+                    **{name: opt_float(row.get(name)) for name in _CENSUS_NUMBERS},
+                ))
+            except (TypeError, ValueError) as exc:  # a short row's missing count is None
+                raise SnapGridError(f"{path}: line {reader.line_num}: {exc}") from exc
     return out
 
 
 def write_city_stats(cities: Sequence[CityStats], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "city_id",
-                "total_snaps",
-                "driving_snaps",
-                "population",
-                "male_pct",
-                "age_lt20_pct",
-                "age_20_40_pct",
-                "age_40_60_pct",
-                "developing",
-            ]
-        )
+        writer.writerow(["city_id", "total_snaps", "driving_snaps", *_CENSUS_NUMBERS, "developing"])
         for c in cities:
-            writer.writerow(
-                [
-                    c.city_id,
-                    repr(c.total_snaps),
-                    repr(c.driving_snaps),
-                    "" if c.population is None else repr(c.population),
-                    "" if c.male_pct is None else repr(c.male_pct),
-                    "" if c.age_lt20_pct is None else repr(c.age_lt20_pct),
-                    "" if c.age_20_40_pct is None else repr(c.age_20_40_pct),
-                    "" if c.age_40_60_pct is None else repr(c.age_40_60_pct),
-                    "" if c.developing is None else ("true" if c.developing else "false"),
-                ]
-            )
+            census = ("" if v is None else repr(v) for v in (getattr(c, name) for name in _CENSUS_NUMBERS))
+            developing = "" if c.developing is None else ("true" if c.developing else "false")
+            writer.writerow([c.city_id, repr(c.total_snaps), repr(c.driving_snaps), *census, developing])

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSampleError, InsufficientFitsError, ShapeError
+from .errors import DegenerateSampleError, SnapGridError
 from .geo import TileGrid, TileIndex
 
 FAMILIES = ("power_law", "normal", "log_normal", "exponential")
@@ -50,7 +50,7 @@ class TileCountVector:
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
         if counts.shape != (len(self.tiles),):
-            raise ShapeError(f"counts shape {counts.shape} does not match {len(self.tiles)} tiles")
+            raise SnapGridError(f"counts shape {counts.shape} does not match {len(self.tiles)} tiles")
 
     @property
     def positive_counts(self) -> np.ndarray:
@@ -170,7 +170,7 @@ def compare_fits(x: Sequence[float], city_id: str = "") -> FitComparison:
             failures[family] = str(exc)
     if len(fits) < 2:
         where = f"city {city_id}: " if city_id else ""
-        raise InsufficientFitsError(
+        raise SnapGridError(
             f"{where}only {len(fits)} of {len(FAMILIES)} families fit successfully: {failures}"
         )
     best_by_bic = min(fits, key=lambda f: (fits[f].bic, FAMILIES.index(f)))
@@ -224,7 +224,7 @@ def heatmap_export(
     """Write one CSV row per active tile: indices, center, driving and total counts."""
     tiles = tuple(grid.active_tiles())
     if driving.tiles != tiles or total.tiles != tiles:
-        raise ShapeError("count vectors are not aligned with the grid's active tiles")
+        raise SnapGridError("count vectors are not aligned with the grid's active tiles")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "center_lat", "center_lon", "driving_count", "total_count"])

@@ -16,14 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    InvalidKError,
-    ShapeError,
-    UndefinedCorrelationError,
-    UndefinedSilhouetteError,
-    UndefinedUpliftError,
-)
+from .errors import EmptyInputError, SnapGridError
 from .records import to_local_time
 
 HOURS_PER_WEEK = 168
@@ -39,7 +32,7 @@ class HourlyProfile:
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.shape != (24,):
-            raise ShapeError(f"hourly profile needs 24 bins, got shape {counts.shape}")
+            raise SnapGridError(f"hourly profile needs 24 bins, got shape {counts.shape}")
         object.__setattr__(self, "counts", counts)
 
 
@@ -80,7 +73,7 @@ def night_uplift(profile: HourlyProfile, window: NightWindow = NightWindow()) ->
     mean_in = float(profile.counts[inside].mean())
     mean_out = float(profile.counts[~inside].mean())
     if mean_out == 0:
-        raise UndefinedUpliftError(f"city {profile.city_id}: no activity outside the window; uplift undefined")
+        raise SnapGridError(f"city {profile.city_id}: no activity outside the window; uplift undefined")
     return (mean_in / mean_out - 1.0) * 100.0
 
 
@@ -88,14 +81,14 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
-        raise ShapeError(f"shape mismatch: {x.shape} vs {y.shape}")
+        raise SnapGridError(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
-        raise UndefinedCorrelationError("need at least 2 points")
+        raise SnapGridError("need at least 2 points")
     xc = x - x.mean()
     yc = y - y.mean()
     denom = np.sqrt((xc**2).sum() * (yc**2).sum())
     if denom == 0:
-        raise UndefinedCorrelationError("zero variance on at least one side")
+        raise SnapGridError("zero variance on at least one side")
     return float((xc * yc).sum() / denom)
 
 
@@ -189,10 +182,10 @@ def kmeans(X: np.ndarray, k: int, seed: int = 0) -> ClusterResult:
     """Seeded k-means: best of 10 k-means++ starts, each at most 300 Lloyd iterations."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
-        raise ShapeError(f"expected a 2-d data matrix, got ndim={X.ndim}")
+        raise SnapGridError(f"expected a 2-d data matrix, got ndim={X.ndim}")
     n = X.shape[0]
     if not 1 <= k <= n:
-        raise InvalidKError(f"k={k} outside 1..{n}")
+        raise SnapGridError(f"k={k} outside 1..{n}")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(10):
@@ -216,9 +209,9 @@ def silhouette(X: np.ndarray, labels: np.ndarray) -> float:
     n = X.shape[0]
     uniq = np.unique(labels)
     if len(uniq) < 2:
-        raise UndefinedSilhouetteError("silhouette needs at least 2 clusters")
+        raise SnapGridError("silhouette needs at least 2 clusters")
     if len(uniq) >= n:
-        raise UndefinedSilhouetteError("silhouette undefined when every point is its own cluster")
+        raise SnapGridError("silhouette undefined when every point is its own cluster")
     dists = np.sqrt(_squared_distances(X, X))
     scores = np.zeros(n)
     sizes = {int(c): int((labels == c).sum()) for c in uniq}
@@ -254,7 +247,7 @@ def embed_2d(X: np.ndarray) -> Embedding:
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
-        raise ShapeError("need a 2-d matrix with at least 2 rows")
+        raise SnapGridError("need a 2-d matrix with at least 2 rows")
     centered = X - X.mean(axis=0)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:2].copy()

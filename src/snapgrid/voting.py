@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, ShapeError
+from .errors import EmptyInputError, SnapGridError
 from .records import DRIVING, NON_DRIVING
 
 THRESHOLD_CHOICES = (10, 30, 50, 70, 90)
@@ -58,38 +58,35 @@ class VotingRule:
         return cls("threshold", pct)
 
 
-def _decide(positive: int, n: int, rule: VotingRule) -> str:
-    """The clip label for ``positive`` of ``n`` positive frames; integer comparisons keep ties exact."""
-    if n == 0:
-        raise EmptyInputError("cannot vote over zero frames")
+def _decide(positive, n, rule: VotingRule):
+    """Whether ``positive`` of ``n`` frames make a driving clip, for ints or integer arrays.
+
+    Integer comparisons keep ties exact; no frames make no driving clip.
+    """
     if rule.kind == "single":
-        hit = positive >= 1
-    elif rule.kind == "majority":
-        hit = 2 * positive > n
-    else:
-        hit = 100 * positive > rule.threshold_pct * n
-    return DRIVING if hit else NON_DRIVING
+        return positive >= 1
+    if rule.kind == "majority":
+        return 2 * positive > n
+    return 100 * positive > rule.threshold_pct * n
 
 
 def aggregate_votes(frame_labels: Sequence[str], rule: VotingRule) -> str:
     """Fold per-frame labels into one clip label under the voting rule."""
-    return _decide(sum(1 for lab in frame_labels if lab == DRIVING), len(frame_labels), rule)
+    if len(frame_labels) == 0:
+        raise EmptyInputError("cannot vote over zero frames")
+    positive = sum(1 for lab in frame_labels if lab == DRIVING)
+    return DRIVING if _decide(positive, len(frame_labels), rule) else NON_DRIVING
 
 
 def classify_scores(scores: np.ndarray, offsets: np.ndarray, rule: VotingRule,
                     cutoff: float = FRAME_CUTOFF) -> np.ndarray:
     """Each clip's vote, true for driving: clip ``i`` is ``scores[offsets[i]:offsets[i + 1]]``.
 
-    A frame strictly above ``cutoff`` is positive; :func:`_decide`'s integer
-    comparisons keep ties exact. A clip with no frames is never driving.
+    A frame strictly above ``cutoff`` is positive, and :func:`_decide` votes
+    each clip. A clip with no frames is never driving.
     """
     positive = np.concatenate(([0], np.cumsum(np.asarray(scores) > cutoff, dtype=np.int64)))[offsets]
-    pos, n = np.diff(positive), np.diff(offsets)
-    if rule.kind == "single":
-        return pos >= 1
-    if rule.kind == "majority":
-        return 2 * pos > n
-    return 100 * pos > rule.threshold_pct * n
+    return _decide(np.diff(positive), np.diff(offsets), rule)
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ class EvalReport:
 def evaluate(predicted: Sequence[str], truths: Sequence[str]) -> EvalReport:
     """Accuracy/precision/recall/F1 of predicted labels against ground truth, driving as positive."""
     if len(predicted) != len(truths):
-        raise ShapeError(f"length mismatch: {len(predicted)} predicted vs {len(truths)} true labels")
+        raise SnapGridError(f"length mismatch: {len(predicted)} predicted vs {len(truths)} true labels")
     if len(predicted) == 0:
         raise EmptyInputError("need at least one predicted label")
     pred, truth = np.asarray(predicted) == DRIVING, np.asarray(truths) == DRIVING

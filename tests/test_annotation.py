@@ -10,11 +10,7 @@ from snapgrid.annotation import (
     load_annotations_csv,
     matrix_from_long,
 )
-from snapgrid.errors import (
-    DuplicateAnnotationError,
-    HeterogeneousRatersError,
-    UnsupportedCategoriesError,
-)
+from snapgrid.errors import SnapGridError
 
 
 def matrix(counts, categories=("driving", "non_driving")):
@@ -113,7 +109,7 @@ def test_matrix_from_long_truncates_extra_raters():
 
 def test_matrix_from_long_rejects_duplicates():
     rows = [("s1", "r1", "driving"), ("s1", "r1", "driving"), ("s1", "r2", "driving")]
-    with pytest.raises(DuplicateAnnotationError):
+    with pytest.raises(SnapGridError, match="^duplicate rating for item 's1' by rater 'r1'$"):
         matrix_from_long(rows)
 
 
@@ -124,7 +120,7 @@ def test_matrix_from_long_rejects_short_items():
         ("s1", "r3", "driving"),
         ("s2", "r1", "driving"),
     ]
-    with pytest.raises(HeterogeneousRatersError):
+    with pytest.raises(SnapGridError, match="^item 's2' has 1 ratings, need 3$"):
         matrix_from_long(rows)
 
 
@@ -152,7 +148,7 @@ def test_adjudicate_two_of_three():
 
 def test_adjudicate_requires_binary_categories():
     m = matrix([[1, 1, 1]], categories=("a", "b", "c"))
-    with pytest.raises(UnsupportedCategoriesError):
+    with pytest.raises(SnapGridError, match="^adjudication needs 2 categories, got 3$"):
         adjudicate(m, positive_category="a")
 
 
@@ -163,5 +159,5 @@ def test_adjudicate_unknown_category():
 
 
 def test_matrix_requires_constant_rater_count():
-    with pytest.raises(HeterogeneousRatersError):
+    with pytest.raises(SnapGridError, match="^rows must share a constant rater count$"):
         matrix([[2, 1], [1, 1]])

@@ -390,9 +390,10 @@ _BBOX = "    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
         ("cities:\n  a:\n    tz: Mars/Base\n    bbox: [0.0, 0.0, 0.01, 0.01]\n", "cities.a.tz"),
         ("voting:\n  rule: majority\n", "'voting'"),
         ("tile_size_m: 1000.0\n", "'tile_size_m'"),
+        ('cities:\n  "a\\0":\n' + _BBOX, "cities"),
     ],
     ids=["k-fraction", "seed-fraction", "hour-fraction", "city-key-bool", "city-key-int", "tz-unknown",
-         "voting-section", "tile-size"],
+         "voting-section", "tile-size", "city-key-nul"],
 )
 @pytest.mark.parametrize("stage", [stage for stage in STAGES if stage != "synth"])
 def test_bad_setting_exits_2_at_every_stage(tmp_path, capsys, stage, setting, named):
@@ -415,6 +416,63 @@ def test_ingest_of_mostly_corrupt_corpus_names_file_and_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.jsonl" in err and "2 of 3 lines" in err and "line 2" in err
     assert not (tmp_path / "cleaned.npz").exists()
+
+
+@pytest.fixture(scope="module")
+def two_city_inputs(tmp_path_factory):
+    """A 2-city synth run: its config, annotations.csv and city_stats.csv."""
+    out = tmp_path_factory.mktemp("inputs")
+    assert main(["synth", "--seed", "3", "--out-dir", str(out), "--cities", "2", "--records", "50",
+                 "--annotated", "10"]) == 0
+    return out
+
+
+def _cell(rows, row, column, value):
+    """``rows``, a CSV's header and rows, with ``column`` of data row ``row`` (1-based) set to ``value``."""
+    rows[row][rows[0].index(column)] = value
+    return rows
+
+
+@pytest.mark.parametrize(
+    "stage, name, damage, message",
+    [
+        ("regress", "city_stats.csv", lambda rows: _cell(rows, 1, "total_snaps", "-1"),
+         "line 2: rc000: snap counts must be nonnegative"),
+        ("regress", "city_stats.csv", lambda rows: _cell(rows, 3, "driving_snaps", "abc"),
+         "line 4: could not convert string to float: 'abc'"),
+        ("regress", "city_stats.csv", lambda rows: _cell(rows, 5, "total_snaps", "nan"),
+         "line 6: 'nan' is not a finite number"),
+        ("regress", "city_stats.csv", lambda rows: _cell(rows, 130, "driving_snaps", "inf"),
+         "line 131: 'inf' is not a finite number"),
+        ("regress", "city_stats.csv", lambda rows: [row[:1] + row[2:] for row in rows], "no 'total_snaps' column"),
+        ("regress", "city_stats.csv", lambda rows: _cell(rows, 2, "population", "-5"),
+         "line 3: rc001: population must be nonnegative"),
+        ("regress", "city_stats.csv", lambda rows: rows[:1], "no city has the full set of design fields"),
+        ("annotate", "annotations.csv", lambda rows: [row[1:] for row in rows], "no 'item_id' column"),
+        ("annotate", "annotations.csv", lambda rows: rows[:1], "need at least 2 categories"),
+        ("annotate", "annotations.csv", lambda rows: rows[:1] + [row[:2] + ["driving"] for row in rows[1:]],
+         "need at least 2 categories"),
+        ("annotate", "annotations.csv",
+         lambda rows: rows[:1] + [row[:2] + [row[2].replace("driving", "walking")] for row in rows[1:]],
+         "unknown category 'driving'"),
+        ("annotate", "annotations.csv", lambda rows: rows[:2] + [rows[2][:2]] + rows[3:],
+         "line 3: a row needs 3 fields"),
+    ],
+    ids=["count-negative", "count-text", "count-nan", "count-inf", "no-total-snaps", "population-negative",
+         "no-cities", "no-item-id", "no-rows", "one-category", "no-driving", "short-row"],
+)
+def test_malformed_csv_input_fails_in_one_line(two_city_inputs, tmp_path, capsys, stage, name, damage, message):
+    inputs = ["annotations.csv", "city_stats.csv", "pipeline.yaml"]
+    for input_name in inputs:
+        shutil.copy(two_city_inputs / input_name, tmp_path)
+    path = tmp_path / name
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(damage(rows))
+    assert main([stage, "--config", str(tmp_path / "pipeline.yaml")]) == 1
+    assert capsys.readouterr().err == f"snapgrid {stage}: {path.resolve()}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 def test_threshold_rule_requires_threshold(pipeline_dir):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from snapgrid.errors import InvalidPolygonError, InvalidRegionError
+from snapgrid.errors import SnapGridError
 from snapgrid.geo import (
     METERS_PER_DEG_LAT,
     GeoPoint,
@@ -138,7 +138,7 @@ def test_self_intersecting_ring_rejected():
         GeoPoint(1.0, 0.0),
         GeoPoint(0.0, 1.0),
     )
-    with pytest.raises(InvalidPolygonError):
+    with pytest.raises(SnapGridError, match=r"^polygon ring self-intersects \(edges \d+ and \d+\)$"):
         Region.from_polygon(bowtie)
 
 
@@ -159,14 +159,14 @@ def test_build_grid_partial_tile_rounds_up():
 
 def test_build_grid_degenerate_region():
     region = Region(bbox=(0.0, 0.0, 0.0, 1.0))  # zero height, bypassing from_bbox
-    with pytest.raises(InvalidRegionError):
+    with pytest.raises(SnapGridError, match=r"^region has degenerate extent \S+ x 0\.0 m$"):
         build_grid(region)
 
 
 def test_bbox_constructor_rejects_inverted_bounds():
-    with pytest.raises(InvalidRegionError):
+    with pytest.raises(SnapGridError, match=r"^bbox needs south < north, got 1\.0 / 0\.0$"):
         Region.from_bbox(1.0, 0.0, 0.0, 1.0)
-    with pytest.raises(InvalidRegionError):
+    with pytest.raises(SnapGridError, match=r"^bbox needs west < east, got 1\.0 / 1\.0$"):
         Region.from_bbox(0.0, 1.0, 1.0, 1.0)
 
 

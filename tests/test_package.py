@@ -4,7 +4,8 @@ A public module-level function or class in ``src/snapgrid`` must be named
 by another module of the package, by its own module outside its
 definition, by the acceptance tests, by a demo or by the benchmark (whose
 tracer names functions in strings). Unit tests do not count as callers,
-and neither does the package root, which exports nothing.
+and neither does the package root, which exports nothing. An exception
+class in ``errors.py`` must be caught by name elsewhere in the package.
 """
 
 import ast
@@ -55,3 +56,30 @@ def test_every_public_name_has_a_caller():
 def test_a_name_only_its_own_definition_uses_is_unused():
     tree = ast.parse("def lonely(n):\n    return lonely(n - 1) if n else 0\n\ndef used():\n    return 1\n")
     assert _unused({"m": tree}, {"used"}) == ["m.lonely"]
+
+
+def _caught(tree) -> set[str]:
+    """Every name in the ``except`` clauses and ``isinstance`` class arguments under ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            found |= _mentions(node.type)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            found |= _mentions(node.args[1])
+    return found
+
+
+def test_every_exception_class_is_caught_by_name():
+    # a class that no caller catches says nothing a SnapGridError message does not
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    defined = [node.name for node in modules.pop("errors").body if isinstance(node, ast.ClassDef)]
+    caught = set().union(*map(_caught, modules.values()))
+    assert [name for name in defined if name not in caught] == []
+
+
+def test_a_class_only_raised_is_not_caught():
+    tree = ast.parse(
+        "try:\n    raise Raised()\nexcept (Caught, OSError):\n    pass\n"
+        "if isinstance(exc, Checked):\n    raise Raised()\n"
+    )
+    assert _caught(tree) >= {"Caught", "Checked"} and "Raised" not in _caught(tree)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snapgrid.errors import ConfigError, CorruptInputError
+from snapgrid.errors import ConfigError, SnapGridError
 from snapgrid.geo import GeoPoint
 from snapgrid.records import (
     SnapColumns,
@@ -201,7 +201,7 @@ def test_blank_lines_are_skipped_without_failures():
 
 def test_mostly_garbage_input_raises():
     lines = ["nope", "also nope", '{"id": "a", "ts_utc": "2019-04-01T00:00:00Z", "lat": 0, "lon": 0, "city_id": "x"}']
-    with pytest.raises(CorruptInputError):
+    with pytest.raises(SnapGridError, match="^2 of 3 lines failed to parse; first at line 1: "):
         parse_snaps(lines)
 
 
@@ -264,6 +264,12 @@ def test_columns_of_no_records_round_trip(tmp_path):
     SnapColumns.from_records([]).save(tmp_path / "c.npz")
     cols = SnapColumns.load(tmp_path / "c.npz")
     assert len(cols) == 0 and cols.score_offsets.tolist() == [0] and cols.scored.tolist() == []
+
+
+def test_columns_reject_a_city_id_the_string_table_would_change():
+    # a numpy string array drops trailing NULs, so "a\0" would be saved as "a"
+    with pytest.raises(SnapGridError, match="do not survive as a string table"):
+        SnapColumns.from_records([make_record(0, city_id="a"), make_record(1, city_id="a\0")])
 
 
 def test_columns_load_rejects_a_wrong_dtype(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from snapgrid.errors import DegenerateSampleError, InsufficientFitsError, ShapeError
+from snapgrid.errors import DegenerateSampleError, SnapGridError
 from snapgrid.geo import Region, build_grid, locate_points, unproject_local
 from snapgrid.spatial import (
     FAMILIES,
@@ -117,9 +117,9 @@ def test_mle_is_a_local_maximum_of_the_likelihood():
 
 def test_compare_fits_needs_two_successes():
     # a constant sample only supports the exponential family
-    with pytest.raises(InsufficientFitsError, match="^only 1 of 4"):
+    with pytest.raises(SnapGridError, match="^only 1 of 4"):
         compare_fits([1.0, 1.0])
-    with pytest.raises(InsufficientFitsError, match="^city c7: only 1 of 4"):
+    with pytest.raises(SnapGridError, match="^city c7: only 1 of 4"):
         compare_fits([1.0, 1.0], "c7")
 
 
@@ -128,7 +128,7 @@ def test_compare_fits_reports_what_failed():
     # enough for a comparison
     rng = np.random.default_rng(4)
     x = np.concatenate([[0.0], rng.exponential(1.0, 100)])
-    with pytest.raises(InsufficientFitsError) as exc_info:
+    with pytest.raises(SnapGridError, match="^only 1 of 4 families fit successfully") as exc_info:
         compare_fits(x)
     message = str(exc_info.value)
     for family in ("exponential", "log_normal", "power_law"):
@@ -240,5 +240,5 @@ def test_heatmap_export_rejects_misaligned_vectors():
     vec = counts_at(grid, [])
     smaller = build_grid(Region.from_bbox(0.0, 0.0, 0.005, 0.005), 1000.0)  # 1x1
     other = counts_at(smaller, [])
-    with pytest.raises(ShapeError):
+    with pytest.raises(SnapGridError, match="^count vectors are not aligned with the grid's active tiles$"):
         heatmap_export(grid, vec, other, "/dev/null")

@@ -165,7 +165,7 @@ def test_column_vote_matches_decide(data, rule, cutoff):
     offsets = np.cumsum([0] + [len(c) for c in clips])
     scores = np.array([s for c in clips for s in c], dtype=float)
     got = classify_scores(scores, offsets, rule, cutoff=cutoff)
-    want = [bool(c) and _decide(sum(s > cutoff for s in c), len(c), rule) == DRIVING for c in clips]
+    want = [bool(c) and _decide(sum(s > cutoff for s in c), len(c), rule) for c in clips]
     assert got.tolist() == want
 
 
