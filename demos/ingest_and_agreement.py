@@ -9,14 +9,10 @@ Run: python demos/ingest_and_agreement.py
 
 import json
 
+import numpy as np
+
 from snapgrid.annotation import adjudicate, fleiss_kappa, matrix_from_long
-from snapgrid.records import (
-    DRIVING,
-    NON_DRIVING,
-    deletion_summary,
-    filter_active,
-    parse_snaps,
-)
+from snapgrid.records import DRIVING, NON_DRIVING, filter_active, parse_snaps
 
 
 def main():
@@ -35,15 +31,17 @@ def main():
         json.dumps({**good, "id": "nyc-000003", "lat": 999.0}),
         json.dumps({**good, "id": "nyc-000004", "label": "non_driving"}),
     ]
-    records, failures = parse_snaps(lines)
-    print(f"parsed {len(records)} records, {len(failures)} failures:")
+    cols, failures = parse_snaps(lines)
+    print(f"parsed {len(cols)} records, {len(failures)} failures:")
     for f in failures:
         print(f"  line {f.line_number}: {f.message}")
 
-    summary = deletion_summary(records)
-    active = filter_active(records)
-    print(f"flagged deleted: {summary.deleted}/{summary.total} ({summary.rate_pct:.1f}%)")
-    print(f"active records kept: {[r.id for r in active]}")
+    # the records come back as columns; deleted ones stay flagged until filtered
+    deleted = int(np.count_nonzero(cols.deleted))
+    active = filter_active(cols, np.ones(len(cols), dtype=bool))
+    print(f"flagged deleted: {deleted}/{len(cols)} ({100.0 * deleted / len(cols):.1f}%)")
+    ends = active.id_offsets.tolist()
+    print(f"active records kept: {[active.ids[a:b].tobytes().decode() for a, b in zip(ends, ends[1:])]}")
 
     # Three raters, four items, one lone disagreement on the last item.
     rows = [

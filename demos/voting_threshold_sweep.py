@@ -12,7 +12,6 @@ import argparse
 
 import numpy as np
 
-from snapgrid.records import DRIVING, NON_DRIVING
 from snapgrid.voting import THRESHOLD_CHOICES, VotingRule, classify_scores, evaluate
 
 
@@ -27,8 +26,8 @@ def synth_scores(rng, n_clips=4000, driving_rate=0.24):
         else:
             scores = rng.beta(2.0, 8.0, size=n_frames)
         clips.append(tuple(float(s) for s in scores))
-        truths.append(DRIVING if is_driving else NON_DRIVING)
-    return clips, truths
+        truths.append(is_driving)
+    return clips, np.array(truths)
 
 
 def main():
@@ -41,13 +40,12 @@ def main():
     rules = [("single", VotingRule.single()), ("majority", VotingRule.majority())]
     rules += [(f"threshold {p}%", VotingRule.threshold(p)) for p in THRESHOLD_CHOICES]
 
-    print(f"{len(clips)} clips, {truths.count(DRIVING)} truly driving\n")
+    print(f"{len(clips)} clips, {np.count_nonzero(truths)} truly driving\n")
     print(f"{'rule':<14} {'precision':>9} {'recall':>7} {'f1':>6} {'accuracy':>9}")
     scores = np.concatenate(clips)
     offsets = np.cumsum([0] + [len(c) for c in clips])
     for name, rule in rules:
-        predictions = np.where(classify_scores(scores, offsets, rule), DRIVING, NON_DRIVING)
-        report = evaluate(predictions, truths)
+        report = evaluate(classify_scores(scores, offsets, rule), truths)
         print(
             f"{name:<14} {report.precision:>9.3f} {report.recall:>7.3f} "
             f"{report.f1:>6.3f} {report.accuracy:>9.3f}"

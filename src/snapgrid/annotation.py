@@ -92,21 +92,24 @@ def matrix_from_long(rows: Iterable[tuple[str, str, str]]) -> AnnotationMatrix:
 def load_annotations_csv(path: Union[str, Path]) -> AnnotationMatrix:
     """Read a long-form annotation CSV with columns item_id, rater_id, category.
 
-    A missing column, a short row or a set of ratings that makes no matrix
+    A file that is not UTF-8, a missing column, a short row or a set of ratings that makes no matrix
     raises :class:`SnapGridError` naming the file, and the line of a short row.
     """
     columns = ("item_id", "rater_id", "category")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise SnapGridError(f"{path}: no {missing[0]!r} column")
-        rows = []
-        for row in reader:
-            fields = tuple(row[c] for c in columns)
-            if None in fields:
-                raise SnapGridError(f"{path}: line {reader.line_num}: a row needs {len(columns)} fields")
-            rows.append(fields)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise SnapGridError(f"{path}: no {missing[0]!r} column")
+            rows = []
+            for row in reader:
+                fields = tuple(row[c] for c in columns)
+                if None in fields:
+                    raise SnapGridError(f"{path}: line {reader.line_num}: a row needs {len(columns)} fields")
+                rows.append(fields)
+    except UnicodeDecodeError as exc:
+        raise SnapGridError(f"{path}: not UTF-8 text") from exc
     try:
         return matrix_from_long(rows)
     except SnapGridError as exc:

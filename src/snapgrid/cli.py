@@ -15,12 +15,12 @@ summary, and ``main`` commits the outputs all or nothing, so a failed
 stage leaves the previous artifacts as they were. A re-run reproduces
 them byte for byte.
 
-``cleaned.npz`` (from ingest, the one stage that decodes JSONL) is the one
-record-level intermediate: ``records.SnapColumns``, loaded whole by every
-later stage. classify stores no per-record label: ``classify.json`` records
-the voting rule and cutoff it applied and a CRC-32 of the scored records'
-ids, and the stages after it check that CRC and re-apply the rule through
-the same ``voting.classify_scores``.
+``cleaned.npz`` (from ingest, the one stage that decodes JSONL, straight into
+columns) is the one record-level intermediate: ``records.SnapColumns``, loaded
+whole by every later stage. classify stores no per-record label: ``classify.json``
+records the voting rule and cutoff it applied and a CRC-32 of the scored
+records' ids, and the stages after it check that CRC and re-apply the rule
+through the same ``voting.classify_scores``.
 
 Exit status: 0 on success, 2 for usage/config errors and missing or
 mismatched intermediates, 1 for runtime failures; each prints a single
@@ -306,24 +306,25 @@ def cmd_grid(args, cfg, out_dir: Path) -> tuple[dict, str]:
 def cmd_ingest(args, cfg, out_dir: Path) -> tuple[dict, str]:
     cities = _city_regions(cfg)
     parsed, failures = records.parse_snaps(_config_path(cfg, "snaps"))
-    recs = [rec for rec in parsed if rec.city_id in cities]
-    unknown = len(parsed) - len(recs)
-    summary = records.deletion_summary(recs)
-    active = records.filter_active(recs)
+    known = np.array([c in cities for c in parsed.cities.tolist()], dtype=bool)[parsed.city]
+    active = records.filter_active(parsed, known)
+    total = int(np.count_nonzero(known))
+    unknown, deleted = len(parsed) - total, total - len(active)
+    rate_pct = 100.0 * deleted / total if total else 0.0
     outputs = {
-        CLEANED: records.SnapColumns.from_records(active).save,
+        CLEANED: active.save,
         "ingest.json": {
             "parsed": len(parsed),
             "parse_failures": len(failures),
             "unknown_city": unknown,
-            "deleted": summary.deleted,
-            "deletion_rate_pct": summary.rate_pct,
+            "deleted": deleted,
+            "deletion_rate_pct": rate_pct,
             "kept": len(active),
         },
     }
     return outputs, (
         f"ingest: parsed {len(parsed)} ({len(failures)} bad lines, {unknown} of unknown cities), "
-        f"dropped {summary.deleted} deleted ({summary.rate_pct:.2f}%), kept {len(active)}"
+        f"dropped {deleted} deleted ({rate_pct:.2f}%), kept {len(active)}"
     )
 
 
@@ -370,8 +371,7 @@ def cmd_classify(args, cfg, out_dir: Path) -> tuple[dict, str]:
     }
     truths = cols.label[scored]
     if len(truths) and (truths >= 0).all():
-        predicted = np.where(votes, records.DRIVING, records.NON_DRIVING)
-        out["eval"] = asdict(voting.evaluate(predicted, np.array(records.LABELS)[truths]))
+        out["eval"] = asdict(voting.evaluate(votes, truths == records.LABELS.index(records.DRIVING)))
     suffix = f", accuracy={out['eval']['accuracy']:.4f}" if "eval" in out else ""
     return {"classify.json": out}, f"classify: {len(votes)} records via {rule.kind}{suffix}"
 

@@ -48,18 +48,23 @@ class GeoPoint:
     lat: float
     lon: float
 
-    def __post_init__(self):
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (self.lat, self.lon)):
-            raise ValueError(f"coordinates must be real numbers, got ({self.lat!r}, {self.lon!r})")
-        # normalize numpy scalars so serialized output stays plain decimal text
-        object.__setattr__(self, "lat", float(self.lat))
-        object.__setattr__(self, "lon", float(self.lon))
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise ValueError(f"coordinates must be finite, got ({self.lat}, {self.lon})")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon} outside [-180, 180]")
+    def __post_init__(self):  # plain floats, so that numpy scalars serialize as decimal text
+        for name, value in zip(("lat", "lon"), check_point(self.lat, self.lon)):
+            object.__setattr__(self, name, value)
+
+
+def check_point(lat, lon) -> tuple[float, float]:
+    """``(lat, lon)`` as floats; ValueError unless both are real numbers, finite and in range."""
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (lat, lon)):
+        raise ValueError(f"coordinates must be real numbers, got ({lat!r}, {lon!r})")
+    lat, lon = float(lat), float(lon)
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        raise ValueError(f"coordinates must be finite, got ({lat}, {lon})")
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude {lat} outside [-90, 90]")
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"longitude {lon} outside [-180, 180]")
+    return lat, lon
 
 
 @dataclass(frozen=True)
@@ -183,12 +188,12 @@ class Region:
     @classmethod
     def from_bbox(cls, south: float, west: float, north: float, east: float) -> "Region":
         # the corners first, so that strings are rejected rather than compared as text
-        sw, ne = GeoPoint(south, west), GeoPoint(north, east)
-        if not sw.lat < ne.lat:
+        (s, w), (n, e) = check_point(south, west), check_point(north, east)
+        if not s < n:
             raise SnapGridError(f"bbox needs south < north, got {south} / {north}")
-        if not sw.lon < ne.lon:
+        if not w < e:
             raise SnapGridError(f"bbox needs west < east, got {west} / {east}")
-        return cls(bbox=(sw.lat, sw.lon, ne.lat, ne.lon))
+        return cls(bbox=(s, w, n, e))
 
     @classmethod
     def from_polygon(cls, ring: Sequence[GeoPoint]) -> "Region":

@@ -1,34 +1,35 @@
 """Post-record ingest: parsing, serialization, local time, deletions.
 
-Records arrive as JSONL, one object per line, checked into
-:class:`SnapRecord` objects; past ingest a corpus travels as
-:class:`SnapColumns`. Timestamps are stored internally as UTC epoch
-seconds; wall-clock local time is computed on demand from an IANA
-timezone identifier, so there is a single temporal source of truth. Post
-timestamps are treated as creation time (creation and upload are assumed
-to coincide).
+Records arrive as JSONL, one object per line, which :func:`parse_snaps`
+checks and decodes straight into :class:`SnapColumns`; :class:`SnapRecord`,
+synth's record type, passes the same checks. Timestamps are stored
+internally as UTC epoch seconds; wall-clock local time is computed on
+demand from an IANA timezone identifier, so there is a single temporal
+source of truth. Post timestamps are treated as creation time (creation
+and upload are assumed to coincide).
 
 Deletion handling is input-driven: records arrive already flagged
-``deleted``, and this module only counts and filters them.
+``deleted``, and :func:`filter_active` drops them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import zipfile
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
 from .errors import ConfigError, SnapGridError
-from .geo import GeoPoint
+from .geo import GeoPoint, check_point
 
 DRIVING = "driving"
 NON_DRIVING = "non_driving"
@@ -62,16 +63,23 @@ class SnapRecord:
     deleted: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.duration_s < math.inf:  # NaN too, which JSON cannot carry
-            raise ValueError(f"duration_s must be finite and nonnegative, got {self.duration_s}")
-        if self.label is not None and self.label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS}, got {self.label!r}")
-        if self.frame_scores is not None:
-            if len(self.frame_scores) == 0:
-                raise ValueError("frame_scores, when present, must be nonempty")
-            for s in self.frame_scores:
-                if not 0.0 <= s <= 1.0:
-                    raise ValueError(f"frame score {s} outside [0, 1]")
+        _check_fields(self.duration_s, self.frame_scores, self.label)
+
+
+def _check_fields(duration_s, frame_scores, label) -> Optional[list[float]]:
+    """Check a record's duration, frame scores and label; the scores come back as floats."""
+    # a list, not a tuple: a tuple freed here would stay cached in CPython's tuple free lists
+    duration_s, scores = float(duration_s), None if frame_scores is None else list(map(float, frame_scores))
+    if not 0 <= duration_s < math.inf:  # NaN too, which JSON cannot carry
+        raise ValueError(f"duration_s must be finite and nonnegative, got {duration_s}")
+    if label is not None and label not in LABELS:
+        raise ValueError(f"label must be one of {LABELS}, got {label!r}")
+    if scores is not None and len(scores) == 0:
+        raise ValueError("frame_scores, when present, must be nonempty")
+    for s in scores or ():
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"frame score {s} outside [0, 1]")
+    return scores
 
 
 @dataclass(frozen=True)
@@ -83,74 +91,80 @@ class ParseFailure:
 _STR, _NUMBER = ((str,), "a string"), ((int, float), "a number")
 # each field's JSON types; any other fails rather than being coerced: "false" is
 # not false, null is not "None", and neither "1.5" nor true is a number
-_FIELD_TYPES = {"id": _STR, "city_id": _STR, "deleted": ((bool,), "true or false"), "lat": _NUMBER,
+_FIELD_TYPES = {"id": _STR, "ts_utc": _STR, "city_id": _STR, "deleted": ((bool,), "true or false"), "lat": _NUMBER,
                 "lon": _NUMBER, "duration_s": _NUMBER, "frame_scores": ((list, type(None)), "a list")}
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape decodes a byte that is not UTF-8 to
 
 
-def _record_from_dict(obj: dict) -> SnapRecord:
+def _fields(line: str, codes: dict[str, int]) -> tuple[tuple, Optional[list[float]], str]:
+    """One JSONL line, checked: (ts, lat, lon, city code in ``codes``, label code, deleted), frame scores, id."""
+    if _NOT_UTF8.search(line):
+        raise ValueError("line is not UTF-8")
+    obj = json.loads(line)
+    if type(obj) is not dict:
+        raise ValueError("not a JSON object")
     for key, (kinds, what) in _FIELD_TYPES.items():
         if key in obj and type(obj[key]) not in kinds:
             raise ValueError(f"{key} must be {what}, got {json.dumps(obj[key])}")
-    scores = obj.get("frame_scores")
-    if scores is not None and not set(map(type, scores)) <= {int, float}:
-        raise ValueError(f"frame_scores must be numbers, got {json.dumps(scores)}")
-    return SnapRecord(
-        id=obj["id"],
-        ts_utc=parse_rfc3339(obj["ts_utc"]),
-        location=GeoPoint(float(obj["lat"]), float(obj["lon"])),
-        city_id=obj["city_id"],
-        duration_s=float(obj.get("duration_s", 0.0)),
-        frame_scores=tuple(map(float, scores)) if scores is not None else None,
-        label=obj.get("label"),
-        deleted=obj.get("deleted", False),
-    )
+    if not set(map(type, obj.get("frame_scores") or ())) <= {int, float}:
+        raise ValueError(f"frame_scores must be numbers, got {json.dumps(obj['frame_scores'])}")
+    for key in ("id", "ts_utc", "lat", "lon", "city_id"):
+        if key not in obj:
+            raise ValueError(f"missing field {key!r}")
+    ts, (lat, lon), label = parse_rfc3339(obj["ts_utc"]), check_point(obj["lat"], obj["lon"]), obj.get("label")
+    scores = _check_fields(obj.get("duration_s", 0.0), obj.get("frame_scores"), label)
+    city, code = codes.setdefault(obj["city_id"], len(codes)), -1 if label is None else LABELS.index(label)
+    return (ts, lat, lon, city, code, obj.get("deleted", False)), scores, obj["id"]
 
 
 def _record_to_dict(rec: SnapRecord) -> dict:
-    obj = {
-        "id": rec.id,
-        "ts_utc": format_rfc3339(rec.ts_utc),
-        "lat": rec.location.lat,
-        "lon": rec.location.lon,
-        "city_id": rec.city_id,
-        "duration_s": rec.duration_s,
-    }
-    if rec.frame_scores is not None:
-        obj["frame_scores"] = list(rec.frame_scores)
-    if rec.label is not None:
-        obj["label"] = rec.label
-    if rec.deleted:
-        obj["deleted"] = True
-    return obj
+    """``rec`` as one JSON object; no frame scores, no label and not deleted are left out."""
+    obj = {"id": rec.id, "ts_utc": format_rfc3339(rec.ts_utc), "lat": rec.location.lat, "lon": rec.location.lon,
+           "city_id": rec.city_id, "duration_s": rec.duration_s, "frame_scores": rec.frame_scores, "label": rec.label,
+           "deleted": rec.deleted or None}  # json writes the scores' tuple as a list
+    return {key: value for key, value in obj.items() if value is not None}
 
 
-def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple[list[SnapRecord], list[ParseFailure]]:
-    """Parse JSONL records from a path or an iterable of lines.
+def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns", list[ParseFailure]]:
+    """Decode JSONL records from a path or an iterable of lines straight into columns.
 
-    Valid records come back in input order; each malformed or wrongly typed
-    line is reported with its 1-based line number rather than dropped.
-    Raises :class:`SnapGridError` when failures outnumber successes; its
-    message names the file, when ``source`` is a path, and the first bad line.
+    Each non-blank line that passes the checks is one record, in input order, deleted or not, and the city table
+    holds each city id as parsed (see :func:`filter_active`); each other line, one that is not UTF-8 too, is a
+    failure with its 1-based line number. Raises :class:`SnapGridError` naming the file (when ``source`` is a
+    path) and the first bad line when failures outnumber successes.
     """
     named = isinstance(source, (str, Path))
-    records: list[SnapRecord] = []
+    per_record = ts, lat, lon, city, label, deleted = tuple(map(array, "qddibb"))  # int64, float64, int32, int8
+    scores, ids, score_ends, id_ends = array("d"), bytearray(), array("q", [0]), array("q", [0])
+    codes: dict[str, int] = {}  # city id -> its code, in order of first appearance
     failures: list[ParseFailure] = []
-    with open(source, newline="") if named else nullcontext(source) as lines:
+    with open(source, newline="", encoding="utf-8", errors="surrogateescape") if named else nullcontext(source) as lines:
         for line_number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                records.append(_record_from_dict(json.loads(line)))
+                values, frames, id_ = _fields(line, codes)
             except Exception as exc:
                 failures.append(ParseFailure(line_number, str(exc)))
-    if failures and len(failures) > len(records):
-        where = f"{source}: " if named else ""
-        first = failures[0]
-        raise SnapGridError(
-            f"{where}{len(failures)} of {len(failures) + len(records)} lines failed to parse; "
-            f"first at line {first.line_number}: {first.message}"
-        )
-    return records, failures
+                continue
+            for column, value in zip(per_record, values):
+                column.append(value)
+            scores.extend(frames or ())
+            score_ends.append(len(scores))
+            ids += id_.encode(*_UTF8)
+            id_ends.append(len(ids))
+    if len(failures) > len(ts):
+        raise SnapGridError(f"{f'{source}: ' if named else ''}{len(failures)} of {len(failures) + len(ts)} lines "
+                            f"failed to parse; first at line {failures[0].line_number}: {failures[0].message}")
+    table = sorted(codes)
+    rank = {c: i for i, c in enumerate(table)}
+    return SnapColumns(
+        ts=np.frombuffer(ts, dtype=np.int64), lat=np.frombuffer(lat), lon=np.frombuffer(lon),
+        city=np.array([rank[c] for c in codes], dtype=np.int32)[np.frombuffer(city, dtype=np.intc)],
+        cities=np.array(table, dtype=object), label=np.frombuffer(label, dtype=np.int8), scores=np.frombuffer(scores),
+        score_offsets=np.frombuffer(score_ends, dtype=np.int64), ids=np.frombuffer(ids, dtype=np.uint8),
+        id_offsets=np.frombuffer(id_ends, dtype=np.int64), deleted=np.frombuffer(deleted, dtype=bool),
+    ), failures
 
 
 def write_snaps(records: Iterable[SnapRecord], path: Union[str, Path]) -> None:
@@ -172,12 +186,13 @@ class SnapColumns:
     lat: np.ndarray
     lon: np.ndarray
     city: np.ndarray  # index into cities, the sorted city ids
-    cities: np.ndarray
+    cities: np.ndarray  # str, or object as parsed: a str array would drop a trailing NUL
     label: np.ndarray  # index into LABELS, -1 for none
     scores: np.ndarray
     score_offsets: np.ndarray
     ids: np.ndarray
     id_offsets: np.ndarray
+    deleted: np.ndarray  # bool, in memory only: save leaves it out, and cleaned.npz holds no deleted record
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -186,47 +201,22 @@ class SnapColumns:
     def scored(self) -> np.ndarray:
         return np.diff(self.score_offsets) > 0
 
-    @classmethod
-    def from_records(cls, recs: Sequence[SnapRecord]) -> "SnapColumns":
-        cities = sorted({rec.city_id for rec in recs})
-        table = np.array(cities, dtype=str)
-        if table.tolist() != cities:  # a numpy string drops trailing NULs
-            raise SnapGridError(f"city ids {cities!r} do not survive as a string table")
-        code = {c: i for i, c in enumerate(cities)}
-        frames = [rec.frame_scores or () for rec in recs]
-        score_offsets = np.cumsum([0, *map(len, frames)], dtype=np.int64)
-
-        def column(values, dtype):  # without a list of one Python object per record, which ingest's peak would hold
-            return np.fromiter(values, dtype=dtype, count=len(recs))
-
-        return cls(
-            ts=column((rec.ts_utc for rec in recs), np.int64),
-            lat=column((rec.location.lat for rec in recs), np.float64),
-            lon=column((rec.location.lon for rec in recs), np.float64),
-            city=column((code[rec.city_id] for rec in recs), np.int32),
-            cities=table,
-            label=column((-1 if rec.label is None else LABELS.index(rec.label) for rec in recs), np.int8),
-            scores=np.fromiter(chain.from_iterable(frames), dtype=np.float64, count=score_offsets[-1]),
-            score_offsets=score_offsets,
-            ids=np.frombuffer("".join(rec.id for rec in recs).encode(*_UTF8), dtype=np.uint8),
-            id_offsets=np.cumsum([0, *(len(rec.id.encode(*_UTF8)) for rec in recs)], dtype=np.int64),
-        )
-
     def save(self, path: Union[str, Path]) -> None:
         with open(path, "wb") as fh:  # given a name, np.savez would append ".npz" to it
-            np.savez(fh, **vars(self))
+            np.savez(fh, **{name: getattr(self, name) for name in _LAYOUT})
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SnapColumns":
         """Read what :meth:`save` wrote; ValueError for a damaged file, FileNotFoundError for none."""
         try:
             with np.load(path) as npz:  # allow_pickle=False: an object array fails to load
-                cols = cls(**{name: npz[name] for name in _LAYOUT})
+                arrays = {name: npz[name] for name in _LAYOUT}
         except KeyError as exc:
             raise ValueError(f"a column is missing: {exc}") from exc
         except (TypeError, zipfile.BadZipFile, EOFError) as exc:  # not an archive, or a truncated one
             raise ValueError(f"not a column archive: {exc}") from exc
-        n = cols.ts.size  # checked for one dimension below
+        n = arrays["ts"].size  # checked for one dimension below
+        cols = cls(**arrays, deleted=np.zeros(n, dtype=bool))
         for name, (dtype, extra) in _LAYOUT.items():
             col = getattr(cols, name)
             if col.ndim != 1 or (col.dtype.kind != "U" if dtype is str else col.dtype != dtype):
@@ -264,20 +254,18 @@ def to_local_time(ts_utc: int, tz_id: str) -> datetime:
     return datetime.fromtimestamp(ts_utc, tz=get_zone(tz_id))
 
 
-def filter_active(records: Sequence[SnapRecord]) -> list[SnapRecord]:
-    return [rec for rec in records if not rec.deleted]
-
-
-@dataclass(frozen=True)
-class DeletionSummary:
-    total: int
-    deleted: int
-
-    @property
-    def rate_pct(self) -> float:
-        return 100.0 * self.deleted / self.total if self.total else 0.0
-
-
-def deletion_summary(records: Sequence[SnapRecord]) -> DeletionSummary:
-    flagged = sum(1 for rec in records if rec.deleted)
-    return DeletionSummary(total=len(records), deleted=flagged)
+def filter_active(cols: SnapColumns, rows: np.ndarray) -> SnapColumns:
+    """The records where ``rows`` is true that are not flagged deleted, with a string table of only their cities."""
+    rows = rows & ~cols.deleted
+    used, city = np.unique(cols.city[rows], return_inverse=True)
+    cities = cols.cities[used].tolist()
+    table = np.array(cities, dtype=str)
+    if table.tolist() != cities:  # a numpy string drops trailing NULs
+        raise SnapGridError(f"city ids {cities!r} do not survive as a string table")
+    lists = {}
+    for flat, ends in (("scores", "score_offsets"), ("ids", "id_offsets")):
+        lengths = np.diff(getattr(cols, ends))
+        lists[flat] = getattr(cols, flat)[np.repeat(rows, lengths)]
+        lists[ends] = np.concatenate(([0], np.cumsum(lengths[rows])))
+    kept = {name: getattr(cols, name)[rows] for name in ("ts", "lat", "lon", "label", "deleted")}
+    return SnapColumns(**kept, city=city.astype(np.int32), cities=table, **lists)

@@ -37,6 +37,7 @@ DESIGN_TERMS = (
 )
 # CityStats' census numbers, which city_stats.csv holds in this order before "developing"
 _CENSUS_NUMBERS = ("population", "male_pct", "age_lt20_pct", "age_20_40_pct", "age_40_60_pct")
+_BOOLS = {"": None, "true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}  # "developing"
 
 
 @dataclass(frozen=True)
@@ -285,9 +286,9 @@ def regression_report(cities: Sequence[CityStats]) -> RegressionReport:
 def load_city_stats(path) -> list[CityStats]:
     """Read city statistics from CSV; empty cells become None (excluded later).
 
-    A missing column, a number that does not parse or is not finite, or a
-    negative count raises :class:`SnapGridError` naming the file, and the line
-    of a bad row.
+    A file that is not UTF-8, a missing column, a number that does not parse or is not finite, a negative
+    count, or a ``developing`` cell other than true/false/1/0/yes/no in any case raises
+    :class:`SnapGridError` naming the file, and the line of a bad row.
     """
 
     def number(value: str) -> float:
@@ -299,28 +300,32 @@ def load_city_stats(path) -> list[CityStats]:
     def opt_float(value: str) -> Optional[float]:
         return number(value) if value not in ("", None) else None
 
-    def opt_bool(value: str) -> Optional[bool]:
-        if value in ("", None):
-            return None
-        return value.strip().lower() in ("1", "true", "yes")
+    def opt_bool(value: Optional[str]) -> Optional[bool]:
+        word = (value or "").strip().lower()
+        if word not in _BOOLS:
+            raise ValueError(f"developing must be one of true/false/1/0/yes/no or empty, got {value!r}")
+        return _BOOLS[word]
 
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ("city_id", "total_snaps", "driving_snaps") if c not in (reader.fieldnames or ())]
-        if missing:
-            raise SnapGridError(f"{path}: no {missing[0]!r} column")
-        for row in reader:
-            try:
-                out.append(CityStats(
-                    city_id=row["city_id"],
-                    total_snaps=number(row["total_snaps"]),
-                    driving_snaps=number(row["driving_snaps"]),
-                    developing=opt_bool(row.get("developing")),
-                    **{name: opt_float(row.get(name)) for name in _CENSUS_NUMBERS},
-                ))
-            except (TypeError, ValueError) as exc:  # a short row's missing count is None
-                raise SnapGridError(f"{path}: line {reader.line_num}: {exc}") from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in ("city_id", "total_snaps", "driving_snaps") if c not in (reader.fieldnames or ())]
+            if missing:
+                raise SnapGridError(f"{path}: no {missing[0]!r} column")
+            for row in reader:
+                try:
+                    out.append(CityStats(
+                        city_id=row["city_id"],
+                        total_snaps=number(row["total_snaps"]),
+                        driving_snaps=number(row["driving_snaps"]),
+                        developing=opt_bool(row.get("developing")),
+                        **{name: opt_float(row.get(name)) for name in _CENSUS_NUMBERS},
+                    ))
+                except (TypeError, ValueError) as exc:  # a short row's missing count is None
+                    raise SnapGridError(f"{path}: line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SnapGridError(f"{path}: not UTF-8 text") from exc
     return out
 
 

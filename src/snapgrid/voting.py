@@ -101,21 +101,19 @@ class EvalReport:
     minor_class: str
 
 
-def evaluate(predicted: Sequence[str], truths: Sequence[str]) -> EvalReport:
-    """Accuracy/precision/recall/F1 of predicted labels against ground truth, driving as positive."""
+def evaluate(predicted: np.ndarray, truths: np.ndarray) -> EvalReport:
+    """Accuracy/precision/recall/F1 of predicted against true driving, two bool arrays; driving is positive."""
     if len(predicted) != len(truths):
         raise SnapGridError(f"length mismatch: {len(predicted)} predicted vs {len(truths)} true labels")
     if len(predicted) == 0:
         raise EmptyInputError("need at least one predicted label")
-    pred, truth = np.asarray(predicted) == DRIVING, np.asarray(truths) == DRIVING
-    tp, fp = int(np.count_nonzero(pred & truth)), int(np.count_nonzero(pred & ~truth))
-    fn, tn = int(np.count_nonzero(~pred & truth)), int(np.count_nonzero(~pred & ~truth))
-    total = tp + fp + fn + tn
+    tp, fp = int(np.count_nonzero(predicted & truths)), int(np.count_nonzero(predicted & ~truths))
+    fn, tn = int(np.count_nonzero(~predicted & truths)), int(np.count_nonzero(~predicted & ~truths))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return EvalReport(
-        accuracy=(tp + tn) / total,
+        accuracy=(tp + tn) / len(predicted),
         precision=precision,
         recall=recall,
         f1=f1,

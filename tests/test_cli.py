@@ -12,8 +12,9 @@ import yaml
 from snapgrid import cli
 from snapgrid.cli import DEFAULT_CONFIG, STAGES, _commit, build_parser, load_config, main
 from snapgrid.errors import ConfigError
+from record_oracle import columns, record
 from snapgrid.geo import GeoPoint
-from snapgrid.records import SnapColumns, SnapRecord, parse_snaps
+from snapgrid.records import SnapRecord
 
 
 @pytest.fixture(scope="module")
@@ -457,9 +458,17 @@ def _cell(rows, row, column, value):
          "unknown category 'driving'"),
         ("annotate", "annotations.csv", lambda rows: rows[:2] + [rows[2][:2]] + rows[3:],
          "line 3: a row needs 3 fields"),
+        # a cell holding "\udcff" is written as the byte 0xff, which is not UTF-8
+        ("annotate", "annotations.csv", lambda rows: _cell(rows, 2, "category", "\udcff"), "not UTF-8 text"),
+        ("regress", "city_stats.csv", lambda rows: _cell(rows, 3, "city_id", "rc\udcff"), "not UTF-8 text"),
+        ("regress", "city_stats.csv", lambda rows: _cell(rows, 1, "developing", "maybe"),
+         "line 2: developing must be one of true/false/1/0/yes/no or empty, got 'maybe'"),
+        ("regress", "city_stats.csv", lambda rows: _cell(rows, 4, "developing", "flase"),
+         "line 5: developing must be one of true/false/1/0/yes/no or empty, got 'flase'"),
     ],
     ids=["count-negative", "count-text", "count-nan", "count-inf", "no-total-snaps", "population-negative",
-         "no-cities", "no-item-id", "no-rows", "one-category", "no-driving", "short-row"],
+         "no-cities", "no-item-id", "no-rows", "one-category", "no-driving", "short-row", "annotations-not-utf8",
+         "city-stats-not-utf8", "developing-maybe", "developing-typo"],
 )
 def test_malformed_csv_input_fails_in_one_line(two_city_inputs, tmp_path, capsys, stage, name, damage, message):
     inputs = ["annotations.csv", "city_stats.csv", "pipeline.yaml"]
@@ -468,7 +477,7 @@ def test_malformed_csv_input_fails_in_one_line(two_city_inputs, tmp_path, capsys
     path = tmp_path / name
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", errors="surrogateescape") as fh:
         csv.writer(fh).writerows(damage(rows))
     assert main([stage, "--config", str(tmp_path / "pipeline.yaml")]) == 1
     assert capsys.readouterr().err == f"snapgrid {stage}: {path.resolve()}: {message}\n"
@@ -540,15 +549,49 @@ def test_classify_with_corrupt_cleaned_exits_2(pipeline_dir, tmp_path, capsys, d
 
 def _kept_records(run: Path) -> list[SnapRecord]:
     """The records of ``run``'s corpus that ingest keeps: every city is configured, the deleted go."""
-    return [rec for rec in parse_snaps(run / "snaps.jsonl")[0] if not rec.deleted]
+    recs = [record(json.loads(line)) for line in (run / "snaps.jsonl").read_text().splitlines()]
+    return [rec for rec in recs if not rec.deleted]
 
 
 def test_ingest_writes_the_kept_records_as_columns(pipeline_dir):
-    want = vars(SnapColumns.from_records(_kept_records(pipeline_dir)))
+    want = {name: col for name, col in vars(columns(_kept_records(pipeline_dir))).items() if name != "deleted"}
     got = _columns(pipeline_dir / "cleaned.npz")
     assert want.keys() == got.keys()
     for name in want:
         assert want[name].dtype == got[name].dtype and np.array_equal(want[name], got[name]), name
+
+
+def test_ingest_builds_no_record_objects(two_city_inputs, tmp_path, monkeypatch):
+    # ingest decodes each line straight into columns: neither a SnapRecord nor a GeoPoint is built
+    for name in ("snaps.jsonl", "pipeline.yaml"):
+        shutil.copy(two_city_inputs / name, tmp_path)
+
+    def refuse(self):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    monkeypatch.setattr(SnapRecord, "__post_init__", refuse)
+    monkeypatch.setattr(GeoPoint, "__post_init__", refuse)
+    assert main(["ingest", "--config", str(tmp_path / "pipeline.yaml")]) == 0
+    info = read_json(tmp_path / "ingest.json")
+    assert info["parsed"] == 100 and info["parse_failures"] == 0 and info["kept"] > 0
+
+
+def test_ingest_counts_a_line_that_is_not_utf8_as_bad(two_city_inputs, tmp_path, capsys):
+    shutil.copy(two_city_inputs / "pipeline.yaml", tmp_path)
+    lines = (two_city_inputs / "snaps.jsonl").read_bytes().splitlines(keepends=True)
+    (tmp_path / "snaps.jsonl").write_bytes(b"".join(lines[:3]) + b"\xff\n" + b"".join(lines[3:]))
+    assert main(["ingest", "--config", str(tmp_path / "pipeline.yaml")]) == 0
+    info = read_json(tmp_path / "ingest.json")
+    assert (info["parsed"], info["parse_failures"]) == (100, 1)
+    assert capsys.readouterr().out.startswith("ingest: parsed 100 (1 bad lines, ")
+
+
+def test_ingest_of_no_records_rates_no_deletions(two_city_inputs, tmp_path):
+    shutil.copy(two_city_inputs / "pipeline.yaml", tmp_path)
+    (tmp_path / "snaps.jsonl").write_text("")
+    assert main(["ingest", "--config", str(tmp_path / "pipeline.yaml")]) == 0
+    info = read_json(tmp_path / "ingest.json")
+    assert (info["parsed"], info["deleted"], info["deletion_rate_pct"], info["kept"]) == (0, 0, 0.0, 0)
 
 
 def _reader_fails_naming_classify(stage, config, out_dir, capsys):
@@ -570,7 +613,7 @@ def test_reader_with_bad_classify_json_exits_2(pipeline_dir, tmp_path, capsys, s
         # the same records in another order are another corpus to the ids' CRC
         recs = _kept_records(pipeline_dir)
         recs[0], recs[1] = recs[1], recs[0]
-        SnapColumns.from_records(recs).save(tmp_path / "cleaned.npz")
+        columns(recs).save(tmp_path / "cleaned.npz")
     else:
         shutil.copy(pipeline_dir / "cleaned.npz", tmp_path / "cleaned.npz")
     if damage == "rule":
@@ -675,7 +718,7 @@ def test_labels_round_trip_ids_with_commas_and_quotes(tmp_path):
 
 
 def _save_cleaned(out_dir: Path, recs) -> None:
-    SnapColumns.from_records(recs).save(out_dir / "cleaned.npz")
+    columns(recs).save(out_dir / "cleaned.npz")
 
 
 def test_classify_hand_off_round_trips_ids_with_commas_and_quotes(tmp_path):

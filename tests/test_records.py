@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from record_oracle import assert_same_columns, columns, record
 from snapgrid.errors import ConfigError, SnapGridError
 from snapgrid.geo import GeoPoint
 from snapgrid.records import (
     SnapColumns,
     SnapRecord,
-    deletion_summary,
     filter_active,
     format_rfc3339,
     parse_rfc3339,
@@ -89,7 +89,7 @@ def test_jsonl_round_trip(tmp_path):
     write_snaps(recs, path)
     parsed, failures = parse_snaps(path.read_text().splitlines())
     assert failures == []
-    assert parsed == recs
+    assert_same_columns(parsed, columns(recs))
 
 
 def test_file_round_trip(tmp_path):
@@ -98,7 +98,22 @@ def test_file_round_trip(tmp_path):
     write_snaps(recs, path)
     parsed, failures = parse_snaps(path)
     assert failures == []
-    assert parsed == recs
+    assert_same_columns(parsed, columns(recs))
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_line_that_is_not_utf8_is_a_numbered_failure(tmp_path, ending):
+    good = [json.dumps({"id": f"{i}\u00e9", "ts_utc": "2019-04-01T00:00:00Z", "lat": 1, "lon": 2, "city_id": "x"},
+                       ensure_ascii=False).encode() for i in range(3)]
+    path = tmp_path / "snaps.jsonl"
+    # an escaped lone surrogate is JSON text and stays a valid id; a raw 0xff or 0x80 byte is not UTF-8
+    lines = [good[0], b"\xff", good[1], good[2][:-1] + b"\x80}", b'{"id": "\\udcff"}', good[2]]
+    path.write_bytes(ending.encode().join(lines) + ending.encode())
+    parsed, failures = parse_snaps(path)
+    assert [(f.line_number, f.message) for f in failures] == [
+        (2, "line is not UTF-8"), (4, "line is not UTF-8"), (5, "missing field 'ts_utc'")
+    ]
+    assert len(parsed) == 3 and parsed.ids.tobytes().decode() == "0\u00e91\u00e92\u00e9"
 
 
 def test_parse_failures_carry_line_numbers():
@@ -119,12 +134,23 @@ def test_parse_failures_carry_line_numbers():
         json.dumps({**good, "duration_s": False}),
         json.dumps({**good, "frame_scores": "1"}),
         json.dumps({**good, "frame_scores": ["0.9", True]}),
-    ] + [json.dumps(good)] * 10  # enough good lines that failures do not outnumber them
-    records, failures = parse_snaps(lines)
-    assert [r.id for r in records] == ["a", "b"] + ["a"] * 10
-    assert [f.line_number for f in failures] == [2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]
-    assert [f.message.split(" must ")[0] for f in failures[2:]] == [
+        # a JSON value that is not an object, a missing field and a timestamp that is no string
+        "[1, 2]",
+        "3",
+        '"x"',
+        json.dumps({key: value for key, value in good.items() if key != "id"}),
+        json.dumps({**good, "ts_utc": 1554076800}),
+    ] + [json.dumps(good)] * 15  # enough good lines that failures do not outnumber them
+    parsed, failures = parse_snaps(lines)
+    ends = parsed.id_offsets.tolist()
+    assert [parsed.ids[a:b].tobytes().decode() for a, b in zip(ends, ends[1:])] == ["a", "b"] + ["a"] * 15
+    assert [f.line_number for f in failures] == [2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18]
+    assert [f.message.split(" must ")[0] for f in failures[2:11]] == [
         "deleted", "id", "city_id", "duration_s", "lat", "lat", "duration_s", "frame_scores", "frame_scores"
+    ]
+    assert [f.message for f in failures[11:]] == [
+        "not a JSON object", "not a JSON object", "not a JSON object", "missing field 'id'",
+        "ts_utc must be a string, got 1554076800",
     ]
 
 
@@ -173,20 +199,14 @@ def _snap_line(draw) -> tuple[str, bool]:
 def test_fuzzed_lines_give_a_typed_record_or_a_numbered_failure(lines):
     padding = '{"id": "pad", "ts_utc": "2019-04-01T00:00:00Z", "lat": 0, "lon": 0, "city_id": "x"}'
     # enough good lines that failures never outnumber records
-    records, failures = parse_snaps([text for text, _bad in lines] + [padding] * len(lines))
-    records = records[: len(records) - len(lines)]
+    parsed, failures = parse_snaps([text for text, _bad in lines] + [padding] * len(lines))
     bad = [i for i, (text, is_bad) in enumerate(lines, 1) if is_bad]
     good = [json.loads(text) for text, is_bad in lines if text.strip() and not is_bad]
     # one outcome per non-blank line; every wrongly typed line, and no other, fails with its number
-    assert len(records) + len(failures) == sum(1 for text, _bad in lines if text.strip())
+    assert len(parsed) - len(lines) + len(failures) == sum(1 for text, _bad in lines if text.strip())
     assert [f.line_number for f in failures] == bad
-    assert [r.id for r in records] == [obj["id"] for obj in good]
-    for rec in records:
-        assert (type(rec.location.lat), type(rec.location.lon), type(rec.duration_s)) == (float, float, float)
-        assert type(rec.ts_utc) is int and type(rec.deleted) is bool
-        assert rec.frame_scores is None or (
-            type(rec.frame_scores) is tuple and {type(x) for x in rec.frame_scores} == {float}
-        )
+    # the kept lines in order, each column of its value and dtype
+    assert_same_columns(parsed, columns([record(obj) for obj in good + [json.loads(padding)] * len(lines)]))
 
 
 def test_blank_lines_are_skipped_without_failures():
@@ -195,8 +215,8 @@ def test_blank_lines_are_skipped_without_failures():
         '{"id": "a", "ts_utc": "2019-04-01T00:00:00Z", "lat": 1.0, "lon": 2.0, "city_id": "x"}',
         "   ",
     ]
-    records, failures = parse_snaps(lines)
-    assert len(records) == 1 and failures == []
+    parsed, failures = parse_snaps(lines)
+    assert len(parsed) == 1 and failures == []
 
 
 def test_mostly_garbage_input_raises():
@@ -219,17 +239,15 @@ def test_record_validation():
 
 
 def test_mark_deleted_and_filter_active():
-    marked = [make_record(i, deleted=i in (1, 4)) for i in range(6)]
-    assert [r.deleted for r in marked] == [False, True, False, False, True, False]
-    active = filter_active(marked)
-    assert [r.id for r in active] == ["nyc-000000", "nyc-000002", "nyc-000003", "nyc-000005"]
-    summary = deletion_summary(marked)
-    assert (summary.total, summary.deleted) == (6, 2)
-    assert summary.rate_pct == pytest.approx(100.0 * 2 / 6)
-
-
-def test_deletion_summary_empty():
-    assert deletion_summary([]).rate_pct == 0.0
+    marked = [make_record(i, deleted=i in (1, 4), city_id="ab"[i % 2]) for i in range(6)]
+    cols = columns(marked)
+    assert cols.deleted.tolist() == [False, True, False, False, True, False]
+    active = filter_active(cols, np.ones(len(cols), dtype=bool))
+    assert_same_columns(active, columns([marked[i] for i in (0, 2, 3, 5)]))
+    # a mask leaves out more, and the city table keeps only the cities left
+    in_a = filter_active(cols, cols.city == 0)
+    assert_same_columns(in_a, columns([marked[i] for i in (0, 2)]))
+    assert in_a.cities.dtype.kind == "U"
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +262,7 @@ def test_columns_round_trip(tmp_path):
         make_record(3, id="", frame_scores=None),  # unscored, last
     ]
     path = tmp_path / "cols.tmp"
-    SnapColumns.from_records(recs).save(path)
+    columns(recs).save(path)
     assert [p.name for p in tmp_path.iterdir()] == ["cols.tmp"]  # no ".npz" appended
     cols = SnapColumns.load(path)
     assert len(cols) == 4
@@ -261,19 +279,24 @@ def test_columns_round_trip(tmp_path):
 
 
 def test_columns_of_no_records_round_trip(tmp_path):
-    SnapColumns.from_records([]).save(tmp_path / "c.npz")
+    parsed, _failures = parse_snaps([])
+    filter_active(parsed, np.ones(0, dtype=bool)).save(tmp_path / "c.npz")
     cols = SnapColumns.load(tmp_path / "c.npz")
     assert len(cols) == 0 and cols.score_offsets.tolist() == [0] and cols.scored.tolist() == []
 
 
 def test_columns_reject_a_city_id_the_string_table_would_change():
     # a numpy string array drops trailing NULs, so "a\0" would be saved as "a"
+    line = {"id": "x", "ts_utc": "2019-04-01T00:00:00Z", "lat": 0, "lon": 0}
+    parsed, _failures = parse_snaps([json.dumps({**line, "city_id": c}) for c in ("a", "a\0")])
+    assert parsed.cities.tolist() == ["a", "a\0"]
     with pytest.raises(SnapGridError, match="do not survive as a string table"):
-        SnapColumns.from_records([make_record(0, city_id="a"), make_record(1, city_id="a\0")])
+        filter_active(parsed, np.ones(2, dtype=bool))
+    assert filter_active(parsed, parsed.city == 0).cities.tolist() == ["a"]
 
 
 def test_columns_load_rejects_a_wrong_dtype(tmp_path):
-    cols = vars(SnapColumns.from_records([make_record(0)]))
+    cols = vars(columns([make_record(0)]))
     np.savez(tmp_path / "c.npz", **{**cols, "city": cols["city"].astype(float)})
     with pytest.raises(ValueError, match="'city' is not a 1-d int32 array"):
         SnapColumns.load(tmp_path / "c.npz")

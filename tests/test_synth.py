@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from snapgrid.annotation import adjudicate, fleiss_kappa, matrix_from_long
-from snapgrid.records import DRIVING, NON_DRIVING, SnapColumns, parse_rfc3339
+from snapgrid.records import DRIVING, NON_DRIVING, parse_rfc3339
 from snapgrid.regression import DESIGN_TERMS, build_design, ols_fit
 from snapgrid.geo import locate_points
 from snapgrid.spatial import compare_fits, tile_counts
@@ -114,8 +114,8 @@ def test_zero_driving_fraction_has_no_driving_records():
 
 
 def located_counts(records, grid, city_id):
-    cols = SnapColumns.from_records(records)
-    return tile_counts(locate_points(cols.lat, cols.lon, grid), grid, city_id)
+    lat, lon = np.array([r.location.lat for r in records]), np.array([r.location.lon for r in records])
+    return tile_counts(locate_points(lat, lon, grid), grid, city_id)
 
 
 def test_near_uniform_weights_spread_counts_evenly():

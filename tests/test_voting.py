@@ -233,8 +233,8 @@ def test_aggregate_matches_fraction_oracle(labels, rule):
 
 
 def test_evaluate_all_negative_baseline():
-    truths = [DRIVING] * 2242 + [NON_DRIVING] * 6392
-    preds = [NON_DRIVING] * len(truths)
+    truths = np.arange(8634) < 2242
+    preds = np.zeros(len(truths), dtype=bool)
     report = evaluate(preds, truths)
     assert report.accuracy == pytest.approx(6392 / 8634)
     assert report.precision == 0.0  # no positive predictions
@@ -244,10 +244,10 @@ def test_evaluate_all_negative_baseline():
 
 
 def test_evaluate_confusion_example():
-    truths = [DRIVING] * 12 + [NON_DRIVING] * 88
-    preds = (
-        [DRIVING] * 8 + [NON_DRIVING] * 4  # 8 tp, 4 fn
-        + [DRIVING] * 2 + [NON_DRIVING] * 86  # 2 fp, 86 tn
+    truths = np.arange(100) < 12
+    preds = np.array(
+        [True] * 8 + [False] * 4  # 8 tp, 4 fn
+        + [True] * 2 + [False] * 86  # 2 fp, 86 tn
     )
     report = evaluate(preds, truths)
     assert report.confusion == (8, 2, 4, 86)
@@ -259,9 +259,9 @@ def test_evaluate_confusion_example():
 
 def test_evaluate_validates_lengths():
     with pytest.raises(Exception):
-        evaluate([DRIVING], [DRIVING, DRIVING])
+        evaluate(np.array([True]), np.array([True, True]))
     with pytest.raises(EmptyInputError):
-        evaluate([], [])
+        evaluate(np.array([], dtype=bool), np.array([], dtype=bool))
 
 
 # ---------------------------------------------------------------------------
