@@ -14,7 +14,7 @@ import numpy as np
 
 from snapgrid import synth
 from snapgrid.geo import build_grid, locate_points
-from snapgrid.records import DRIVING
+from snapgrid.records import DRIVING, LABELS
 from snapgrid.spatial import compare_fits, tile_counts
 
 
@@ -34,14 +34,14 @@ def main():
     )
     spec = synth.SynthSpec(seed=args.seed, cities=(cfg,))
     corpus, _grids = synth.gen_corpus(spec)
-    driving = [r for r in corpus if r.label == DRIVING and not r.deleted]
-    lat, lon = np.array([r.location.lat for r in driving]), np.array([r.location.lon for r in driving])
+    driving = (corpus.label == LABELS.index(DRIVING)) & ~corpus.deleted
+    lat, lon = corpus.lat[driving], corpus.lon[driving]
 
     grid = build_grid(synth.city_region(cfg), tile_size_m=1000.0)
     counts = tile_counts(locate_points(lat, lon, grid), grid, city_id="demo")
     occupied = counts.positive_counts
     print(
-        f"{len(driving)} driving posts over {grid.n_active} tiles; "
+        f"{np.count_nonzero(driving)} driving posts over {grid.n_active} tiles; "
         f"{len(occupied)} tiles occupied, max per tile {int(max(occupied))}"
     )
 

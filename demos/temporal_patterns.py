@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from snapgrid import synth
-from snapgrid.records import DRIVING
+from snapgrid.records import DRIVING, LABELS
 from snapgrid.temporal import (
     NightWindow,
     embed_2d,
@@ -42,10 +42,9 @@ def main():
 
     print("hour-of-day profile of driving posts (local time, 00..23)")
     profiles = {}
+    driving_kept = (corpus.label == LABELS.index(DRIVING)) & ~corpus.deleted
     for cfg in spec.cities:
-        driving = np.array([
-            r.ts_utc for r in corpus if r.city_id == cfg.city_id and r.label == DRIVING and not r.deleted
-        ])
+        driving = corpus.ts[driving_kept & (corpus.city == corpus.cities.tolist().index(cfg.city_id))]
         profile = hourly_profile(driving, cfg.tz_id, cfg.city_id)
         profiles[cfg.city_id] = profile
         uplift = night_uplift(profile, window)

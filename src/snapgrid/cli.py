@@ -102,6 +102,7 @@ def _commit(out_dir: Path, outputs: dict) -> None:
     are removed, so every target keeps its previous contents.
     """
     tmps = {}
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         for name, content in outputs.items():
             tmp = tmps[name] = out_dir / f"{name}.{os.getpid()}.tmp"
@@ -256,9 +257,13 @@ def _city_rows(cols: records.SnapColumns, cities, rows: np.ndarray) -> dict[str,
 
 
 def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
+    for flag, least in (("cities", 1), ("records", 1), ("annotated", 0)):
+        if getattr(args, flag) < least:
+            raise ConfigError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
     spec = synth.default_spec(args.seed, n_cities=args.cities, n_records=args.records)
-    corpus, grids = synth.gen_corpus(spec)
-    sample = [r for r in corpus if int(r.id.rsplit("-", 1)[1]) < args.annotated]
+    corpus, _grids = synth.gen_corpus(spec)
+    # each city's first --annotated records; the cities come in order, --records each
+    sample = corpus.to_records(np.flatnonzero(np.arange(len(corpus)) % args.records < args.annotated))
     rows = synth.gen_annotations(sample, flip_prob=0.1, seed=spec.seed)
     reg_sigma = 0.1  # the manifest records the regression noise
     stats = synth.gen_regression_cities(130, seed=spec.seed, noise_sigma=reg_sigma)
@@ -570,7 +575,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         # synth reads no config; its --out-dir is required
         cfg = None if args.command == "synth" else load_config(args.config)
         out_dir = Path(args.out_dir or cfg["_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
         outputs, summary = args.func(args, cfg, out_dir)
         _commit(out_dir, outputs)
     except (SnapGridError, OSError) as exc:

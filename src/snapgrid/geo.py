@@ -55,8 +55,9 @@ class GeoPoint:
 
 def check_point(lat, lon) -> tuple[float, float]:
     """``(lat, lon)`` as floats; ValueError unless both are real numbers, finite and in range."""
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (lat, lon)):
-        raise ValueError(f"coordinates must be real numbers, got ({lat!r}, {lon!r})")
+    for v in (lat, lon):  # the exact types first: the ABC test is slow
+        if not (type(v) is float or type(v) is int or isinstance(v, numbers.Real) and not isinstance(v, bool)):
+            raise ValueError(f"coordinates must be real numbers, got ({lat!r}, {lon!r})")
     lat, lon = float(lat), float(lon)
     if not (math.isfinite(lat) and math.isfinite(lon)):
         raise ValueError(f"coordinates must be finite, got ({lat}, {lon})")

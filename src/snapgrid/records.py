@@ -1,8 +1,8 @@
 """Post-record ingest: parsing, serialization, local time, deletions.
 
 Records arrive as JSONL, one object per line, which :func:`parse_snaps`
-checks and decodes straight into :class:`SnapColumns`; :class:`SnapRecord`,
-synth's record type, passes the same checks. Timestamps are stored
+checks and decodes straight into :class:`SnapColumns`, which :func:`write_snaps`
+writes back; :class:`SnapRecord`, one record, passes the same checks. Timestamps are stored
 internally as UTC epoch seconds; wall-clock local time is computed on
 demand from an IANA timezone identifier, so there is a single temporal
 source of truth. Post timestamps are treated as creation time (creation
@@ -22,6 +22,7 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Optional, Union
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -66,8 +67,8 @@ class SnapRecord:
         _check_fields(self.duration_s, self.frame_scores, self.label)
 
 
-def _check_fields(duration_s, frame_scores, label) -> Optional[list[float]]:
-    """Check a record's duration, frame scores and label; the scores come back as floats."""
+def _check_fields(duration_s, frame_scores, label) -> tuple[float, Optional[list[float]]]:
+    """Check a record's duration, frame scores and label; the duration and the scores come back as floats."""
     # a list, not a tuple: a tuple freed here would stay cached in CPython's tuple free lists
     duration_s, scores = float(duration_s), None if frame_scores is None else list(map(float, frame_scores))
     if not 0 <= duration_s < math.inf:  # NaN too, which JSON cannot carry
@@ -79,7 +80,7 @@ def _check_fields(duration_s, frame_scores, label) -> Optional[list[float]]:
     for s in scores or ():
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"frame score {s} outside [0, 1]")
-    return scores
+    return duration_s, scores
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,8 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape decodes a byte
 
 
 def _fields(line: str, codes: dict[str, int]) -> tuple[tuple, Optional[list[float]], str]:
-    """One JSONL line, checked: (ts, lat, lon, city code in ``codes``, label code, deleted), frame scores, id."""
-    if _NOT_UTF8.search(line):
+    """One JSONL line, checked: (ts, lat, lon, city code in ``codes``, label code, deleted, duration), scores, id."""
+    if not line.isascii() and _NOT_UTF8.search(line):
         raise ValueError("line is not UTF-8")
     obj = json.loads(line)
     if type(obj) is not dict:
@@ -112,17 +113,9 @@ def _fields(line: str, codes: dict[str, int]) -> tuple[tuple, Optional[list[floa
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
     ts, (lat, lon), label = parse_rfc3339(obj["ts_utc"]), check_point(obj["lat"], obj["lon"]), obj.get("label")
-    scores = _check_fields(obj.get("duration_s", 0.0), obj.get("frame_scores"), label)
+    duration, scores = _check_fields(obj.get("duration_s", 0.0), obj.get("frame_scores"), label)
     city, code = codes.setdefault(obj["city_id"], len(codes)), -1 if label is None else LABELS.index(label)
-    return (ts, lat, lon, city, code, obj.get("deleted", False)), scores, obj["id"]
-
-
-def _record_to_dict(rec: SnapRecord) -> dict:
-    """``rec`` as one JSON object; no frame scores, no label and not deleted are left out."""
-    obj = {"id": rec.id, "ts_utc": format_rfc3339(rec.ts_utc), "lat": rec.location.lat, "lon": rec.location.lon,
-           "city_id": rec.city_id, "duration_s": rec.duration_s, "frame_scores": rec.frame_scores, "label": rec.label,
-           "deleted": rec.deleted or None}  # json writes the scores' tuple as a list
-    return {key: value for key, value in obj.items() if value is not None}
+    return (ts, lat, lon, city, code, obj.get("deleted", False), duration), scores, obj["id"]
 
 
 def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns", list[ParseFailure]]:
@@ -134,7 +127,7 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns",
     path) and the first bad line when failures outnumber successes.
     """
     named = isinstance(source, (str, Path))
-    per_record = ts, lat, lon, city, label, deleted = tuple(map(array, "qddibb"))  # int64, float64, int32, int8
+    per_record = ts, lat, lon, city, label, deleted, duration = tuple(map(array, "qddibbd"))  # int64, float64, int32...
     scores, ids, score_ends, id_ends = array("d"), bytearray(), array("q", [0]), array("q", [0])
     codes: dict[str, int] = {}  # city id -> its code, in order of first appearance
     failures: list[ParseFailure] = []
@@ -163,15 +156,35 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns",
         city=np.array([rank[c] for c in codes], dtype=np.int32)[np.frombuffer(city, dtype=np.intc)],
         cities=np.array(table, dtype=object), label=np.frombuffer(label, dtype=np.int8), scores=np.frombuffer(scores),
         score_offsets=np.frombuffer(score_ends, dtype=np.int64), ids=np.frombuffer(ids, dtype=np.uint8),
-        id_offsets=np.frombuffer(id_ends, dtype=np.int64), deleted=np.frombuffer(deleted, dtype=bool),
-    ), failures
+        id_offsets=np.frombuffer(id_ends, dtype=np.int64), duration_s=np.frombuffer(duration),
+        deleted=np.frombuffer(deleted, dtype=bool)), failures
 
 
-def write_snaps(records: Iterable[SnapRecord], path: Union[str, Path]) -> None:
-    """Write records to ``path`` as JSONL, one object per line."""
+def write_snaps(cols: "SnapColumns", path: Union[str, Path]) -> None:
+    """Write the records of ``cols`` to ``path`` as JSONL, one object per line, in their order: the text of
+    ``json.dumps(obj, separators=(",", ":"))``, ``repr`` of each float and ``json``'s ASCII escaping of each string,
+    keys in :class:`SnapRecord`'s order, and no frame scores, no label and not deleted left out."""
+    cities = [encode_basestring_ascii(c) for c in cols.cities.tolist()]
+    labels, deleted_text = ("", *(f',"label":"{label}"' for label in LABELS)), ("", ',"deleted":true')
+    hours: dict[int, str] = {}  # UTC hour -> its "YYYY-MM-DDTHH:"
     with open(path, "w", newline="") as fh:
-        for rec in records:
-            fh.write(json.dumps(_record_to_dict(rec), separators=(",", ":")) + "\n")
+        for a in range(0, len(cols), _CHUNK):
+            (s0, i0), lines = (cols.score_offsets[a], cols.id_offsets[a]), []
+            ends = (cols.score_offsets[a:a + _CHUNK + 1] - s0).tolist()  # record k's scores: frames[ends[k]:ends[k+1]]
+            id_ends = (cols.id_offsets[a:a + _CHUNK + 1] - i0).tolist()
+            frames, ids = list(map(repr, cols.scores[s0:][:ends[-1]].tolist())), cols.ids[i0:][:id_ends[-1]].tobytes()
+            values = [getattr(cols, name)[a:a + _CHUNK].tolist() for name in _WRITTEN]
+            values += [ends, ends[1:], id_ends, id_ends[1:]]
+            for ts, lat, lon, city, duration, label, deleted, s, e, i, j in zip(*values):
+                hour, second = divmod(ts, 3600)
+                if hour not in hours:
+                    hours[hour] = format_rfc3339(hour * 3600)[:-6]
+                scores = f',"frame_scores":[{",".join(frames[s:e])}]' if e > s else ""
+                lines.append(f'{{"id":{encode_basestring_ascii(ids[i:j].decode(*_UTF8))},"ts_utc":"{hours[hour]}'
+                             f'{second // 60:02d}:{second % 60:02d}Z","lat":{lat!r},"lon":{lon!r},"city_id":'
+                             f'{cities[city]},"duration_s":{duration!r}{scores}{labels[label + 1]}'
+                             f'{deleted_text[deleted]}}}\n')
+            fh.write("".join(lines))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +205,7 @@ class SnapColumns:
     score_offsets: np.ndarray
     ids: np.ndarray
     id_offsets: np.ndarray
+    duration_s: np.ndarray  # in memory only, like deleted: save leaves it out, and load gives NaN
     deleted: np.ndarray  # bool, in memory only: save leaves it out, and cleaned.npz holds no deleted record
 
     def __len__(self) -> int:
@@ -200,6 +214,18 @@ class SnapColumns:
     @property
     def scored(self) -> np.ndarray:
         return np.diff(self.score_offsets) > 0
+
+    def to_records(self, rows: Iterable[int]) -> list[SnapRecord]:
+        """The records at ``rows`` as :class:`SnapRecord` objects, checked as any record is."""
+        recs = []
+        for i in rows:
+            (a, b), (c, d), label = self.score_offsets[i:][:2].tolist(), self.id_offsets[i:][:2].tolist(), self.label[i]
+            recs.append(SnapRecord(
+                id=self.ids[c:d].tobytes().decode(*_UTF8), ts_utc=int(self.ts[i]),
+                location=GeoPoint(float(self.lat[i]), float(self.lon[i])), city_id=str(self.cities[self.city[i]]),
+                duration_s=float(self.duration_s[i]), frame_scores=tuple(self.scores[a:b].tolist()) if b > a else None,
+                label=LABELS[label] if label >= 0 else None, deleted=bool(self.deleted[i])))
+        return recs
 
     def save(self, path: Union[str, Path]) -> None:
         with open(path, "wb") as fh:  # given a name, np.savez would append ".npz" to it
@@ -216,7 +242,7 @@ class SnapColumns:
         except (TypeError, zipfile.BadZipFile, EOFError) as exc:  # not an archive, or a truncated one
             raise ValueError(f"not a column archive: {exc}") from exc
         n = arrays["ts"].size  # checked for one dimension below
-        cols = cls(**arrays, deleted=np.zeros(n, dtype=bool))
+        cols = cls(**arrays, duration_s=np.full(n, np.nan), deleted=np.zeros(n, dtype=bool))
         for name, (dtype, extra) in _LAYOUT.items():
             col = getattr(cols, name)
             if col.ndim != 1 or (col.dtype.kind != "U" if dtype is str else col.dtype != dtype):
@@ -234,6 +260,8 @@ class SnapColumns:
 
 
 _UTF8 = ("utf-8", "surrogatepass")  # a lone surrogate in an id is kept
+_CHUNK = 1024  # records that write_snaps formats at a time
+_WRITTEN = ("ts", "lat", "lon", "city", "duration_s", "label", "deleted")  # write_snaps' per-record columns
 # each column's dtype and its length: the record count plus 0, plus 1 for offsets, or any (None)
 _LAYOUT = {
     "ts": (np.int64, 0), "lat": (np.float64, 0), "lon": (np.float64, 0), "city": (np.int32, 0),
@@ -267,5 +295,5 @@ def filter_active(cols: SnapColumns, rows: np.ndarray) -> SnapColumns:
         lengths = np.diff(getattr(cols, ends))
         lists[flat] = getattr(cols, flat)[np.repeat(rows, lengths)]
         lists[ends] = np.concatenate(([0], np.cumsum(lengths[rows])))
-    kept = {name: getattr(cols, name)[rows] for name in ("ts", "lat", "lon", "label", "deleted")}
+    kept = {name: getattr(cols, name)[rows] for name in ("ts", "lat", "lon", "label", "duration_s", "deleted")}
     return SnapColumns(**kept, city=city.astype(np.int32), cities=table, **lists)

@@ -7,7 +7,9 @@ Beta(8,2) for driving clips and Beta(2,8) otherwise (about a 2% per-frame
 error at the 0.5 cutoff), and city-level demographics follow a linear
 model with known coefficients. The generator is fully deterministic: city
 ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``, so adding or
-reordering cities never perturbs the others.
+reordering cities never perturbs the others. Records come back as
+:class:`~snapgrid.records.SnapColumns`, drawn exactly as the one-at-a-time
+generator in ``tests/record_oracle.py`` draws them, to the last bit.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, time, timedelta
 from typing import Sequence
 
 import numpy as np
 
 from .annotation import N_RATERS
 from .geo import METERS_PER_DEG_LAT, TILE_SIZE_M, GeoPoint, Region, TileGrid, build_grid
-from .records import DRIVING, NON_DRIVING, SnapRecord, get_zone
+from .records import DRIVING, LABELS, NON_DRIVING, SnapColumns, SnapRecord, get_zone
 from .regression import DESIGN_TERMS, CityStats
 from .temporal import HOURS_PER_WEEK, NightWindow
 
@@ -162,11 +164,10 @@ def gen_city(
     cfg: CitySynthConfig,
     city_index: int,
     spec: SynthSpec,
-) -> tuple[list[SnapRecord], TileGrid]:
-    """Generate one city's records against its grid, with planted labels."""
+) -> tuple[SnapColumns, TileGrid]:
+    """Generate one city's records against its grid, with planted labels, as columns in id order."""
     rng = city_rng(spec.seed, city_index)
-    region = city_region(cfg, spec.tile_size_m)
-    grid = build_grid(region, spec.tile_size_m)
+    grid = build_grid(city_region(cfg, spec.tile_size_m), spec.tile_size_m)
     origin = grid.origin
 
     n = cfg.n_records
@@ -181,11 +182,7 @@ def gen_city(
     per_tile_driving = _largest_remainder(probs * n_driving, n_driving)
     per_tile_other = _largest_remainder(probs * (n - n_driving), n - n_driving)
     tile_flat = np.repeat(np.arange(n_tiles), per_tile_driving + per_tile_other)
-    driving = np.zeros(n, dtype=bool)
-    pos = 0
-    for t in range(n_tiles):
-        driving[pos : pos + per_tile_driving[t]] = True
-        pos += per_tile_driving[t] + per_tile_other[t]
+    driving = np.repeat(np.tile([True, False], n_tiles), np.column_stack((per_tile_driving, per_tile_other)).ravel())
     order = rng.permutation(n)
     tile_flat = tile_flat[order]
     driving = driving[order]
@@ -200,51 +197,51 @@ def gen_city(
     durations = rng.uniform(lo, hi, size=n)
     deleted = rng.random(n) < cfg.deleted_fraction
 
-    zone = get_zone(cfg.tz_id)
-    day0 = date.fromisoformat(spec.start_date)
-    base = datetime(day0.year, day0.month, day0.day, tzinfo=zone)
-    mdeg_lat = METERS_PER_DEG_LAT
-    mdeg_lon = METERS_PER_DEG_LAT * math.cos(math.radians(origin.lat))
+    row, col = np.divmod(tile_flat, grid.n_cols)
+    # float64 operations in the order that origin + offset / metres-per-degree takes them for one point
+    lat = origin.lat + (row + frac_y) * spec.tile_size_m / METERS_PER_DEG_LAT
+    lon = origin.lon + (col + frac_x) * spec.tile_size_m / (METERS_PER_DEG_LAT * math.cos(math.radians(origin.lat)))
 
-    records = []
-    for i in range(n):
-        row, col = divmod(int(tile_flat[i]), grid.n_cols)
-        x = (col + frac_x[i]) * spec.tile_size_m
-        y = (row + frac_y[i]) * spec.tile_size_m
-        loc = GeoPoint(origin.lat + y / mdeg_lat, origin.lon + x / mdeg_lon)
-        dt = base + timedelta(
-            days=int(days[i]), hours=int(hours[i]), minutes=int(minutes[i]), seconds=int(seconds[i])
-        )
-        duration = float(durations[i])
-        n_frames = max(1, int(duration))
-        if driving[i]:
-            scores = rng.beta(8.0, 2.0, size=n_frames)
-        else:
-            scores = rng.beta(2.0, 8.0, size=n_frames)
-        records.append(
-            SnapRecord(
-                id=f"{cfg.city_id}-{i:06d}",
-                ts_utc=int(dt.timestamp()),
-                location=loc,
-                city_id=cfg.city_id,
-                duration_s=duration,
-                frame_scores=tuple(float(s) for s in scores),
-                label=DRIVING if driving[i] else NON_DRIVING,
-                deleted=bool(deleted[i]),
-            )
-        )
-    return records, grid
+    base = datetime.combine(date.fromisoformat(spec.start_date), time(), get_zone(cfg.tz_id))  # local midnight
+
+    def wall(d: int, h: int, m: int = 0, s: int = 0) -> int:  # epoch seconds of the local wall time base + d h:m:s
+        return int((base + timedelta(days=d, hours=h, minutes=m, seconds=s)).timestamp())
+
+    # one wall() per local (day, hour), and one per record in an hour whose :59:59 is not 3599 s after its :00
+    keys, key = np.unique(days * 24 + hours, return_inverse=True)
+    starts = np.array([wall(*divmod(int(k), 24)) for k in keys], dtype=np.int64)
+    steady = np.array([wall(*divmod(int(k), 24), 59, 59) for k in keys], dtype=np.int64) - starts == 3599
+    ts = starts[key] + 60 * minutes + seconds
+    for i in np.flatnonzero(~steady[key]):
+        ts[i] = wall(int(days[i]), int(hours[i]), int(minutes[i]), int(seconds[i]))
+
+    # every frame's score in one call, drawn in the order of a Beta(8, 2) or Beta(2, 8) call per record
+    n_frames = np.maximum(1, durations.astype(np.int64))
+    scores = rng.beta(*(np.repeat(np.where(driving, a, b), n_frames) for a, b in ((8.0, 2.0), (2.0, 8.0))))
+    if not (((-90 <= lat) & (lat <= 90) & (-180 <= lon) & (lon <= 180)).all()
+            and ((0 <= durations) & (durations < math.inf)).all() and ((0 <= scores) & (scores <= 1)).all()):
+        raise ValueError(f"city {cfg.city_id}: a position, duration or frame score is out of range")
+
+    ids = [f"{cfg.city_id}-{i:06d}".encode("utf-8", "surrogatepass") for i in range(n)]
+    return SnapColumns(
+        ts=ts, lat=lat, lon=lon, city=np.zeros(n, dtype=np.int32), cities=np.array([cfg.city_id], dtype=object),
+        label=np.where(driving, LABELS.index(DRIVING), LABELS.index(NON_DRIVING)).astype(np.int8), scores=scores,
+        score_offsets=np.concatenate(([0], np.cumsum(n_frames))), ids=np.frombuffer(b"".join(ids), dtype=np.uint8),
+        id_offsets=np.cumsum([0, *map(len, ids)], dtype=np.int64), duration_s=durations, deleted=deleted,
+    ), grid
 
 
-def gen_corpus(spec: SynthSpec) -> tuple[list[SnapRecord], dict[str, TileGrid]]:
-    """All cities' records concatenated in city order, plus each city's grid."""
-    all_records: list[SnapRecord] = []
-    grids: dict[str, TileGrid] = {}
-    for i, cfg in enumerate(spec.cities):
-        records, grid = gen_city(cfg, i, spec)
-        all_records.extend(records)
-        grids[cfg.city_id] = grid
-    return all_records, grids
+def gen_corpus(spec: SynthSpec) -> tuple[SnapColumns, dict[str, TileGrid]]:
+    """All cities' records as one set of columns in city order, plus each city's grid."""
+    parts, grids = zip(*(gen_city(cfg, i, spec) for i, cfg in enumerate(spec.cities)))
+    names = [cfg.city_id for cfg in spec.cities]
+    joined = {name: np.concatenate([getattr(p, name) for p in parts])
+              for name in ("ts", "lat", "lon", "label", "scores", "ids", "duration_s", "deleted")}
+    for name in ("score_offsets", "id_offsets"):  # each part's list lengths, joined, as offsets
+        joined[name] = np.concatenate(([0], np.cumsum(np.concatenate([np.diff(getattr(p, name)) for p in parts]))))
+    table = sorted(names)
+    joined["city"] = np.repeat(np.array([table.index(c) for c in names], dtype=np.int32), list(map(len, parts)))
+    return SnapColumns(**joined, cities=np.array(table, dtype=object)), dict(zip(names, grids))
 
 
 def gen_annotations(

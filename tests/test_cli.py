@@ -308,6 +308,23 @@ def test_missing_required_flag_exits_2(tmp_path):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--cities", "0"), ("--cities", "-1"), ("--records", "0"),
+                                         ("--records", "-5"), ("--annotated", "-1")])
+def test_synth_size_below_its_least_exits_2_and_writes_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["synth", "--seed", "1", "--out-dir", str(out), "--cities", "2", "--records", "20", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{flag} must be at least" in err and value in err
+    assert not out.exists()
+
+
+def test_synth_with_no_annotated_records_writes_an_empty_annotation_table(tmp_path):
+    assert main(["synth", "--seed", "1", "--out-dir", str(tmp_path), "--cities", "1", "--records", "5",
+                 "--annotated", "0"]) == 0
+    assert (tmp_path / "annotations.csv").read_text().splitlines() == ["item_id,rater_id,category"]
+    assert len((tmp_path / "snaps.jsonl").read_text().splitlines()) == 5
+
+
 def test_missing_config_file_exits_2(tmp_path):
     rc = main(["grid", "--config", str(tmp_path / "nope.yaml")])
     assert rc == 2
@@ -554,7 +571,9 @@ def _kept_records(run: Path) -> list[SnapRecord]:
 
 
 def test_ingest_writes_the_kept_records_as_columns(pipeline_dir):
-    want = {name: col for name, col in vars(columns(_kept_records(pipeline_dir))).items() if name != "deleted"}
+    # save leaves out the in-memory columns
+    want = {name: col for name, col in vars(columns(_kept_records(pipeline_dir))).items()
+            if name not in ("duration_s", "deleted")}
     got = _columns(pipeline_dir / "cleaned.npz")
     assert want.keys() == got.keys()
     for name in want:

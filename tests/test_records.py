@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import record_oracle
 from record_oracle import assert_same_columns, columns, record
 from snapgrid.errors import ConfigError, SnapGridError
 from snapgrid.geo import GeoPoint
@@ -85,8 +86,12 @@ def test_jsonl_round_trip(tmp_path):
     recs = [make_record(i) for i in range(5)]
     recs[2] = make_record(2, label=None, frame_scores=None)
     recs[3] = make_record(3, deleted=True)
+    recs[4] = make_record(4, id="\u00e9\ud800\"\\\n", city_id="z\u00fc", frame_scores=(0.0, 1.0, 1e-300))
     path = tmp_path / "snaps.jsonl"
-    write_snaps(recs, path)
+    write_snaps(columns(recs), path)
+    # the text json.dumps writes, no label, no scores and deleted included
+    record_oracle.write_snaps(recs, tmp_path / "oracle.jsonl")
+    assert path.read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
     parsed, failures = parse_snaps(path.read_text().splitlines())
     assert failures == []
     assert_same_columns(parsed, columns(recs))
@@ -95,7 +100,7 @@ def test_jsonl_round_trip(tmp_path):
 def test_file_round_trip(tmp_path):
     recs = [make_record(i) for i in range(3)]
     path = tmp_path / "snaps.jsonl"
-    write_snaps(recs, path)
+    write_snaps(columns(recs), path)
     parsed, failures = parse_snaps(path)
     assert failures == []
     assert_same_columns(parsed, columns(recs))

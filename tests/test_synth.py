@@ -1,12 +1,22 @@
 """Synthetic corpus generator: planted truth must be exact and reproducible."""
 
 import math
+import os
+import subprocess
+import sys
+from datetime import date, datetime, time, timedelta
+from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import record_oracle
+import snapgrid
+from record_oracle import assert_same_columns
 from snapgrid.annotation import adjudicate, fleiss_kappa, matrix_from_long
-from snapgrid.records import DRIVING, NON_DRIVING, parse_rfc3339
+from snapgrid.records import DRIVING, LABELS, NON_DRIVING, parse_rfc3339, write_snaps
 from snapgrid.regression import DESIGN_TERMS, build_design, ols_fit
 from snapgrid.geo import locate_points
 from snapgrid.spatial import compare_fits, tile_counts
@@ -56,14 +66,15 @@ SMALL = SynthSpec(
 def test_same_seed_reproduces_corpus_bit_for_bit():
     corpus_a, _ = gen_corpus(SMALL)
     corpus_b, _ = gen_corpus(SMALL)
-    assert corpus_a == corpus_b
+    assert_same_columns(corpus_a, corpus_b)
 
 
 def test_different_seed_changes_corpus():
     other = SynthSpec(seed=4, cities=SMALL.cities)
     corpus_a, _ = gen_corpus(SMALL)
     corpus_b, _ = gen_corpus(other)
-    assert corpus_a != corpus_b
+    assert len(corpus_a) == len(corpus_b)
+    assert (corpus_a.lat != corpus_b.lat).any() and (corpus_a.ts != corpus_b.ts).any()
 
 
 def test_city_streams_are_independent_and_stable():
@@ -75,19 +86,20 @@ def test_city_streams_are_independent_and_stable():
 
 
 def test_record_shape_and_bounds():
-    records, grid = gen_city(SMALL.cities[0], 0, SMALL)
-    assert len(records) == 2000
+    cols, grid = gen_city(SMALL.cities[0], 0, SMALL)
+    assert len(cols) == 2000
     start = parse_rfc3339("2025-03-03T00:00:00+03:00")  # local midnight, UTC+3
     end = start + SMALL.n_days * 86400
     south, west, north, east = grid.region.bbox
-    for rec in records[:200]:
-        assert rec.id.startswith("alpha-")
-        assert start <= rec.ts_utc < end
-        assert south <= rec.location.lat <= north
-        assert west <= rec.location.lon <= east
-        assert 3.0 <= rec.duration_s < 10.0
-        assert len(rec.frame_scores) == max(1, int(rec.duration_s))
-        assert rec.label in (DRIVING, NON_DRIVING)
+    assert cols.ids.tobytes().decode() == "".join(f"alpha-{i:06d}" for i in range(2000))
+    assert cols.cities.tolist() == ["alpha"] and (cols.city == 0).all()
+    assert ((start <= cols.ts) & (cols.ts < end)).all()
+    assert ((south <= cols.lat) & (cols.lat <= north)).all()
+    assert ((west <= cols.lon) & (cols.lon <= east)).all()
+    assert ((3.0 <= cols.duration_s) & (cols.duration_s < 10.0)).all()
+    assert np.diff(cols.score_offsets).tolist() == [max(1, int(d)) for d in cols.duration_s.tolist()]
+    assert ((0.0 <= cols.scores) & (cols.scores <= 1.0)).all()
+    assert set(cols.label.tolist()) == {LABELS.index(DRIVING), LABELS.index(NON_DRIVING)}
 
 
 def test_planted_driving_fraction_is_exact():
@@ -99,8 +111,8 @@ def test_planted_driving_fraction_is_exact():
         n_records=100_000,
     )
     spec = SynthSpec(seed=0, cities=(cfg,))
-    records, _ = gen_city(cfg, 0, spec)
-    fraction = sum(1 for r in records if r.label == DRIVING) / len(records)
+    cols, _ = gen_city(cfg, 0, spec)
+    fraction = np.mean(cols.label == LABELS.index(DRIVING))
     assert abs(fraction - 0.2356) <= 0.005
 
 
@@ -109,13 +121,12 @@ def test_zero_driving_fraction_has_no_driving_records():
         city_id="calm", tz_id="UTC", origin_lat=0.0, origin_lon=0.0,
         n_records=500, driving_fraction=0.0,
     )
-    records, _ = gen_city(cfg, 0, SynthSpec(seed=1, cities=(cfg,)))
-    assert all(r.label == NON_DRIVING for r in records)
+    cols, _ = gen_city(cfg, 0, SynthSpec(seed=1, cities=(cfg,)))
+    assert (cols.label == LABELS.index(NON_DRIVING)).all()
 
 
-def located_counts(records, grid, city_id):
-    lat, lon = np.array([r.location.lat for r in records]), np.array([r.location.lon for r in records])
-    return tile_counts(locate_points(lat, lon, grid), grid, city_id)
+def located_counts(cols, grid, city_id, rows=slice(None)):
+    return tile_counts(locate_points(cols.lat[rows], cols.lon[rows], grid), grid, city_id)
 
 
 def test_near_uniform_weights_spread_counts_evenly():
@@ -124,8 +135,8 @@ def test_near_uniform_weights_spread_counts_evenly():
         n_rows=5, n_cols=5, n_records=10_000,
         family="normal", family_params={"mu": 5.0, "sigma": 1e-9},
     )
-    records, grid = gen_city(cfg, 0, SynthSpec(seed=2, cities=(cfg,)))
-    vec = located_counts(records, grid, "flat")
+    cols, grid = gen_city(cfg, 0, SynthSpec(seed=2, cities=(cfg,)))
+    vec = located_counts(cols, grid, "flat")
     counts = vec.counts
     assert counts.min() > 0
     assert counts.max() / counts.min() < 1.2
@@ -133,29 +144,98 @@ def test_near_uniform_weights_spread_counts_evenly():
 
 def test_tile_counts_recover_planted_power_law():
     spec = default_spec(seed=0, n_cities=1)
-    records, grid = gen_city(spec.cities[0], 0, spec)
-    driving = [r for r in records if r.label == DRIVING]
-    comp = compare_fits(located_counts(driving, grid, "city00").positive_counts, "city00")
+    cols, grid = gen_city(spec.cities[0], 0, spec)
+    driving = cols.label == LABELS.index(DRIVING)
+    comp = compare_fits(located_counts(cols, grid, "city00", driving).positive_counts, "city00")
     assert comp.best_by_bic == "power_law"
 
 
 def test_deleted_fraction_close_to_config():
-    records, _ = gen_city(SMALL.cities[0], 0, SMALL)
-    rate = sum(1 for r in records if r.deleted) / len(records)
+    cols, _ = gen_city(SMALL.cities[0], 0, SMALL)
+    rate = np.mean(cols.deleted)
     assert rate == pytest.approx(0.0298, abs=0.02)
 
 
 def test_night_hours_are_boosted():
-    records, _ = gen_city(SMALL.cities[0], 0, SMALL)
+    cols, _ = gen_city(SMALL.cities[0], 0, SMALL)
     # planted factor 1.75 on the 8 night hours of the local clock
-    hours = np.zeros(24)
-    for r in records:
-        local_h = (r.ts_utc // 3600 + 3) % 24  # tz is fixed UTC+3
-        hours[local_h] += 1
+    hours = np.bincount((cols.ts // 3600 + 3) % 24, minlength=24)  # tz is fixed UTC+3
     night = (0, 1, 18, 19, 20, 21, 22, 23)
     day = tuple(h for h in range(24) if h not in night)
     uplift = hours[list(night)].mean() / hours[list(day)].mean() - 1.0
     assert uplift == pytest.approx(0.75, abs=0.15)
+
+
+# ---------------------------------------------------------------------------
+# the column path against the record-by-record generator
+
+ZONES = ("Etc/GMT+5", "Etc/GMT-9", "Europe/London", "America/New_York", "Australia/Lord_Howe", "Asia/Kathmandu",
+         "America/St_Johns")
+
+
+def _offset_changes(tz_id: str) -> list[date]:
+    """The local dates whose noon has another UTC offset than the day before's, in a few years of the zone's rules.
+
+    1985-86 holds Kathmandu's move to +5:45 at midnight, 2010 St John's changes at 00:01, 2024 the rules of today.
+    """
+    zone, days = ZoneInfo(tz_id), []
+    for first in (date(1985, 12, 1), date(2010, 1, 1), date(2024, 1, 1)):
+        noons = [datetime.combine(first + timedelta(days=k), time(12), zone) for k in range(400)]
+        days += [b.date() for a, b in zip(noons, noons[1:]) if a.utcoffset() != b.utcoffset()]
+    return days or [date(2025, 3, 3)]
+
+
+CHANGES = {tz: _offset_changes(tz) for tz in ZONES}
+
+
+@st.composite
+def _small_specs(draw) -> SynthSpec:
+    """1-3 cities of 1-300 records, starting within a day of a DST change of one of their zones."""
+    cities = tuple(
+        CitySynthConfig(
+            city_id=f"c{k}", tz_id=draw(st.sampled_from(ZONES)), origin_lat=draw(st.floats(-60.0, 60.0)),
+            origin_lon=draw(st.floats(-170.0, 170.0)), n_records=draw(st.integers(1, 300)),
+            n_rows=draw(st.integers(1, 4)), n_cols=draw(st.integers(1, 4)),
+            driving_fraction=draw(st.sampled_from([0.0, 0.2356, 1.0])),
+            deleted_fraction=draw(st.sampled_from([0.0, 0.0298, 1.0])),
+        )
+        for k in range(draw(st.integers(1, 3)))
+    )
+    change = draw(st.sampled_from(CHANGES[draw(st.sampled_from([c.tz_id for c in cities]))]))
+    return SynthSpec(
+        seed=draw(st.integers(0, 2**32 - 1)), cities=cities,
+        start_date=(change - timedelta(days=draw(st.integers(0, 1)))).isoformat(), n_days=draw(st.integers(1, 3)),
+        duration_range=draw(st.sampled_from([(3.0, 10.0), (0.1, 0.9)])),  # below 1 s every clip has one frame
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_specs())
+def test_columns_write_the_bytes_of_the_record_by_record_generator(tmp_path_factory, spec):
+    out = tmp_path_factory.mktemp("synth")
+    cols, grids = gen_corpus(spec)
+    recs = record_oracle.gen_corpus(spec)
+    assert list(grids) == [c.city_id for c in spec.cities]
+    assert_same_columns(cols, record_oracle.columns(recs))
+    write_snaps(cols, out / "columns.jsonl")
+    record_oracle.write_snaps(recs, out / "records.jsonl")
+    assert (out / "columns.jsonl").read_bytes() == (out / "records.jsonl").read_bytes()
+
+
+SYNTH_FILES = ("manifest.json", "snaps.jsonl", "annotations.csv", "city_stats.csv", "pipeline.yaml")
+
+
+def test_synth_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(snapgrid.__file__).resolve().parents[1])
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-B", "-m", "snapgrid.cli", "synth", "--seed", "8", "--out-dir",
+                        str(tmp_path / hash_seed), "--cities", "2", "--records", "50"], env=env, check=True,
+                       capture_output=True)
+    assert sorted(p.name for p in (tmp_path / "0").iterdir()) == sorted(SYNTH_FILES)
+    first, second = ({name: (tmp_path / seed / name).read_bytes() for name in SYNTH_FILES} for seed in ("0", "1"))
+    assert [name for name in SYNTH_FILES if first[name] != second[name]] == []
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +269,8 @@ def sample_records(n):
             ),
         ),
     )
-    records, _ = gen_city(spec.cities[0], 0, spec)
-    return records
+    cols, _ = gen_city(spec.cities[0], 0, spec)
+    return cols.to_records(range(len(cols)))
 
 
 def test_zero_flip_probability_is_unanimous():
