@@ -13,7 +13,10 @@ are the constants ``voting.FRAME_CUTOFF`` and ``geo.TILE_SIZE_M``. A stage
 writes no file: it returns its outputs, ``{file name: content}``, and a
 summary, and ``main`` commits the outputs all or nothing, so a failed
 stage leaves the previous artifacts as they were. A re-run reproduces
-them byte for byte.
+them byte for byte. An output may be a writer that does the stage's work
+as it writes: synth's ``snaps.jsonl`` writer draws the corpus one city at
+a time, so synth holds one city's columns, not the whole corpus, and a
+city that fails still leaves no file changed.
 
 ``cleaned.npz`` (from ingest, the one stage that decodes JSONL, straight into
 columns) is the one record-level intermediate: ``records.SnapColumns``, loaded
@@ -261,10 +264,19 @@ def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
         if getattr(args, flag) < least:
             raise ConfigError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
     spec = synth.default_spec(args.seed, n_cities=args.cities, n_records=args.records)
-    corpus, _grids = synth.gen_corpus(spec)
-    # each city's first --annotated records; the cities come in order, --records each
-    sample = corpus.to_records(np.flatnonzero(np.arange(len(corpus)) % args.records < args.annotated))
-    rows = synth.gen_annotations(sample, flip_prob=0.1, seed=spec.seed)
+    sample: list[records.SnapRecord] = []  # each city's first --annotated records, in city order
+
+    def city_parts():  # one city's columns at a time; the next is drawn only after the writer let it go
+        for i in range(len(spec.cities)):
+            part = synth.gen_corpus(spec, [i])[0]
+            sample.extend(part.to_records(range(min(args.annotated, len(part)))))
+            yield part
+            del part
+
+    def write_annotations(path: Path) -> None:  # after snaps.jsonl, which fills the sample
+        rows = synth.gen_annotations(sample, flip_prob=0.1, seed=spec.seed)
+        path.write_bytes(_csv_text(("item_id", "rater_id", "category"), rows).encode())
+
     reg_sigma = 0.1  # the manifest records the regression noise
     stats = synth.gen_regression_cities(130, seed=spec.seed, noise_sigma=reg_sigma)
     manifest = synth.build_manifest(spec, regression_sigma=reg_sigma)
@@ -283,13 +295,13 @@ def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
         },
     }
     outputs = {
-        "snaps.jsonl": partial(records.write_snaps, corpus),
-        "annotations.csv": _csv_text(("item_id", "rater_id", "category"), rows),
+        "snaps.jsonl": partial(records.write_snaps, city_parts()),
+        "annotations.csv": write_annotations,
         "city_stats.csv": partial(regression.write_city_stats, stats),
         "manifest.json": partial(synth.write_manifest, manifest),
         "pipeline.yaml": yaml.safe_dump(pipeline, sort_keys=True),
     }
-    summary = f"synth: {len(corpus)} records across {len(spec.cities)} cities -> {out_dir / 'snaps.jsonl'}"
+    summary = f"synth: {args.cities * args.records} records across {args.cities} cities -> {out_dir / 'snaps.jsonl'}"
     return outputs, summary
 
 

@@ -67,8 +67,8 @@ class SnapRecord:
         _check_fields(self.duration_s, self.frame_scores, self.label)
 
 
-def _check_fields(duration_s, frame_scores, label) -> tuple[float, Optional[list[float]]]:
-    """Check a record's duration, frame scores and label; the duration and the scores come back as floats."""
+def _check_fields(duration_s, frame_scores, label) -> Optional[list[float]]:
+    """Check a record's duration, frame scores and label; the scores come back as floats."""
     # a list, not a tuple: a tuple freed here would stay cached in CPython's tuple free lists
     duration_s, scores = float(duration_s), None if frame_scores is None else list(map(float, frame_scores))
     if not 0 <= duration_s < math.inf:  # NaN too, which JSON cannot carry
@@ -80,7 +80,7 @@ def _check_fields(duration_s, frame_scores, label) -> tuple[float, Optional[list
     for s in scores or ():
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"frame score {s} outside [0, 1]")
-    return duration_s, scores
+    return scores
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,9 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape decodes a byte
 
 
 def _fields(line: str, codes: dict[str, int]) -> tuple[tuple, Optional[list[float]], str]:
-    """One JSONL line, checked: (ts, lat, lon, city code in ``codes``, label code, deleted, duration), scores, id."""
+    """One JSONL line, checked: (ts, lat, lon, city code in ``codes``, label code, deleted), scores, id.
+
+    The duration is checked, not returned: no stage reads one."""
     if not line.isascii() and _NOT_UTF8.search(line):
         raise ValueError("line is not UTF-8")
     obj = json.loads(line)
@@ -113,9 +115,9 @@ def _fields(line: str, codes: dict[str, int]) -> tuple[tuple, Optional[list[floa
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
     ts, (lat, lon), label = parse_rfc3339(obj["ts_utc"]), check_point(obj["lat"], obj["lon"]), obj.get("label")
-    duration, scores = _check_fields(obj.get("duration_s", 0.0), obj.get("frame_scores"), label)
+    scores = _check_fields(obj.get("duration_s", 0.0), obj.get("frame_scores"), label)
     city, code = codes.setdefault(obj["city_id"], len(codes)), -1 if label is None else LABELS.index(label)
-    return (ts, lat, lon, city, code, obj.get("deleted", False), duration), scores, obj["id"]
+    return (ts, lat, lon, city, code, obj.get("deleted", False)), scores, obj["id"]
 
 
 def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns", list[ParseFailure]]:
@@ -127,7 +129,7 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns",
     path) and the first bad line when failures outnumber successes.
     """
     named = isinstance(source, (str, Path))
-    per_record = ts, lat, lon, city, label, deleted, duration = tuple(map(array, "qddibbd"))  # int64, float64, int32...
+    per_record = ts, lat, lon, city, label, deleted = tuple(map(array, "qddibb"))  # int64, float64, float64, int32...
     scores, ids, score_ends, id_ends = array("d"), bytearray(), array("q", [0]), array("q", [0])
     codes: dict[str, int] = {}  # city id -> its code, in order of first appearance
     failures: list[ParseFailure] = []
@@ -156,35 +158,40 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns",
         city=np.array([rank[c] for c in codes], dtype=np.int32)[np.frombuffer(city, dtype=np.intc)],
         cities=np.array(table, dtype=object), label=np.frombuffer(label, dtype=np.int8), scores=np.frombuffer(scores),
         score_offsets=np.frombuffer(score_ends, dtype=np.int64), ids=np.frombuffer(ids, dtype=np.uint8),
-        id_offsets=np.frombuffer(id_ends, dtype=np.int64), duration_s=np.frombuffer(duration),
+        id_offsets=np.frombuffer(id_ends, dtype=np.int64), duration_s=np.broadcast_to(np.nan, len(ts)),
         deleted=np.frombuffer(deleted, dtype=bool)), failures
 
 
-def write_snaps(cols: "SnapColumns", path: Union[str, Path]) -> None:
-    """Write the records of ``cols`` to ``path`` as JSONL, one object per line, in their order: the text of
-    ``json.dumps(obj, separators=(",", ":"))``, ``repr`` of each float and ``json``'s ASCII escaping of each string,
-    keys in :class:`SnapRecord`'s order, and no frame scores, no label and not deleted left out."""
-    cities = [encode_basestring_ascii(c) for c in cols.cities.tolist()]
+def write_snaps(parts: Iterable["SnapColumns"], path: Union[str, Path]) -> None:
+    """Write the records of each of ``parts``, in turn, to ``path`` as JSONL, one object per line, in their order: the
+    text of ``json.dumps(obj, separators=(",", ":"))``, ``repr`` of each float and ``json``'s ASCII escaping of each
+    string, keys in :class:`SnapRecord`'s order, and no frame scores, no label and not deleted left out.
+
+    Each part is let go before the next is taken, so a generator of parts is written holding one at a time."""
     labels, deleted_text = ("", *(f',"label":"{label}"' for label in LABELS)), ("", ',"deleted":true')
-    hours: dict[int, str] = {}  # UTC hour -> its "YYYY-MM-DDTHH:"
+    hours: dict[int, str] = {}  # UTC hour -> its "YYYY-MM-DDTHH:", shared by all the parts
     with open(path, "w", newline="") as fh:
-        for a in range(0, len(cols), _CHUNK):
-            (s0, i0), lines = (cols.score_offsets[a], cols.id_offsets[a]), []
-            ends = (cols.score_offsets[a:a + _CHUNK + 1] - s0).tolist()  # record k's scores: frames[ends[k]:ends[k+1]]
-            id_ends = (cols.id_offsets[a:a + _CHUNK + 1] - i0).tolist()
-            frames, ids = list(map(repr, cols.scores[s0:][:ends[-1]].tolist())), cols.ids[i0:][:id_ends[-1]].tobytes()
-            values = [getattr(cols, name)[a:a + _CHUNK].tolist() for name in _WRITTEN]
-            values += [ends, ends[1:], id_ends, id_ends[1:]]
-            for ts, lat, lon, city, duration, label, deleted, s, e, i, j in zip(*values):
-                hour, second = divmod(ts, 3600)
-                if hour not in hours:
-                    hours[hour] = format_rfc3339(hour * 3600)[:-6]
-                scores = f',"frame_scores":[{",".join(frames[s:e])}]' if e > s else ""
-                lines.append(f'{{"id":{encode_basestring_ascii(ids[i:j].decode(*_UTF8))},"ts_utc":"{hours[hour]}'
-                             f'{second // 60:02d}:{second % 60:02d}Z","lat":{lat!r},"lon":{lon!r},"city_id":'
-                             f'{cities[city]},"duration_s":{duration!r}{scores}{labels[label + 1]}'
-                             f'{deleted_text[deleted]}}}\n')
-            fh.write("".join(lines))
+        for cols in parts:
+            cities = [encode_basestring_ascii(c) for c in cols.cities.tolist()]
+            for a in range(0, len(cols), _CHUNK):
+                (s0, i0), lines = (cols.score_offsets[a], cols.id_offsets[a]), []
+                ends = (cols.score_offsets[a:a + _CHUNK + 1] - s0).tolist()  # record k: frames[ends[k]:ends[k+1]]
+                id_ends = (cols.id_offsets[a:a + _CHUNK + 1] - i0).tolist()
+                frames = list(map(repr, cols.scores[s0:][:ends[-1]].tolist()))
+                ids = cols.ids[i0:][:id_ends[-1]].tobytes()
+                values = [getattr(cols, name)[a:a + _CHUNK].tolist() for name in _WRITTEN]
+                values += [ends, ends[1:], id_ends, id_ends[1:]]
+                for ts, lat, lon, city, duration, label, deleted, s, e, i, j in zip(*values):
+                    hour, second = divmod(ts, 3600)
+                    if hour not in hours:
+                        hours[hour] = format_rfc3339(hour * 3600)[:-6]
+                    scores = f',"frame_scores":[{",".join(frames[s:e])}]' if e > s else ""
+                    lines.append(f'{{"id":{encode_basestring_ascii(ids[i:j].decode(*_UTF8))},"ts_utc":"{hours[hour]}'
+                                 f'{second // 60:02d}:{second % 60:02d}Z","lat":{lat!r},"lon":{lon!r},"city_id":'
+                                 f'{cities[city]},"duration_s":{duration!r}{scores}{labels[label + 1]}'
+                                 f'{deleted_text[deleted]}}}\n')
+                fh.write("".join(lines))
+            del cols  # before the next part is drawn
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +212,9 @@ class SnapColumns:
     score_offsets: np.ndarray
     ids: np.ndarray
     id_offsets: np.ndarray
-    duration_s: np.ndarray  # in memory only, like deleted: save leaves it out, and load gives NaN
-    deleted: np.ndarray  # bool, in memory only: save leaves it out, and cleaned.npz holds no deleted record
+    # in memory only, both left out by save: no stage reads a duration, and cleaned.npz holds no deleted record
+    duration_s: np.ndarray  # synth's; parse_snaps, filter_active and load give a read-only view of one NaN
+    deleted: np.ndarray  # bool; filter_active and load give a read-only view of one false
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -242,7 +250,7 @@ class SnapColumns:
         except (TypeError, zipfile.BadZipFile, EOFError) as exc:  # not an archive, or a truncated one
             raise ValueError(f"not a column archive: {exc}") from exc
         n = arrays["ts"].size  # checked for one dimension below
-        cols = cls(**arrays, duration_s=np.full(n, np.nan), deleted=np.zeros(n, dtype=bool))
+        cols = cls(**arrays, duration_s=np.broadcast_to(np.nan, n), deleted=np.broadcast_to(False, n))
         for name, (dtype, extra) in _LAYOUT.items():
             col = getattr(cols, name)
             if col.ndim != 1 or (col.dtype.kind != "U" if dtype is str else col.dtype != dtype):
@@ -283,7 +291,10 @@ def to_local_time(ts_utc: int, tz_id: str) -> datetime:
 
 
 def filter_active(cols: SnapColumns, rows: np.ndarray) -> SnapColumns:
-    """The records where ``rows`` is true that are not flagged deleted, with a string table of only their cities."""
+    """The records where ``rows`` is true that are not flagged deleted, with a string table of only their cities.
+
+    Only the columns that :meth:`SnapColumns.save` stores are gathered; the durations are NaN, as ``load`` gives.
+    """
     rows = rows & ~cols.deleted
     used, city = np.unique(cols.city[rows], return_inverse=True)
     cities = cols.cities[used].tolist()
@@ -295,5 +306,7 @@ def filter_active(cols: SnapColumns, rows: np.ndarray) -> SnapColumns:
         lengths = np.diff(getattr(cols, ends))
         lists[flat] = getattr(cols, flat)[np.repeat(rows, lengths)]
         lists[ends] = np.concatenate(([0], np.cumsum(lengths[rows])))
-    kept = {name: getattr(cols, name)[rows] for name in ("ts", "lat", "lon", "label", "duration_s", "deleted")}
-    return SnapColumns(**kept, city=city.astype(np.int32), cities=table, **lists)
+    kept = {name: getattr(cols, name)[rows] for name in ("ts", "lat", "lon", "label")}
+    n = len(kept["ts"])
+    return SnapColumns(**kept, city=city.astype(np.int32), cities=table, **lists, duration_s=np.broadcast_to(np.nan, n),
+                       deleted=np.broadcast_to(False, n))

@@ -7,9 +7,11 @@ Beta(8,2) for driving clips and Beta(2,8) otherwise (about a 2% per-frame
 error at the 0.5 cutoff), and city-level demographics follow a linear
 model with known coefficients. The generator is fully deterministic: city
 ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``, so adding or
-reordering cities never perturbs the others. Records come back as
-:class:`~snapgrid.records.SnapColumns`, drawn exactly as the one-at-a-time
-generator in ``tests/record_oracle.py`` draws them, to the last bit.
+reordering cities never perturbs the others, and ``gen_corpus`` can draw
+any subset of them (``snapgrid synth`` draws one city at a time). Records
+come back as :class:`~snapgrid.records.SnapColumns`, drawn exactly as the
+one-at-a-time generator in ``tests/record_oracle.py`` draws them, to the
+last bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from datetime import date, datetime, time, timedelta
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -231,10 +233,12 @@ def gen_city(
     ), grid
 
 
-def gen_corpus(spec: SynthSpec) -> tuple[SnapColumns, dict[str, TileGrid]]:
-    """All cities' records as one set of columns in city order, plus each city's grid."""
-    parts, grids = zip(*(gen_city(cfg, i, spec) for i, cfg in enumerate(spec.cities)))
-    names = [cfg.city_id for cfg in spec.cities]
+def gen_corpus(spec: SynthSpec, cities: Optional[Sequence[int]] = None) -> tuple[SnapColumns, dict[str, TileGrid]]:
+    """The records of the cities at the indices ``cities`` (all by default) as one set of columns in that order,
+    plus each one's grid. A city draws the same records whichever others come with it."""
+    indices = range(len(spec.cities)) if cities is None else cities
+    parts, grids = zip(*(gen_city(spec.cities[i], i, spec) for i in indices))
+    names = [spec.cities[i].city_id for i in indices]
     joined = {name: np.concatenate([getattr(p, name) for p in parts])
               for name in ("ts", "lat", "lon", "label", "scores", "ids", "duration_s", "deleted")}
     for name in ("score_offsets", "id_offsets"):  # each part's list lengths, joined, as offsets

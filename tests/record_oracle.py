@@ -64,13 +64,19 @@ def columns(recs: list[SnapRecord]) -> SnapColumns:
     )
 
 
-def assert_same_columns(got: SnapColumns, want: SnapColumns) -> None:
-    """Equal values and dtypes in every column; the city tables are compared as lists of ids."""
+def assert_same_columns(got: SnapColumns, want: SnapColumns, unstored: bool = False) -> None:
+    """Equal values and dtypes in every column; the city tables are compared as lists of ids.
+
+    With ``unstored``, ``got``'s durations must be NaN instead: ``parse_snaps``, ``filter_active`` and
+    ``SnapColumns.load`` keep none.
+    """
     for name, col in vars(want).items():
+        other = getattr(got, name)
         if name == "cities":
-            assert got.cities.tolist() == col.tolist()
+            assert other.tolist() == col.tolist()
+        elif unstored and name == "duration_s":
+            assert other.dtype == col.dtype and len(other) == len(col) and np.isnan(other).all()
         else:
-            other = getattr(got, name)
             assert other.dtype == col.dtype and np.array_equal(other, col), name
 
 

@@ -1,23 +1,29 @@
 """Synthetic corpus generator: planted truth must be exact and reproducible."""
 
+import csv
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import record_oracle
 import snapgrid
 from record_oracle import assert_same_columns
+from snapgrid import synth
 from snapgrid.annotation import adjudicate, fleiss_kappa, matrix_from_long
+from snapgrid.cli import main
+from snapgrid.errors import SnapGridError
 from snapgrid.records import DRIVING, LABELS, NON_DRIVING, parse_rfc3339, write_snaps
-from snapgrid.regression import DESIGN_TERMS, build_design, ols_fit
+from snapgrid.regression import DESIGN_TERMS, build_design, ols_fit, write_city_stats
 from snapgrid.geo import locate_points
 from snapgrid.spatial import compare_fits, tile_counts
 from snapgrid.synth import (
@@ -26,6 +32,7 @@ from snapgrid.synth import (
     CitySynthConfig,
     SynthSpec,
     build_manifest,
+    city_region,
     city_rng,
     default_spec,
     gen_annotations,
@@ -217,9 +224,12 @@ def test_columns_write_the_bytes_of_the_record_by_record_generator(tmp_path_fact
     recs = record_oracle.gen_corpus(spec)
     assert list(grids) == [c.city_id for c in spec.cities]
     assert_same_columns(cols, record_oracle.columns(recs))
-    write_snaps(cols, out / "columns.jsonl")
+    write_snaps([cols], out / "columns.jsonl")
+    # a city at a time, as snapgrid synth writes them: each city's draws do not depend on the others
+    write_snaps((gen_corpus(spec, [i])[0] for i in range(len(spec.cities))), out / "cities.jsonl")
     record_oracle.write_snaps(recs, out / "records.jsonl")
-    assert (out / "columns.jsonl").read_bytes() == (out / "records.jsonl").read_bytes()
+    want = (out / "records.jsonl").read_bytes()
+    assert (out / "columns.jsonl").read_bytes() == want and (out / "cities.jsonl").read_bytes() == want
 
 
 SYNTH_FILES = ("manifest.json", "snaps.jsonl", "annotations.csv", "city_stats.csv", "pipeline.yaml")
@@ -236,6 +246,76 @@ def test_synth_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert sorted(p.name for p in (tmp_path / "0").iterdir()) == sorted(SYNTH_FILES)
     first, second = ({name: (tmp_path / seed / name).read_bytes() for name in SYNTH_FILES} for seed in ("0", "1"))
     assert [name for name in SYNTH_FILES if first[name] != second[name]] == []
+
+
+def _whole_corpus_files(out: Path, seed: int, n_cities: int, n_records: int, annotated: int) -> None:
+    """The five synth files as the whole corpus in memory at once gives them: every record through ``json.dumps``,
+    and the annotations of each city's first ``annotated`` records."""
+    spec = default_spec(seed, n_cities=n_cities, n_records=n_records)
+    cols, _grids = gen_corpus(spec)
+    out.mkdir()
+    record_oracle.write_snaps(cols.to_records(range(len(cols))), out / "snaps.jsonl")
+    sample = cols.to_records(np.flatnonzero(np.arange(len(cols)) % n_records < annotated))
+    with open(out / "annotations.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [("item_id", "rater_id", "category"), *gen_annotations(sample, flip_prob=0.1, seed=seed)])
+    write_city_stats(gen_regression_cities(130, seed=seed, noise_sigma=0.1), out / "city_stats.csv")
+    write_manifest(build_manifest(spec, regression_sigma=0.1), out / "manifest.json")
+    pipeline = {"seed": seed, "snaps": "snaps.jsonl", "annotations": "annotations.csv", "city_stats": "city_stats.csv",
+                "night_window": {"start_hour": 18, "end_hour": 2}, "clustering": {"k": 3},
+                "cities": {c.city_id: {"tz": c.tz_id, "bbox": list(city_region(c).bbox)} for c in spec.cities}}
+    (out / "pipeline.yaml").write_text(yaml.safe_dump(pipeline, sort_keys=True))
+
+
+@pytest.mark.parametrize("n_cities, n_records, annotated", [(1, 300, 20), (3, 300, 20), (3, 1500, 5), (3, 50, 0),
+                                                            (3, 40, 100)])
+def test_synth_city_by_city_writes_the_files_of_the_whole_corpus(tmp_path, n_cities, n_records, annotated):
+    # 1500 records a city cross the writer's chunks; --annotated 100 of 40 records takes every record
+    args = ["--cities", str(n_cities), "--records", str(n_records), "--annotated", str(annotated)]
+    assert main(["synth", "--seed", "6", "--out-dir", str(tmp_path / "cli"), *args]) == 0
+    _whole_corpus_files(tmp_path / "whole", 6, n_cities, n_records, annotated)
+    got, want = ({name: (tmp_path / side / name).read_bytes() for name in SYNTH_FILES} for side in ("cli", "whole"))
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == sorted(SYNTH_FILES)
+    assert [name for name in SYNTH_FILES if got[name] != want[name]] == []
+
+
+def _synth_peak_bytes(out: Path, n_cities: int) -> int:
+    """The peak of the memory that Python and numpy allocate during one in-process synth of ``n_cities`` x 2k."""
+    tracemalloc.start()
+    try:
+        # the annotated sample grows with the cities by design, so it is kept small here
+        assert main(["synth", "--seed", "2", "--out-dir", str(out), "--cities", str(n_cities), "--records", "2000",
+                     "--annotated", "5"]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synth_memory_is_one_city_not_the_corpus(tmp_path):
+    _synth_peak_bytes(tmp_path / "warm", 1)  # first-call caches out of the way
+    few, many = (_synth_peak_bytes(tmp_path / str(n), n) for n in (3, 12))
+    # holding every city's columns at once, 12 cities peaked at 2.1x of 3 (5.7 MB against 2.7 MB)
+    assert many <= 1.3 * few, (few, many)
+
+
+def test_synth_failing_in_a_city_leaves_the_out_dir_as_it_was(tmp_path, monkeypatch, capsys):
+    before = {"manifest.json": b"previous manifest", "annotations.csv": b"previous annotations", "mine.txt": b"mine"}
+    for name, content in before.items():
+        (tmp_path / name).write_bytes(content)
+    real, drawn = synth.gen_city, []
+
+    def gen_city(cfg, city_index, spec):
+        drawn.append(city_index)
+        if city_index == 2:
+            raise SnapGridError(f"city {cfg.city_id}: failed on purpose")
+        return real(cfg, city_index, spec)
+
+    monkeypatch.setattr(synth, "gen_city", gen_city)
+    assert main(["synth", "--seed", "1", "--out-dir", str(tmp_path), "--cities", "4", "--records", "50"]) == 1
+    assert drawn == [0, 1, 2]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "city02: failed on purpose" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------

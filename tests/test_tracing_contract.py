@@ -94,6 +94,8 @@ def test_traced_stages_run(tmp_path):
         assert f"stage.{stage}" in names, stage
         # a counter that was never fed is absent; out_of_grid may be fed a 0
         assert [c for c in COUNTERS.get(stage, ()) if c not in trace["counts"]] == [], stage
+        if stage == "synth":  # synth draws a city at a time: each of the 3 x 200 records once, none twice
+            assert trace["counts"]["synth.gen_corpus.records"] == 600
         # the corpus is decoded from JSONL once per run, by ingest; the later stages load cleaned.npz
         assert ("records.parse_snaps" in names) == (stage == "ingest"), stage
         if stage in ("ingest", "classify", "extent"):
