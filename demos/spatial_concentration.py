@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from snapgrid import synth
-from snapgrid.geo import build_grid, locate_points
+from snapgrid.geo import locate_points
 from snapgrid.records import DRIVING, LABELS
 from snapgrid.spatial import compare_fits, tile_counts
 
@@ -33,11 +33,10 @@ def main():
         family_params={"alpha": args.alpha, "x_min": 1.0},
     )
     spec = synth.SynthSpec(seed=args.seed, cities=(cfg,))
-    corpus, _grids = synth.gen_corpus(spec)
+    corpus, grid = synth.gen_corpus(spec, 0)
     driving = (corpus.label == LABELS.index(DRIVING)) & ~corpus.deleted
     lat, lon = corpus.lat[driving], corpus.lon[driving]
 
-    grid = build_grid(synth.city_region(cfg), tile_size_m=1000.0)
     counts = tile_counts(locate_points(lat, lon, grid), grid, city_id="demo")
     occupied = counts.positive_counts
     print(

@@ -37,14 +37,13 @@ def main():
     args = parser.parse_args()
 
     spec = synth.default_spec(args.seed, n_cities=4, n_records=12_000)
-    corpus, _grids = synth.gen_corpus(spec)
     window = NightWindow(start_hour=18, end_hour=2)
 
     print("hour-of-day profile of driving posts (local time, 00..23)")
     profiles = {}
-    driving_kept = (corpus.label == LABELS.index(DRIVING)) & ~corpus.deleted
-    for cfg in spec.cities:
-        driving = corpus.ts[driving_kept & (corpus.city == corpus.cities.tolist().index(cfg.city_id))]
+    for i, cfg in enumerate(spec.cities):
+        city, _grid = synth.gen_corpus(spec, i)
+        driving = city.ts[(city.label == LABELS.index(DRIVING)) & ~city.deleted]
         profile = hourly_profile(driving, cfg.tz_id, cfg.city_id)
         profiles[cfg.city_id] = profile
         uplift = night_uplift(profile, window)

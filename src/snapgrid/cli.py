@@ -14,16 +14,17 @@ writes no file: it returns its outputs, ``{file name: content}``, and a
 summary, and ``main`` commits the outputs all or nothing, so a failed
 stage leaves the previous artifacts as they were. A re-run reproduces
 them byte for byte. An output may be a writer that does the stage's work
-as it writes: synth's ``snaps.jsonl`` writer draws the corpus one city at
-a time, so synth holds one city's columns, not the whole corpus, and a
-city that fails still leaves no file changed.
+as it writes: synth's ``snaps.jsonl`` writer calls ``synth.gen_corpus``
+once per city and writes that city before it draws the next, so synth
+holds one city's columns, not the whole corpus, and a city that fails
+still leaves no file changed.
 
 ``cleaned.npz`` (from ingest, the one stage that decodes JSONL, straight into
 columns) is the one record-level intermediate: ``records.SnapColumns``, loaded
 whole by every later stage. classify stores no per-record label: ``classify.json``
-records the voting rule and cutoff it applied and a CRC-32 of the scored
-records' ids, and the stages after it check that CRC and re-apply the rule
-through the same ``voting.classify_scores``.
+records the voting rule it applied, the cutoff ``voting.FRAME_CUTOFF`` and a
+CRC-32 of the scored records' ids, and the stages after it check that CRC and
+that cutoff and re-apply the rule through the same ``voting.classify_scores``.
 
 Exit status: 0 on success, 2 for usage/config errors and missing or
 mismatched intermediates, 1 for runtime failures; each prints a single
@@ -225,8 +226,8 @@ def _load_classified(out_dir: Path) -> tuple[records.SnapColumns, np.ndarray, np
     """The columns of ``cleaned.npz``, which records are scored, and which ``classify.json``'s rule votes driving.
 
     ``classify.json`` must hold the CRC-32 of exactly the scored records'
-    ids, in file order; otherwise it belongs to another corpus or is
-    damaged, and classify must run again.
+    ids, in file order, and the cutoff ``voting.FRAME_CUTOFF``; otherwise
+    it belongs to another corpus or is damaged, and classify must run again.
     """
     cols = _load_cleaned(out_dir)
     scored = cols.scored
@@ -238,14 +239,13 @@ def _load_classified(out_dir: Path) -> tuple[records.SnapColumns, np.ndarray, np
         if info.get("scored_ids_crc32") != _ids_crc32(cols, scored):
             raise ValueError(f"scored_ids_crc32 does not match the scored records of {CLEANED}")
         rule = voting.VotingRule(info.get("rule"), info.get("threshold_pct"))
-        cutoff = info.get("cutoff")
-        if type(cutoff) not in (int, float) or not 0.0 <= cutoff < 1.0:  # a bool or a string is not a cutoff
-            raise ValueError(f"cutoff must be a number in [0, 1), got {cutoff!r}")
+        if info.get("cutoff") != voting.FRAME_CUTOFF:
+            raise ValueError(f"cutoff must be {voting.FRAME_CUTOFF}, got {info.get('cutoff')!r}")
     except FileNotFoundError:
         raise _rerun(path)
     except ValueError as exc:
         raise _rerun(path, f"{path}: {exc}")
-    return cols, scored, voting.classify_scores(cols.scores, cols.score_offsets, rule, cutoff=cutoff)
+    return cols, scored, voting.classify_scores(cols.scores, cols.score_offsets, rule)
 
 
 def _city_rows(cols: records.SnapColumns, cities, rows: np.ndarray) -> dict[str, np.ndarray]:
@@ -268,7 +268,7 @@ def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
 
     def city_parts():  # one city's columns at a time; the next is drawn only after the writer let it go
         for i in range(len(spec.cities)):
-            part = synth.gen_corpus(spec, [i])[0]
+            part = synth.gen_corpus(spec, i)[0]
             sample.extend(part.to_records(range(min(args.annotated, len(part)))))
             yield part
             del part

@@ -231,7 +231,6 @@ class TileGrid:
     n_rows: int
     n_cols: int
     active: np.ndarray = field(repr=False)  # bool, shape (n_rows, n_cols)
-    region: Region = field(repr=False)
 
     @property
     def n_active(self) -> int:
@@ -295,7 +294,6 @@ def build_grid(region: Region, tile_size_m: float = TILE_SIZE_M) -> TileGrid:
         n_rows=n_rows,
         n_cols=n_cols,
         active=active,
-        region=region,
     )
 
 

@@ -7,11 +7,11 @@ Beta(8,2) for driving clips and Beta(2,8) otherwise (about a 2% per-frame
 error at the 0.5 cutoff), and city-level demographics follow a linear
 model with known coefficients. The generator is fully deterministic: city
 ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``, so adding or
-reordering cities never perturbs the others, and ``gen_corpus`` can draw
-any subset of them (``snapgrid synth`` draws one city at a time). Records
-come back as :class:`~snapgrid.records.SnapColumns`, drawn exactly as the
-one-at-a-time generator in ``tests/record_oracle.py`` draws them, to the
-last bit.
+reordering cities never perturbs the others, and ``gen_corpus`` draws one
+city per call (``snapgrid synth`` writes each before it draws the next).
+Records come back as :class:`~snapgrid.records.SnapColumns`, drawn exactly
+as the one-at-a-time generator in ``tests/record_oracle.py`` draws them, to
+the last bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from datetime import date, datetime, time, timedelta
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,12 +162,10 @@ def _hour_weights(factor: float) -> np.ndarray:
     return w / w.sum()
 
 
-def gen_city(
-    cfg: CitySynthConfig,
-    city_index: int,
-    spec: SynthSpec,
-) -> tuple[SnapColumns, TileGrid]:
-    """Generate one city's records against its grid, with planted labels, as columns in id order."""
+def gen_corpus(spec: SynthSpec, city_index: int) -> tuple[SnapColumns, TileGrid]:
+    """The records of ``spec.cities[city_index]`` against its grid, with planted labels, as columns in id order,
+    and the grid. A city draws the same records whichever others the spec holds."""
+    cfg = spec.cities[city_index]
     rng = city_rng(spec.seed, city_index)
     grid = build_grid(city_region(cfg, spec.tile_size_m), spec.tile_size_m)
     origin = grid.origin
@@ -231,21 +229,6 @@ def gen_city(
         score_offsets=np.concatenate(([0], np.cumsum(n_frames))), ids=np.frombuffer(b"".join(ids), dtype=np.uint8),
         id_offsets=np.cumsum([0, *map(len, ids)], dtype=np.int64), duration_s=durations, deleted=deleted,
     ), grid
-
-
-def gen_corpus(spec: SynthSpec, cities: Optional[Sequence[int]] = None) -> tuple[SnapColumns, dict[str, TileGrid]]:
-    """The records of the cities at the indices ``cities`` (all by default) as one set of columns in that order,
-    plus each one's grid. A city draws the same records whichever others come with it."""
-    indices = range(len(spec.cities)) if cities is None else cities
-    parts, grids = zip(*(gen_city(spec.cities[i], i, spec) for i in indices))
-    names = [spec.cities[i].city_id for i in indices]
-    joined = {name: np.concatenate([getattr(p, name) for p in parts])
-              for name in ("ts", "lat", "lon", "label", "scores", "ids", "duration_s", "deleted")}
-    for name in ("score_offsets", "id_offsets"):  # each part's list lengths, joined, as offsets
-        joined[name] = np.concatenate(([0], np.cumsum(np.concatenate([np.diff(getattr(p, name)) for p in parts]))))
-    table = sorted(names)
-    joined["city"] = np.repeat(np.array([table.index(c) for c in names], dtype=np.int32), list(map(len, parts)))
-    return SnapColumns(**joined, cities=np.array(table, dtype=object)), dict(zip(names, grids))
 
 
 def gen_annotations(

@@ -78,14 +78,13 @@ def aggregate_votes(frame_labels: Sequence[str], rule: VotingRule) -> str:
     return DRIVING if _decide(positive, len(frame_labels), rule) else NON_DRIVING
 
 
-def classify_scores(scores: np.ndarray, offsets: np.ndarray, rule: VotingRule,
-                    cutoff: float = FRAME_CUTOFF) -> np.ndarray:
+def classify_scores(scores: np.ndarray, offsets: np.ndarray, rule: VotingRule) -> np.ndarray:
     """Each clip's vote, true for driving: clip ``i`` is ``scores[offsets[i]:offsets[i + 1]]``.
 
-    A frame strictly above ``cutoff`` is positive, and :func:`_decide` votes
-    each clip. A clip with no frames is never driving.
+    A frame strictly above ``FRAME_CUTOFF`` is positive, and :func:`_decide`
+    votes each clip. A clip with no frames is never driving.
     """
-    positive = np.concatenate(([0], np.cumsum(np.asarray(scores) > cutoff, dtype=np.int64)))[offsets]
+    positive = np.concatenate(([0], np.cumsum(np.asarray(scores) > FRAME_CUTOFF, dtype=np.int64)))[offsets]
     return _decide(np.diff(positive), np.diff(offsets), rule)
 
 

@@ -4,9 +4,10 @@
 :class:`SnapRecord` one record at a time, and ``record(obj)`` reads one
 JSON object as ``write_snaps`` writes it, so tests can check
 ``parse_snaps`` and ``cleaned.npz`` against an independent path.
-``gen_corpus(spec)`` is synth's generator one record at a time, and
-``write_snaps(recs, path)`` writes records through ``json.dumps``: the
-reference for ``synth.gen_corpus`` and ``records.write_snaps``.
+``gen_corpus(spec)`` is synth's generator one record at a time, every
+city of the spec in one list, and ``write_snaps(recs, path)`` writes
+records through ``json.dumps``: the reference for ``synth.gen_corpus``,
+which draws one city per call, and for ``records.write_snaps``.
 """
 
 import json
@@ -149,7 +150,7 @@ def _gen_city(cfg, city_index, spec) -> list[SnapRecord]:
 
 
 def gen_corpus(spec) -> list[SnapRecord]:
-    """All cities' records in city order, as ``synth.gen_corpus`` must give them."""
+    """All cities' records in city order; city ``i``'s are the records ``synth.gen_corpus(spec, i)`` must give."""
     return [rec for i, cfg in enumerate(spec.cities) for rec in _gen_city(cfg, i, spec)]
 
 

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 import yaml
 
 from snapgrid import cli
-from snapgrid.cli import DEFAULT_CONFIG, STAGES, _commit, build_parser, load_config, main
+from snapgrid.cli import CLEANED, DEFAULT_CONFIG, STAGES, _commit, build_parser, load_config, main
 from snapgrid.errors import ConfigError
 from record_oracle import columns, record
 from snapgrid.geo import GeoPoint
@@ -187,6 +190,34 @@ def test_stages_rewrite_outputs_byte_identically(pipeline_dir):
     assert main(["report", "--config", config]) == 0
     assert (pipeline_dir / "extent.json").read_bytes() == before
     assert (pipeline_dir / "report.json").read_bytes() == report_before
+
+
+def _stage_argv(stage: str, out: Path) -> list[str]:
+    """The stage over 3 cities x 200 records in ``out``, as ``snapgrid`` arguments."""
+    if stage == "synth":
+        return ["synth", "--seed", "4", "--out-dir", str(out), "--cities", "3", "--records", "200"]
+    return [stage, "--config", str(out / "pipeline.yaml")]
+
+
+def test_stages_do_not_depend_on_the_hash_seed(tmp_path):
+    # one process per stage under PYTHONHASHSEED 0 and 1: an output that follows the str hash order differs
+    # between processes, which an in-process run cannot see; the two pipelines run side by side
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    first, second = tmp_path / "0", tmp_path / "1"
+    for stage in STAGES:
+        procs = [subprocess.Popen([sys.executable, "-B", "-m", "snapgrid.cli", *_stage_argv(stage, out)],
+                                  env=dict(os.environ, PYTHONHASHSEED=out.name, PYTHONPATH=path),
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                 for out in (first, second)]
+        errors = [proc.communicate()[1] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], (stage, errors)
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    assert {"snaps.jsonl", "labels.csv", "heatmap_city02.csv", "report.json"} <= set(names)
+    with np.load(first / CLEANED) as one, np.load(second / CLEANED) as other:  # the zip stores write times
+        assert one.files == other.files and [k for k in one.files if not np.array_equal(one[k], other[k])] == []
+    assert [n for n in names if n != CLEANED and (first / n).read_bytes() != (second / n).read_bytes()] == []
 
 
 def test_no_temp_files_left_after_pipeline(pipeline_dir):
@@ -623,7 +654,8 @@ READERS = ("extent", "spatial", "temporal", "cluster")
 
 
 @pytest.mark.parametrize(
-    "damage", ["missing", "malformed", "rule", "cutoff", "cutoff_text", "threshold_float", "crc", "swapped"]
+    "damage",
+    ["missing", "malformed", "rule", "cutoff", "cutoff_text", "cutoff_other", "threshold_float", "crc", "swapped"],
 )
 @pytest.mark.parametrize("stage", READERS)
 def test_reader_with_bad_classify_json_exits_2(pipeline_dir, tmp_path, capsys, stage, damage):
@@ -641,6 +673,8 @@ def test_reader_with_bad_classify_json_exits_2(pipeline_dir, tmp_path, capsys, s
         info["cutoff"] = 1.5
     elif damage == "cutoff_text":
         info["cutoff"] = "0.4"
+    elif damage == "cutoff_other":
+        info["cutoff"] = 0.4  # a valid number, but not the cutoff classify votes at
     elif damage == "threshold_float":
         info["rule"], info["threshold_pct"] = "threshold", 30.0
     elif damage == "crc":

@@ -2,9 +2,6 @@
 
 import csv
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
@@ -16,7 +13,6 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import record_oracle
-import snapgrid
 from record_oracle import assert_same_columns
 from snapgrid import synth
 from snapgrid.annotation import adjudicate, fleiss_kappa, matrix_from_long
@@ -36,7 +32,6 @@ from snapgrid.synth import (
     city_rng,
     default_spec,
     gen_annotations,
-    gen_city,
     gen_corpus,
     gen_planted_week_vectors,
     gen_regression_cities,
@@ -71,17 +66,16 @@ SMALL = SynthSpec(
 
 
 def test_same_seed_reproduces_corpus_bit_for_bit():
-    corpus_a, _ = gen_corpus(SMALL)
-    corpus_b, _ = gen_corpus(SMALL)
-    assert_same_columns(corpus_a, corpus_b)
+    for i in range(len(SMALL.cities)):
+        assert_same_columns(gen_corpus(SMALL, i)[0], gen_corpus(SMALL, i)[0])
 
 
 def test_different_seed_changes_corpus():
     other = SynthSpec(seed=4, cities=SMALL.cities)
-    corpus_a, _ = gen_corpus(SMALL)
-    corpus_b, _ = gen_corpus(other)
-    assert len(corpus_a) == len(corpus_b)
-    assert (corpus_a.lat != corpus_b.lat).any() and (corpus_a.ts != corpus_b.ts).any()
+    for i in range(len(SMALL.cities)):
+        (city_a, _), (city_b, _) = gen_corpus(SMALL, i), gen_corpus(other, i)
+        assert len(city_a) == len(city_b)
+        assert (city_a.lat != city_b.lat).any() and (city_a.ts != city_b.ts).any()
 
 
 def test_city_streams_are_independent_and_stable():
@@ -93,11 +87,11 @@ def test_city_streams_are_independent_and_stable():
 
 
 def test_record_shape_and_bounds():
-    cols, grid = gen_city(SMALL.cities[0], 0, SMALL)
+    cols, _ = gen_corpus(SMALL, 0)
     assert len(cols) == 2000
     start = parse_rfc3339("2025-03-03T00:00:00+03:00")  # local midnight, UTC+3
     end = start + SMALL.n_days * 86400
-    south, west, north, east = grid.region.bbox
+    south, west, north, east = city_region(SMALL.cities[0], SMALL.tile_size_m).bbox
     assert cols.ids.tobytes().decode() == "".join(f"alpha-{i:06d}" for i in range(2000))
     assert cols.cities.tolist() == ["alpha"] and (cols.city == 0).all()
     assert ((start <= cols.ts) & (cols.ts < end)).all()
@@ -118,7 +112,7 @@ def test_planted_driving_fraction_is_exact():
         n_records=100_000,
     )
     spec = SynthSpec(seed=0, cities=(cfg,))
-    cols, _ = gen_city(cfg, 0, spec)
+    cols, _ = gen_corpus(spec, 0)
     fraction = np.mean(cols.label == LABELS.index(DRIVING))
     assert abs(fraction - 0.2356) <= 0.005
 
@@ -128,7 +122,7 @@ def test_zero_driving_fraction_has_no_driving_records():
         city_id="calm", tz_id="UTC", origin_lat=0.0, origin_lon=0.0,
         n_records=500, driving_fraction=0.0,
     )
-    cols, _ = gen_city(cfg, 0, SynthSpec(seed=1, cities=(cfg,)))
+    cols, _ = gen_corpus(SynthSpec(seed=1, cities=(cfg,)), 0)
     assert (cols.label == LABELS.index(NON_DRIVING)).all()
 
 
@@ -142,7 +136,7 @@ def test_near_uniform_weights_spread_counts_evenly():
         n_rows=5, n_cols=5, n_records=10_000,
         family="normal", family_params={"mu": 5.0, "sigma": 1e-9},
     )
-    cols, grid = gen_city(cfg, 0, SynthSpec(seed=2, cities=(cfg,)))
+    cols, grid = gen_corpus(SynthSpec(seed=2, cities=(cfg,)), 0)
     vec = located_counts(cols, grid, "flat")
     counts = vec.counts
     assert counts.min() > 0
@@ -151,20 +145,20 @@ def test_near_uniform_weights_spread_counts_evenly():
 
 def test_tile_counts_recover_planted_power_law():
     spec = default_spec(seed=0, n_cities=1)
-    cols, grid = gen_city(spec.cities[0], 0, spec)
+    cols, grid = gen_corpus(spec, 0)
     driving = cols.label == LABELS.index(DRIVING)
     comp = compare_fits(located_counts(cols, grid, "city00", driving).positive_counts, "city00")
     assert comp.best_by_bic == "power_law"
 
 
 def test_deleted_fraction_close_to_config():
-    cols, _ = gen_city(SMALL.cities[0], 0, SMALL)
+    cols, _ = gen_corpus(SMALL, 0)
     rate = np.mean(cols.deleted)
     assert rate == pytest.approx(0.0298, abs=0.02)
 
 
 def test_night_hours_are_boosted():
-    cols, _ = gen_city(SMALL.cities[0], 0, SMALL)
+    cols, _ = gen_corpus(SMALL, 0)
     # planted factor 1.75 on the 8 night hours of the local clock
     hours = np.bincount((cols.ts // 3600 + 3) % 24, minlength=24)  # tz is fixed UTC+3
     night = (0, 1, 18, 19, 20, 21, 22, 23)
@@ -220,42 +214,28 @@ def _small_specs(draw) -> SynthSpec:
 @given(_small_specs())
 def test_columns_write_the_bytes_of_the_record_by_record_generator(tmp_path_factory, spec):
     out = tmp_path_factory.mktemp("synth")
-    cols, grids = gen_corpus(spec)
     recs = record_oracle.gen_corpus(spec)
-    assert list(grids) == [c.city_id for c in spec.cities]
-    assert_same_columns(cols, record_oracle.columns(recs))
-    write_snaps([cols], out / "columns.jsonl")
-    # a city at a time, as snapgrid synth writes them: each city's draws do not depend on the others
-    write_snaps((gen_corpus(spec, [i])[0] for i in range(len(spec.cities))), out / "cities.jsonl")
+    cities = [gen_corpus(spec, i) for i in range(len(spec.cities))]
+    for cfg, (cols, grid) in zip(spec.cities, cities):
+        assert_same_columns(cols, record_oracle.columns([rec for rec in recs if rec.city_id == cfg.city_id]))
+        assert (grid.n_rows, grid.n_cols) == (cfg.n_rows, cfg.n_cols)
+    # a city at a time, as snapgrid synth writes them
+    write_snaps((cols for cols, _grid in cities), out / "columns.jsonl")
     record_oracle.write_snaps(recs, out / "records.jsonl")
-    want = (out / "records.jsonl").read_bytes()
-    assert (out / "columns.jsonl").read_bytes() == want and (out / "cities.jsonl").read_bytes() == want
+    assert (out / "columns.jsonl").read_bytes() == (out / "records.jsonl").read_bytes()
 
 
 SYNTH_FILES = ("manifest.json", "snaps.jsonl", "annotations.csv", "city_stats.csv", "pipeline.yaml")
 
 
-def test_synth_bytes_do_not_depend_on_the_hash_seed(tmp_path):
-    src = str(Path(snapgrid.__file__).resolve().parents[1])
-    for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        subprocess.run([sys.executable, "-B", "-m", "snapgrid.cli", "synth", "--seed", "8", "--out-dir",
-                        str(tmp_path / hash_seed), "--cities", "2", "--records", "50"], env=env, check=True,
-                       capture_output=True)
-    assert sorted(p.name for p in (tmp_path / "0").iterdir()) == sorted(SYNTH_FILES)
-    first, second = ({name: (tmp_path / seed / name).read_bytes() for name in SYNTH_FILES} for seed in ("0", "1"))
-    assert [name for name in SYNTH_FILES if first[name] != second[name]] == []
-
-
 def _whole_corpus_files(out: Path, seed: int, n_cities: int, n_records: int, annotated: int) -> None:
-    """The five synth files as the whole corpus in memory at once gives them: every record through ``json.dumps``,
-    and the annotations of each city's first ``annotated`` records."""
+    """The five synth files as the record-by-record generator gives them, the whole corpus at once: every record
+    through ``json.dumps``, and the annotations of each city's first ``annotated`` records."""
     spec = default_spec(seed, n_cities=n_cities, n_records=n_records)
-    cols, _grids = gen_corpus(spec)
+    recs = record_oracle.gen_corpus(spec)
     out.mkdir()
-    record_oracle.write_snaps(cols.to_records(range(len(cols))), out / "snaps.jsonl")
-    sample = cols.to_records(np.flatnonzero(np.arange(len(cols)) % n_records < annotated))
+    record_oracle.write_snaps(recs, out / "snaps.jsonl")
+    sample = [rec for k, rec in enumerate(recs) if k % n_records < annotated]
     with open(out / "annotations.csv", "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(
             [("item_id", "rater_id", "category"), *gen_annotations(sample, flip_prob=0.1, seed=seed)])
@@ -302,15 +282,15 @@ def test_synth_failing_in_a_city_leaves_the_out_dir_as_it_was(tmp_path, monkeypa
     before = {"manifest.json": b"previous manifest", "annotations.csv": b"previous annotations", "mine.txt": b"mine"}
     for name, content in before.items():
         (tmp_path / name).write_bytes(content)
-    real, drawn = synth.gen_city, []
+    real, drawn = synth.gen_corpus, []
 
-    def gen_city(cfg, city_index, spec):
+    def gen_corpus(spec, city_index):
         drawn.append(city_index)
         if city_index == 2:
-            raise SnapGridError(f"city {cfg.city_id}: failed on purpose")
-        return real(cfg, city_index, spec)
+            raise SnapGridError(f"city {spec.cities[city_index].city_id}: failed on purpose")
+        return real(spec, city_index)
 
-    monkeypatch.setattr(synth, "gen_city", gen_city)
+    monkeypatch.setattr(synth, "gen_corpus", gen_corpus)
     assert main(["synth", "--seed", "1", "--out-dir", str(tmp_path), "--cities", "4", "--records", "50"]) == 1
     assert drawn == [0, 1, 2]
     err = capsys.readouterr().err
@@ -349,7 +329,7 @@ def sample_records(n):
             ),
         ),
     )
-    cols, _ = gen_city(spec.cities[0], 0, spec)
+    cols, _ = gen_corpus(spec, 0)
     return cols.to_records(range(len(cols)))
 
 

@@ -34,9 +34,9 @@ labels_strategy = st.lists(
 rule_strategy = st.sampled_from(ALL_RULES)
 
 
-def vote(scores, rule, cutoff=FRAME_CUTOFF) -> str:
+def vote(scores, rule) -> str:
     """The label :func:`classify_scores` gives one clip of ``scores``."""
-    hit = classify_scores(np.array(scores, dtype=float), np.array([0, len(scores)]), rule, cutoff=cutoff)
+    hit = classify_scores(np.array(scores, dtype=float), np.array([0, len(scores)]), rule)
     return DRIVING if hit[0] else NON_DRIVING
 
 
@@ -89,10 +89,9 @@ def test_aggregate_rejects_empty():
 def test_frame_label_cutoff_is_strict():
     # one frame: the clip label is the frame's label under every rule
     for rule in ALL_RULES:
-        assert vote([0.5], rule) == NON_DRIVING
+        assert vote([FRAME_CUTOFF], rule) == NON_DRIVING
         assert vote([0.500001], rule) == DRIVING
-        assert vote([0.3], rule, cutoff=0.25) == DRIVING
-        assert vote([0.25], rule, cutoff=0.25) == NON_DRIVING
+        assert vote([0.499999], rule) == NON_DRIVING
         # a clip with no frames is never driving
         assert vote([], rule) == NON_DRIVING
 
@@ -114,15 +113,14 @@ def test_classify_scores_composes_binarize_and_vote():
 
 
 @given(
-    # scores on the cutoffs themselves test that a frame's cutoff is strict
-    st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9, 1.0]), st.floats(0.0, 1.0)),
+    # scores on the cutoff itself test that a frame's cutoff is strict
+    st.lists(st.one_of(st.sampled_from([0.0, 0.25, FRAME_CUTOFF, 0.75, 0.9, 1.0]), st.floats(0.0, 1.0)),
              min_size=1, max_size=200),
     rule_strategy,
-    st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]),
 )
-def test_classify_scores_is_the_fraction_rule(scores, rule, cutoff):
+def test_classify_scores_is_the_fraction_rule(scores, rule):
     # the integer comparisons agree with the float formula they replace, and with aggregate_votes
-    positive = sum(s > cutoff for s in scores)
+    positive = sum(s > FRAME_CUTOFF for s in scores)
     fraction = positive / len(scores)
     if rule.kind == "single":
         hit = positive >= 1
@@ -130,18 +128,15 @@ def test_classify_scores_is_the_fraction_rule(scores, rule, cutoff):
         hit = fraction > 0.5
     else:
         hit = fraction > rule.threshold_pct / 100
-    frame_labels = [DRIVING if s > cutoff else NON_DRIVING for s in scores]
-    assert vote(scores, rule, cutoff=cutoff) == (DRIVING if hit else NON_DRIVING)
-    assert vote(scores, rule, cutoff=cutoff) == aggregate_votes(frame_labels, rule)
-
-
-CUTOFFS = (0.0, 0.25, 0.5, 0.75, 0.9)
+    frame_labels = [DRIVING if s > FRAME_CUTOFF else NON_DRIVING for s in scores]
+    assert vote(scores, rule) == (DRIVING if hit else NON_DRIVING)
+    assert vote(scores, rule) == aggregate_votes(frame_labels, rule)
 
 
 @st.composite
-def clip(draw, cutoff):
+def clip(draw):
     """One clip's frame scores: often empty, a single frame, or an exact tie under some rule."""
-    frame = st.one_of(st.sampled_from([0.0, cutoff, 1.0, 0.9, 0.1]), st.floats(0.0, 1.0))
+    frame = st.one_of(st.sampled_from([0.0, FRAME_CUTOFF, 1.0, 0.9, 0.1]), st.floats(0.0, 1.0))
     kind = draw(st.sampled_from(["empty", "single", "free", "tie"]))
     if kind == "empty":
         return []
@@ -153,19 +148,19 @@ def clip(draw, cutoff):
     n = 10 * draw(st.integers(1, 12))
     pct = draw(st.sampled_from((50, *THRESHOLD_CHOICES)))
     positive = min(n, max(0, pct * n // 100 + draw(st.sampled_from([-1, 0, 0, 1]))))
-    low = draw(st.sampled_from([0.0, cutoff]))  # a score on the cutoff is not positive
+    low = draw(st.sampled_from([0.0, FRAME_CUTOFF]))  # a score on the cutoff is not positive
     return draw(st.permutations([1.0] * positive + [low] * (n - positive)))
 
 
-@given(st.data(), rule_strategy, st.sampled_from(CUTOFFS))
-def test_column_vote_matches_decide(data, rule, cutoff):
+@given(st.data(), rule_strategy)
+def test_column_vote_matches_decide(data, rule):
     # empty clips at the start and the end of the offsets, and wherever the draw puts them between
-    clips = [[]] * data.draw(st.integers(0, 2)) + data.draw(st.lists(clip(cutoff), max_size=25))
+    clips = [[]] * data.draw(st.integers(0, 2)) + data.draw(st.lists(clip(), max_size=25))
     clips += [[]] * data.draw(st.integers(0, 2))
     offsets = np.cumsum([0] + [len(c) for c in clips])
     scores = np.array([s for c in clips for s in c], dtype=float)
-    got = classify_scores(scores, offsets, rule, cutoff=cutoff)
-    want = [bool(c) and _decide(sum(s > cutoff for s in c), len(c), rule) for c in clips]
+    got = classify_scores(scores, offsets, rule)
+    want = [bool(c) and _decide(sum(s > FRAME_CUTOFF for s in c), len(c), rule) for c in clips]
     assert got.tolist() == want
 
 
