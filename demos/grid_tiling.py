@@ -3,26 +3,20 @@
 Run: python demos/grid_tiling.py
 """
 
-import math
-
 from snapgrid.geo import (
-    METERS_PER_DEG_LAT,
     GeoPoint,
     Region,
     TileIndex,
     build_grid,
     locate,
     project_local,
+    unproject,
 )
 
 
 def km_ring(anchor_lat, anchor_lon, points_km):
-    """Polygon ring from offsets in kilometres around an anchor."""
-    m_lon = METERS_PER_DEG_LAT * math.cos(math.radians(anchor_lat))
-    return [
-        GeoPoint(anchor_lat + 1000.0 * y / METERS_PER_DEG_LAT, anchor_lon + 1000.0 * x / m_lon)
-        for x, y in points_km
-    ]
+    """Polygon ring from offsets in kilometres east and north of an anchor."""
+    return [GeoPoint(*unproject(1000.0 * x, 1000.0 * y, anchor_lat, anchor_lon)) for x, y in points_km]
 
 
 def show_grid(name, grid):
@@ -36,8 +30,7 @@ def main():
     # A 5 km x 3 km box over central London. Tiles are 1 km squares in a
     # local equirectangular projection anchored at the southwest corner.
     south, west = 51.50, -0.14
-    north = south + 3000.0 / METERS_PER_DEG_LAT
-    east = west + 5000.0 / (METERS_PER_DEG_LAT * math.cos(math.radians(south)))
+    north, east = unproject(5000.0, 3000.0, south, west)
     box = Region.from_bbox(south, west, north, east)
     grid = build_grid(box, tile_size_m=1000.0)
     show_grid("bbox city", grid)
@@ -47,7 +40,7 @@ def main():
     # past the outer east/north edge falls off the grid.
     for label, p in [
         ("southwest corner", GeoPoint(south, west)),
-        ("1.5 km east, 0.5 km north", GeoPoint(south + 500 / METERS_PER_DEG_LAT, west + 1500 / (METERS_PER_DEG_LAT * math.cos(math.radians(south))))),
+        ("1.5 km east, 0.5 km north", GeoPoint(*unproject(1500.0, 500.0, south, west))),
         ("north of the box", GeoPoint(north + 0.01, west)),
     ]:
         idx = locate(p, grid)

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import annotation, records, regression, spatial, synth, temporal, voting
+from . import annotation, geo, records, regression, spatial, synth, temporal, voting
 from .errors import ConfigError, SnapGridError
 from .geo import Region, build_grid, locate_points
 
@@ -79,15 +79,17 @@ CHECKS = {
     # a city id ending in NUL would lose it in cleaned.npz's string table
     "cities": ("a mapping of ids without NUL", lambda v: type(v) is dict and not any("\0" in c for c in v)),
     "cities.*": ("a mapping of a bbox and a tz", lambda v: type(v) is dict and v.keys() == {"bbox", "tz"}),
+    # tiled, not only parsed: a bbox whose last tile overhangs a pole or the antimeridian fails here
     "cities.*.bbox": (
         "[south, west, north, east] in degrees",
-        lambda v: type(v) is list and len(v) == 4 and Region.from_bbox(*v),
+        lambda v: type(v) is list and len(v) == 4 and geo.build_grid(Region.from_bbox(*v)),
     ),
     "cities.*.bbox.#": ("a number", lambda v: type(v) in (int, float)),
     "cities.*.tz": ("an IANA time zone", lambda v: type(v) is str and records.get_zone(v)),
     **{key: ("a path", lambda v: type(v) is str) for key in PATH_KEYS},
 }
 CLEANED = "cleaned.npz"
+_CRC_CHUNK = 1 << 16  # records per zlib.crc32 call in _ids_crc32
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +218,16 @@ def _load_cleaned(out_dir: Path) -> records.SnapColumns:
 
 
 def _ids_crc32(cols: records.SnapColumns, rows: np.ndarray) -> int:
-    """CRC-32 of the ids where ``rows`` is true, in order; each is length-prefixed, so no two lists share bytes."""
-    data, ends = cols.ids.tobytes(), cols.id_offsets.tolist()
-    return zlib.crc32(b"".join(b"%d:%b" % (ends[i + 1] - ends[i], data[ends[i]:ends[i + 1]])
-                               for i in np.flatnonzero(rows).tolist()))
+    """CRC-32 of the ids where ``rows`` is true, in order; each is length-prefixed, so no two lists share bytes.
+    ``zlib.crc32`` runs over ``_CRC_CHUNK`` records at a time, so that no Python list spans the corpus."""
+    crc, picked = 0, np.flatnonzero(rows)
+    for first in range(0, len(picked), _CRC_CHUNK):
+        i = picked[first:first + _CRC_CHUNK]
+        at = cols.id_offsets[i[0]]
+        blob = cols.ids[at:cols.id_offsets[i[-1] + 1]].tobytes()
+        starts, ends = (cols.id_offsets[i] - at).tolist(), (cols.id_offsets[i + 1] - at).tolist()
+        crc = zlib.crc32(b"".join(b"%d:%b" % (b - a, blob[a:b]) for a, b in zip(starts, ends)), crc)
+    return crc
 
 
 def _load_classified(out_dir: Path) -> tuple[records.SnapColumns, np.ndarray, np.ndarray]:

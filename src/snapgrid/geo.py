@@ -6,13 +6,16 @@ local equirectangular projection anchored at the southwest corner of the
 region's bounding box: one degree of latitude is treated as 111,320 m
 and one degree of longitude as 111,320 m scaled by the cosine of the
 anchor latitude. At city scale the projection error is negligible, and
-the mapping is invertible, which keeps tile centers exact.
+the mapping is invertible, which keeps tile centers exact. It is written
+once, :func:`project` and :func:`unproject`, for floats and arrays alike.
 
-Tiles are half-open in both axes: a point whose projected coordinate
-falls exactly on a shared tile edge belongs to the tile on the
-higher-index side (floor convention). Points on a polygon boundary count
-as inside. Polygon membership of a tile is decided by its center, not by
-area overlap.
+Tiles are numbered ``row * n_cols + col``, row-major, and are half-open in
+both axes: a point whose projected coordinate falls exactly on a shared
+tile edge belongs to the tile on the higher-index side (floor convention);
+:func:`locate_points` is that rule, and :func:`locate` is it for one point.
+Points on a polygon boundary count as inside. Polygon membership of a tile
+is decided by its center, not by area overlap. A grid whose last tile's
+centre would lie past a pole or the antimeridian is refused.
 
 The grid is anchored to the region itself rather than to any web-map
 tiling scheme; zoom-level tile conventions from map servers do not
@@ -76,21 +79,23 @@ class TileIndex:
     col: int
 
 
-def project_local(p: GeoPoint, origin: GeoPoint) -> tuple[float, float]:
-    """Project ``p`` to local metric coordinates relative to ``origin``.
+def project(lat, lon, origin_lat, origin_lon):
+    """``(x, y)``, the metres east and north of the origin, of ``(lat, lon)``: floats or arrays alike.
 
-    Equirectangular: x grows east, y grows north, both in meters.
+    Operators only, so that both take the same operations in the same order and agree to the bit.
     """
-    y = (p.lat - origin.lat) * METERS_PER_DEG_LAT
-    x = (p.lon - origin.lon) * METERS_PER_DEG_LAT * math.cos(math.radians(origin.lat))
-    return x, y
+    x = (lon - origin_lon) * METERS_PER_DEG_LAT * math.cos(math.radians(origin_lat))
+    return x, (lat - origin_lat) * METERS_PER_DEG_LAT
 
 
-def unproject_local(x: float, y: float, origin: GeoPoint) -> GeoPoint:
-    """Inverse of :func:`project_local`."""
-    lat = origin.lat + y / METERS_PER_DEG_LAT
-    lon = origin.lon + x / (METERS_PER_DEG_LAT * math.cos(math.radians(origin.lat)))
-    return GeoPoint(lat, lon)
+def unproject(x, y, origin_lat, origin_lon):
+    """Inverse of :func:`project`: the ``(lat, lon)`` ``x`` metres east and ``y`` metres north of the origin."""
+    return origin_lat + y / METERS_PER_DEG_LAT, origin_lon + x / (METERS_PER_DEG_LAT * math.cos(math.radians(origin_lat)))
+
+
+def project_local(p: GeoPoint, origin: GeoPoint) -> tuple[float, float]:
+    """:func:`project` of one point."""
+    return project(p.lat, p.lon, origin.lat, origin.lon)
 
 
 def _normalize_ring(ring: Sequence[GeoPoint]) -> tuple[GeoPoint, ...]:
@@ -221,12 +226,13 @@ class Region:
 class TileGrid:
     """A fixed-size metric tile partition of one region.
 
-    ``origin`` is the southwest corner of the region's bounding box.
+    ``(origin_lat, origin_lon)`` is the southwest corner of the region's bounding box.
     ``active`` marks tiles whose center lies inside the region; for bbox
     regions every tile is active.
     """
 
-    origin: GeoPoint
+    origin_lat: float
+    origin_lon: float
     tile_size_m: float
     n_rows: int
     n_cols: int
@@ -236,31 +242,28 @@ class TileGrid:
     def n_active(self) -> int:
         return int(self.active.sum())
 
-    def tile_center(self, idx: TileIndex) -> GeoPoint:
-        x = (idx.col + 0.5) * self.tile_size_m
-        y = (idx.row + 0.5) * self.tile_size_m
-        return unproject_local(x, y, self.origin)
+    @property
+    def origin(self) -> GeoPoint:
+        return GeoPoint(self.origin_lat, self.origin_lon)
 
-    def active_tiles(self) -> list[TileIndex]:
-        """Active tile indices in row-major order."""
-        rows, cols = np.nonzero(self.active)
-        return [TileIndex(int(r), int(c)) for r, c in zip(rows, cols)]
+    def centers(self, tiles=None) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(lat, lon)`` centres of tiles ``tiles``, numbered as :func:`locate_points` numbers them; all by default."""
+        row, col = np.divmod(np.arange(self.n_rows * self.n_cols) if tiles is None else tiles, self.n_cols)
+        x, y = (col + 0.5) * self.tile_size_m, (row + 0.5) * self.tile_size_m
+        return unproject(x, y, self.origin_lat, self.origin_lon)
+
+    def tile_center(self, idx: TileIndex) -> GeoPoint:
+        return GeoPoint(*self.centers(idx.row * self.n_cols + idx.col))
 
     def write_csv(self, path) -> None:
         """Export the grid: one row per tile with center coordinates."""
+        lat, lon = self.centers()
+        row, col = np.divmod(np.arange(lat.size), self.n_cols)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "col", "center_lat", "center_lon", "active"])
-            for row in range(self.n_rows):
-                for col in range(self.n_cols):
-                    center = self.tile_center(TileIndex(row, col))
-                    writer.writerow([
-                        row,
-                        col,
-                        repr(center.lat),
-                        repr(center.lon),
-                        "true" if self.active[row, col] else "false",
-                    ])
+            writer.writerows(zip(row.tolist(), col.tolist(), map(repr, lat.tolist()), map(repr, lon.tolist()),
+                                 np.where(self.active.ravel(), "true", "false").tolist()))
 
 
 def build_grid(region: Region, tile_size_m: float = TILE_SIZE_M) -> TileGrid:
@@ -273,56 +276,37 @@ def build_grid(region: Region, tile_size_m: float = TILE_SIZE_M) -> TileGrid:
     if tile_size_m <= 0:
         raise ValueError(f"tile_size_m must be positive, got {tile_size_m}")
     south, west, north, east = region.bbox
-    origin = GeoPoint(south, west)
-    width_m, height_m = project_local(GeoPoint(north, east), origin)
-    if width_m <= 0 or height_m <= 0:
-        raise SnapGridError(f"region has degenerate extent {width_m} x {height_m} m")
+    width_m, height_m = project(north, east, south, west)
     n_cols = int(math.ceil(width_m / tile_size_m - _CEIL_EPS))
     n_rows = int(math.ceil(height_m / tile_size_m - _CEIL_EPS))
+    if n_cols < 1 or n_rows < 1:
+        raise SnapGridError(f"region has degenerate extent {width_m} x {height_m} m")
 
-    if region.polygon is None:
-        active = np.ones((n_rows, n_cols), dtype=bool)
-    else:
-        active = np.zeros((n_rows, n_cols), dtype=bool)
-        for row in range(n_rows):
-            for col in range(n_cols):
-                center = unproject_local((col + 0.5) * tile_size_m, (row + 0.5) * tile_size_m, origin)
-                active[row, col] = _point_in_ring(center.lon, center.lat, region.polygon)
-    return TileGrid(
-        origin=origin,
-        tile_size_m=float(tile_size_m),
-        n_rows=n_rows,
-        n_cols=n_cols,
-        active=active,
-    )
+    grid = TileGrid(south, west, float(tile_size_m), n_rows, n_cols, active=np.ones((n_rows, n_cols), dtype=bool))
+    try:
+        check_point(*grid.centers(n_rows * n_cols - 1))
+    except ValueError as exc:
+        raise SnapGridError(f"the last tile's centre lies past a pole or the antimeridian: {exc}")
+    if region.polygon is not None:
+        lat, lon = grid.centers()
+        grid.active.flat[:] = [_point_in_ring(x, y, region.polygon) for x, y in zip(lon.tolist(), lat.tolist())]
+    return grid
 
 
 def locate(p: GeoPoint, grid: TileGrid) -> Optional[TileIndex]:
-    """Map a point to its tile, or None when outside the grid or on an inactive tile.
-
-    Floor convention: a projected coordinate exactly on a tile edge
-    belongs to the higher-index tile.
-    """
-    x, y = project_local(p, grid.origin)
-    if x < 0 or y < 0:
-        return None
-    col = int(math.floor(x / grid.tile_size_m))
-    row = int(math.floor(y / grid.tile_size_m))
-    if row >= grid.n_rows or col >= grid.n_cols:
-        return None
-    if not grid.active[row, col]:
-        return None
-    return TileIndex(row, col)
+    """:func:`locate_points` for one point: its tile, or None when outside the grid or on an inactive tile."""
+    tile = int(locate_points(np.float64(p.lat), np.float64(p.lon), grid))  # numpy scalars: no array per call
+    return None if tile < 0 else TileIndex(*divmod(tile, grid.n_cols))
 
 
 def locate_points(lat: np.ndarray, lon: np.ndarray, grid: TileGrid) -> np.ndarray:
-    """:func:`locate` over arrays: each point's tile ``row * n_cols + col``, or -1 where locate gives None.
+    """Each point's tile ``row * n_cols + col``, or -1 outside the grid or on an inactive tile.
 
-    The projection repeats :func:`project_local`'s operations in order, the
-    cosine a Python float, so each point lands bit for bit where locate puts it.
+    ``lat`` and ``lon`` are float64 arrays, or numpy scalars for one point.
+    Floor convention: a projected coordinate exactly on a tile edge belongs
+    to the higher-index tile.
     """
-    y = (np.asarray(lat, dtype=float) - grid.origin.lat) * METERS_PER_DEG_LAT
-    x = (np.asarray(lon, dtype=float) - grid.origin.lon) * METERS_PER_DEG_LAT * math.cos(math.radians(grid.origin.lat))
+    x, y = project(lat, lon, grid.origin_lat, grid.origin_lon)
     col, row = np.floor(x / grid.tile_size_m), np.floor(y / grid.tile_size_m)
     inside = (x >= 0) & (y >= 0) & (col < grid.n_cols) & (row < grid.n_rows)  # NaN is outside too
     tile = np.where(inside, row * grid.n_cols + col, 0).astype(np.int64)

@@ -17,6 +17,9 @@ power-law lower cutoff defaults to the smallest positive count (no
 cutoff search), which keeps all four fits comparable on identical data.
 Zero-count tiles never enter any fit, since the log-normal and power-law
 densities are undefined at zero.
+
+Counts are kept per active tile, numbered as ``geo.locate_points`` numbers
+tiles; the heatmap writes each one's centre from ``TileGrid.centers``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSampleError, SnapGridError
-from .geo import TileGrid, TileIndex
+from .geo import TileGrid
 
 FAMILIES = ("power_law", "normal", "log_normal", "exponential")
 
@@ -42,7 +45,7 @@ class TileCountVector:
     """Counts of located records per active tile of one city's grid."""
 
     city_id: str
-    tiles: tuple[TileIndex, ...]
+    tiles: np.ndarray  # the active tiles, numbered as geo.locate_points numbers them
     counts: np.ndarray  # int, aligned with tiles
     out_of_grid: int = 0
 
@@ -63,11 +66,9 @@ def tile_counts(tiles: np.ndarray, grid: TileGrid, city_id: str) -> TileCountVec
     ``tiles`` holds each record's tile as :func:`geo.locate_points` gives
     it; a record that locates nowhere (-1) goes to an out-of-grid tally.
     """
-    located = tiles[tiles >= 0]
-    rank = np.cumsum(grid.active.ravel()) - 1  # each active tile's place in row-major order
-    counts = np.bincount(rank[located], minlength=grid.n_active)
-    return TileCountVector(city_id=city_id, tiles=tuple(grid.active_tiles()), counts=counts,
-                           out_of_grid=len(tiles) - len(located))
+    located, active = tiles[tiles >= 0], np.flatnonzero(grid.active)
+    counts = np.bincount(np.searchsorted(active, located), minlength=len(active))  # each tile's place among the active
+    return TileCountVector(city_id=city_id, tiles=active, counts=counts, out_of_grid=len(tiles) - len(located))
 
 
 @dataclass(frozen=True)
@@ -222,19 +223,13 @@ def heatmap_export(
     path,
 ) -> None:
     """Write one CSV row per active tile: indices, center, driving and total counts."""
-    tiles = tuple(grid.active_tiles())
-    if driving.tiles != tiles or total.tiles != tiles:
+    tiles = np.flatnonzero(grid.active)
+    if not (np.array_equal(driving.tiles, tiles) and np.array_equal(total.tiles, tiles)):
         raise SnapGridError("count vectors are not aligned with the grid's active tiles")
+    lat, lon = grid.centers(tiles)
+    row, col = np.divmod(tiles, grid.n_cols)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "center_lat", "center_lon", "driving_count", "total_count"])
-        for i, tile in enumerate(tiles):
-            center = grid.tile_center(tile)
-            writer.writerow([
-                tile.row,
-                tile.col,
-                repr(center.lat),
-                repr(center.lon),
-                int(driving.counts[i]),
-                int(total.counts[i]),
-            ])
+        writer.writerows(zip(row.tolist(), col.tolist(), map(repr, lat.tolist()), map(repr, lon.tolist()),
+                             driving.counts.tolist(), total.counts.tolist()))

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .annotation import N_RATERS
-from .geo import METERS_PER_DEG_LAT, TILE_SIZE_M, GeoPoint, Region, TileGrid, build_grid
+from .geo import TILE_SIZE_M, Region, TileGrid, build_grid, unproject
 from .records import DRIVING, LABELS, NON_DRIVING, SnapColumns, SnapRecord, get_zone
 from .regression import DESIGN_TERMS, CityStats
 from .temporal import HOURS_PER_WEEK, NightWindow
@@ -114,11 +114,8 @@ def default_spec(seed: int, n_cities: int = N_CITIES, n_records: int = N_RECORDS
 
 def city_region(cfg: CitySynthConfig, tile_size_m: float = TILE_SIZE_M) -> Region:
     """Bounding box spanning exactly the configured tile layout."""
-    origin = GeoPoint(cfg.origin_lat, cfg.origin_lon)
-    north = origin.lat + cfg.n_rows * tile_size_m / METERS_PER_DEG_LAT
-    meters_per_deg_lon = METERS_PER_DEG_LAT * math.cos(math.radians(origin.lat))
-    east = origin.lon + cfg.n_cols * tile_size_m / meters_per_deg_lon
-    return Region.from_bbox(origin.lat, origin.lon, north, east)
+    north, east = unproject(cfg.n_cols * tile_size_m, cfg.n_rows * tile_size_m, cfg.origin_lat, cfg.origin_lon)
+    return Region.from_bbox(cfg.origin_lat, cfg.origin_lon, north, east)
 
 
 def city_rng(seed: int, city_index: int) -> np.random.Generator:
@@ -168,7 +165,6 @@ def gen_corpus(spec: SynthSpec, city_index: int) -> tuple[SnapColumns, TileGrid]
     cfg = spec.cities[city_index]
     rng = city_rng(spec.seed, city_index)
     grid = build_grid(city_region(cfg, spec.tile_size_m), spec.tile_size_m)
-    origin = grid.origin
 
     n = cfg.n_records
     n_tiles = grid.n_rows * grid.n_cols
@@ -198,9 +194,8 @@ def gen_corpus(spec: SynthSpec, city_index: int) -> tuple[SnapColumns, TileGrid]
     deleted = rng.random(n) < cfg.deleted_fraction
 
     row, col = np.divmod(tile_flat, grid.n_cols)
-    # float64 operations in the order that origin + offset / metres-per-degree takes them for one point
-    lat = origin.lat + (row + frac_y) * spec.tile_size_m / METERS_PER_DEG_LAT
-    lon = origin.lon + (col + frac_x) * spec.tile_size_m / (METERS_PER_DEG_LAT * math.cos(math.radians(origin.lat)))
+    lat, lon = unproject((col + frac_x) * spec.tile_size_m, (row + frac_y) * spec.tile_size_m,
+                         grid.origin_lat, grid.origin_lon)
 
     base = datetime.combine(date.fromisoformat(spec.start_date), time(), get_zone(cfg.tz_id))  # local midnight
 

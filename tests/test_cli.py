@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -440,9 +441,12 @@ _BBOX = "    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
         ("voting:\n  rule: majority\n", "'voting'"),
         ("tile_size_m: 1000.0\n", "'tile_size_m'"),
         ('cities:\n  "a\\0":\n' + _BBOX, "cities"),
+        # the last tile's centre would lie past the pole or the antimeridian
+        ("cities:\n  a:\n    tz: UTC\n    bbox: [89.99, 0.0, 90.0, 1.0]\n", "cities.a.bbox"),
+        ("cities:\n  a:\n    tz: UTC\n    bbox: [10.0, 179.99, 10.01, 180.0]\n", "cities.a.bbox"),
     ],
     ids=["k-fraction", "seed-fraction", "hour-fraction", "city-key-bool", "city-key-int", "tz-unknown",
-         "voting-section", "tile-size", "city-key-nul"],
+         "voting-section", "tile-size", "city-key-nul", "bbox-over-pole", "bbox-over-antimeridian"],
 )
 @pytest.mark.parametrize("stage", [stage for stage in STAGES if stage != "synth"])
 def test_bad_setting_exits_2_at_every_stage(tmp_path, capsys, stage, setting, named):
@@ -685,6 +689,18 @@ def test_reader_with_bad_classify_json_exits_2(pipeline_dir, tmp_path, capsys, s
         (tmp_path / "classify.json").write_text(json.dumps(info))
     _reader_fails_naming_classify(stage, str(pipeline_dir / "pipeline.yaml"), tmp_path, capsys)
     assert not (tmp_path / f"{stage}.json").exists()
+
+
+def test_ids_crc32_in_chunks_is_the_crc_of_the_whole_list(pipeline_dir, monkeypatch):
+    cols = cli._load_cleaned(pipeline_dir)
+    rows = cols.scored & (np.arange(len(cols)) % 3 != 1)  # gaps inside every chunk
+    ids = [cols.ids[a:b].tobytes() for a, b in zip(cols.id_offsets[:-1].tolist(), cols.id_offsets[1:].tolist())]
+    want = zlib.crc32(b"".join(b"%d:%b" % (len(i), i) for i, keep in zip(ids, rows.tolist()) if keep))
+    assert cli._ids_crc32(cols, rows) == want
+    monkeypatch.setattr(cli, "_CRC_CHUNK", 7)
+    assert rows.sum() > 2 * 7
+    assert cli._ids_crc32(cols, rows) == want
+    assert cli._ids_crc32(cols, np.zeros(len(cols), dtype=bool)) == zlib.crc32(b"") == 0
 
 
 def test_readers_apply_the_rule_classify_recorded(pipeline_dir, tmp_path):

@@ -2,8 +2,8 @@
 
 Acceptance test 9 compares two runs of the same code; this test compares a
 run with a committed table, ``golden_seed7.json``: the sha256 of test 9's
-13 files and of every heatmap, after ``synth --seed 7`` on 3 cities x 3000
-records and the 10 stages. A change that alters an artifact on purpose
+13 files and of every heatmap and grid file, after ``synth --seed 7`` on
+3 cities x 3000 records and the 10 stages. A change that alters an artifact on purpose
 regenerates the table with ``python3 tests/test_golden.py`` and says which
 files changed and why. The digests are tied to the numpy build, whose
 float formatting and random streams they fix.
@@ -22,7 +22,7 @@ from pathlib import Path
 
 TABLE = Path(__file__).with_name("golden_seed7.json")
 SYNTH = ["--seed", "7", "--cities", "3", "--records", "3000"]
-# acceptance test 9's list; the heatmaps are globbed
+# acceptance test 9's list; the heatmaps and the grid files are globbed
 ARTIFACTS = (
     "manifest.json", "grid.json", "ingest.json", "annotation.json", "classify.json", "extent.json",
     "spatial.json", "temporal.json", "cluster.json", "regress.json", "report.json", "labels.csv",
@@ -41,7 +41,8 @@ def artifacts(out_dir: Path, edit=None) -> dict[str, bytes]:
     for stage in STAGES:
         if stage != "synth":
             assert main([stage, "--config", config]) == 0, stage
-    names = sorted({*ARTIFACTS, *(p.name for p in out_dir.glob("heatmap_*.csv"))})
+    globbed = (p.name for pattern in ("heatmap_*.csv", "grid_*.csv") for p in out_dir.glob(pattern))
+    names = sorted({*ARTIFACTS, *globbed})
     return {name: (out_dir / name).read_bytes() for name in names}
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from snapgrid.errors import DegenerateSampleError, SnapGridError
-from snapgrid.geo import Region, build_grid, locate_points, unproject_local
+from snapgrid.geo import Region, build_grid, locate_points, unproject
 from snapgrid.spatial import (
     FAMILIES,
     N_PARAMS,
@@ -201,8 +201,9 @@ def grid_2x2():
 
 def counts_at(grid, points_m):
     """``tile_counts`` of points given by their projected ``(x, y)`` in meters."""
-    points = [unproject_local(x, y, grid.origin) for x, y in points_m]
-    tiles = locate_points([p.lat for p in points], [p.lon for p in points], grid)
+    lat, lon = unproject(np.array([x for x, _ in points_m]), np.array([y for _, y in points_m]),
+                         grid.origin_lat, grid.origin_lon)
+    tiles = locate_points(lat, lon, grid)
     return tile_counts(tiles, grid, "metro")
 
 
