@@ -3,20 +3,14 @@
 Run: python demos/grid_tiling.py
 """
 
-from snapgrid.geo import (
-    GeoPoint,
-    Region,
-    TileIndex,
-    build_grid,
-    locate,
-    project_local,
-    unproject,
-)
+import numpy as np
+
+from snapgrid.geo import Region, build_grid, locate_points, project, unproject
 
 
 def km_ring(anchor_lat, anchor_lon, points_km):
-    """Polygon ring from offsets in kilometres east and north of an anchor."""
-    return [GeoPoint(*unproject(1000.0 * x, 1000.0 * y, anchor_lat, anchor_lon)) for x, y in points_km]
+    """Polygon ring of ``(lat, lon)`` vertices from offsets in kilometres east and north of an anchor."""
+    return [unproject(1000.0 * x, 1000.0 * y, anchor_lat, anchor_lon) for x, y in points_km]
 
 
 def show_grid(name, grid):
@@ -35,17 +29,19 @@ def main():
     grid = build_grid(box, tile_size_m=1000.0)
     show_grid("bbox city", grid)
 
-    # Point lookup. locate() floors the projected coordinates, so a point
-    # exactly on a tile edge belongs to the higher-index tile, and anything
-    # past the outer east/north edge falls off the grid.
-    for label, p in [
-        ("southwest corner", GeoPoint(south, west)),
-        ("1.5 km east, 0.5 km north", GeoPoint(*unproject(1500.0, 500.0, south, west))),
-        ("north of the box", GeoPoint(north + 0.01, west)),
-    ]:
-        idx = locate(p, grid)
-        where = f"tile (row={idx.row}, col={idx.col})" if idx else "outside"
-        x, y = project_local(p, grid.origin)
+    # Point lookup. locate_points() floors the projected coordinates, so a
+    # point exactly on a tile edge belongs to the higher-index tile, and
+    # anything past the outer east/north edge falls off the grid (-1).
+    points = {
+        "southwest corner": (south, west),
+        "1.5 km east, 0.5 km north": unproject(1500.0, 500.0, south, west),
+        "north of the box": (north + 0.01, west),
+    }
+    lat, lon = np.array(list(points.values())).T
+    tiles = locate_points(lat, lon, grid)
+    xs, ys = project(lat, lon, grid.origin_lat, grid.origin_lon)
+    for label, tile, x, y in zip(points, tiles.tolist(), xs.tolist(), ys.tolist()):
+        where = f"tile (row={tile // grid.n_cols}, col={tile % grid.n_cols})" if tile >= 0 else "outside"
         print(f"  {label}: projected ({x:7.1f} m, {y:7.1f} m) -> {where}")
 
     # A triangular "city" shows the polygon mask: a tile stays active only
@@ -53,9 +49,9 @@ def main():
     triangle = Region.from_polygon(km_ring(51.50, -0.14, [(0, 0), (4.5, 0), (0, 4.5)]))
     tri_grid = build_grid(triangle, tile_size_m=1000.0)
     show_grid("triangle city", tri_grid)
-    center = tri_grid.tile_center(TileIndex(0, 0))
-    print(f"  tile (0,0) center: ({center.lat:.5f}, {center.lon:.5f})")
-    print(f"  locate(center) -> {locate(center, tri_grid)}")
+    lat, lon = tri_grid.centers(np.array([0]))
+    print(f"  tile (0,0) center: ({lat[0]:.5f}, {lon[0]:.5f})")
+    print(f"  locate_points(center) -> tile {locate_points(lat, lon, tri_grid)[0]}")
 
 
 if __name__ == "__main__":

@@ -37,8 +37,8 @@ def main():
     rng = np.random.default_rng(args.seed)
     clips, truths = synth_scores(rng)
 
-    rules = [("single", VotingRule.single()), ("majority", VotingRule.majority())]
-    rules += [(f"threshold {p}%", VotingRule.threshold(p)) for p in THRESHOLD_CHOICES]
+    rules = [("single", VotingRule("single")), ("majority", VotingRule("majority"))]
+    rules += [(f"threshold {p}%", VotingRule("threshold", p)) for p in THRESHOLD_CHOICES]
 
     print(f"{len(clips)} clips, {np.count_nonzero(truths)} truly driving\n")
     print(f"{'rule':<14} {'precision':>9} {'recall':>7} {'f1':>6} {'accuracy':>9}")

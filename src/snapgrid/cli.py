@@ -272,17 +272,20 @@ def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
         if getattr(args, flag) < least:
             raise ConfigError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
     spec = synth.default_spec(args.seed, n_cities=args.cities, n_records=args.records)
-    sample: list[records.SnapRecord] = []  # each city's first --annotated records, in city order
+    ids: list[str] = []  # the ids and true labels of each city's first --annotated records, in city order
+    labels: list[Optional[str]] = []
 
     def city_parts():  # one city's columns at a time; the next is drawn only after the writer let it go
         for i in range(len(spec.cities)):
             part = synth.gen_corpus(spec, i)[0]
-            sample.extend(part.to_records(range(min(args.annotated, len(part)))))
+            ends = part.id_offsets[:min(args.annotated, len(part)) + 1].tolist()
+            ids.extend(part.ids[a:b].tobytes().decode("utf-8", "surrogatepass") for a, b in zip(ends, ends[1:]))
+            labels.extend(records.LABELS[code] if code >= 0 else None for code in part.label[:len(ends) - 1].tolist())
             yield part
             del part
 
     def write_annotations(path: Path) -> None:  # after snaps.jsonl, which fills the sample
-        rows = synth.gen_annotations(sample, flip_prob=0.1, seed=spec.seed)
+        rows = synth.gen_annotations(ids, labels, flip_prob=0.1, seed=spec.seed)
         path.write_bytes(_csv_text(("item_id", "rater_id", "category"), rows).encode())
 
     reg_sigma = 0.1  # the manifest records the regression noise

@@ -44,18 +44,6 @@ TILE_SIZE_M = 1000.0
 _CEIL_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    """A WGS84 coordinate pair in degrees."""
-
-    lat: float
-    lon: float
-
-    def __post_init__(self):  # plain floats, so that numpy scalars serialize as decimal text
-        for name, value in zip(("lat", "lon"), check_point(self.lat, self.lon)):
-            object.__setattr__(self, name, value)
-
-
 def check_point(lat, lon) -> tuple[float, float]:
     """``(lat, lon)`` as floats; ValueError unless both are real numbers, finite and in range."""
     for v in (lat, lon):  # the exact types first: the ABC test is slow
@@ -69,14 +57,6 @@ def check_point(lat, lon) -> tuple[float, float]:
     if not -180.0 <= lon <= 180.0:
         raise ValueError(f"longitude {lon} outside [-180, 180]")
     return lat, lon
-
-
-@dataclass(frozen=True)
-class TileIndex:
-    """Zero-based (row, col) address of one grid tile."""
-
-    row: int
-    col: int
 
 
 def project(lat, lon, origin_lat, origin_lon):
@@ -93,17 +73,12 @@ def unproject(x, y, origin_lat, origin_lon):
     return origin_lat + y / METERS_PER_DEG_LAT, origin_lon + x / (METERS_PER_DEG_LAT * math.cos(math.radians(origin_lat)))
 
 
-def project_local(p: GeoPoint, origin: GeoPoint) -> tuple[float, float]:
-    """:func:`project` of one point."""
-    return project(p.lat, p.lon, origin.lat, origin.lon)
-
-
-def _normalize_ring(ring: Sequence[GeoPoint]) -> tuple[GeoPoint, ...]:
-    """Drop a closing duplicate vertex and check the ring is usable."""
-    pts = list(ring)
+def _normalize_ring(ring: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """The ``(lat, lon)`` vertices, each checked, without a closing duplicate; SnapGridError unless 3 are distinct."""
+    pts = [check_point(lat, lon) for lat, lon in ring]
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts = pts[:-1]
-    distinct = {(p.lat, p.lon) for p in pts}
+    distinct = set(pts)
     if len(pts) < 3 or len(distinct) < 3:
         raise SnapGridError(f"polygon ring needs >=3 distinct vertices, got {len(distinct)}")
     return tuple(pts)
@@ -137,10 +112,10 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
     )
 
 
-def _check_simple(vertices: tuple[GeoPoint, ...]) -> None:
+def _check_simple(vertices: tuple[tuple[float, float], ...]) -> None:
     """Reject self-intersecting rings. Adjacent edges share a vertex and are skipped."""
     n = len(vertices)
-    edges = [((vertices[i].lon, vertices[i].lat), (vertices[(i + 1) % n].lon, vertices[(i + 1) % n].lat)) for i in range(n)]
+    edges = [(vertices[i][::-1], vertices[(i + 1) % n][::-1]) for i in range(n)]  # (lon, lat) ends
     for i in range(n):
         for j in range(i + 1, n):
             if j == i + 1 or (i == 0 and j == n - 1):
@@ -149,11 +124,10 @@ def _check_simple(vertices: tuple[GeoPoint, ...]) -> None:
                 raise SnapGridError(f"polygon ring self-intersects (edges {i} and {j})")
 
 
-def _point_on_ring(px: float, py: float, vertices: tuple[GeoPoint, ...]) -> bool:
+def _point_on_ring(px: float, py: float, vertices: tuple[tuple[float, float], ...]) -> bool:
     n = len(vertices)
     for i in range(n):
-        ax, ay = vertices[i].lon, vertices[i].lat
-        bx, by = vertices[(i + 1) % n].lon, vertices[(i + 1) % n].lat
+        (ay, ax), (by, bx) = vertices[i], vertices[(i + 1) % n]
         cross = _orient(ax, ay, bx, by, px, py)
         scale = max(abs(ax - bx), abs(ay - by), 1e-12)
         if abs(cross) <= 1e-12 * scale:
@@ -162,7 +136,7 @@ def _point_on_ring(px: float, py: float, vertices: tuple[GeoPoint, ...]) -> bool
     return False
 
 
-def _point_in_ring(px: float, py: float, vertices: tuple[GeoPoint, ...]) -> bool:
+def _point_in_ring(px: float, py: float, vertices: tuple[tuple[float, float], ...]) -> bool:
     """Even-odd ray cast; boundary points count as inside."""
     if _point_on_ring(px, py, vertices):
         return True
@@ -170,8 +144,7 @@ def _point_in_ring(px: float, py: float, vertices: tuple[GeoPoint, ...]) -> bool
     n = len(vertices)
     j = n - 1
     for i in range(n):
-        xi, yi = vertices[i].lon, vertices[i].lat
-        xj, yj = vertices[j].lon, vertices[j].lat
+        (yi, xi), (yj, xj) = vertices[i], vertices[j]
         if (yi > py) != (yj > py):
             x_cross = xj + (py - yj) * (xi - xj) / (yi - yj)
             if px < x_cross:
@@ -189,7 +162,7 @@ class Region:
     """
 
     bbox: tuple[float, float, float, float]
-    polygon: Optional[tuple[GeoPoint, ...]] = None
+    polygon: Optional[tuple[tuple[float, float], ...]] = None  # (lat, lon) vertices
 
     @classmethod
     def from_bbox(cls, south: float, west: float, north: float, east: float) -> "Region":
@@ -202,24 +175,15 @@ class Region:
         return cls(bbox=(s, w, n, e))
 
     @classmethod
-    def from_polygon(cls, ring: Sequence[GeoPoint]) -> "Region":
+    def from_polygon(cls, ring: Sequence[tuple[float, float]]) -> "Region":
+        """The region inside a simple ring of ``(lat, lon)`` vertices; ValueError for a bad vertex."""
         vertices = _normalize_ring(ring)
         _check_simple(vertices)
-        lats = [p.lat for p in vertices]
-        lons = [p.lon for p in vertices]
+        lats, lons = zip(*vertices)
         bbox = (min(lats), min(lons), max(lats), max(lons))
         if not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
             raise SnapGridError("polygon bounding box is degenerate")
         return cls(bbox=bbox, polygon=vertices)
-
-    def contains(self, p: GeoPoint) -> bool:
-        """Membership test; bbox edges and polygon boundaries count as inside."""
-        south, west, north, east = self.bbox
-        if not (south <= p.lat <= north and west <= p.lon <= east):
-            return False
-        if self.polygon is None:
-            return True
-        return _point_in_ring(p.lon, p.lat, self.polygon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +192,7 @@ class TileGrid:
 
     ``(origin_lat, origin_lon)`` is the southwest corner of the region's bounding box.
     ``active`` marks tiles whose center lies inside the region; for bbox
-    regions every tile is active.
+    regions every tile is active, and it is a read-only view of one ``True``.
     """
 
     origin_lat: float
@@ -242,18 +206,11 @@ class TileGrid:
     def n_active(self) -> int:
         return int(self.active.sum())
 
-    @property
-    def origin(self) -> GeoPoint:
-        return GeoPoint(self.origin_lat, self.origin_lon)
-
     def centers(self, tiles=None) -> tuple[np.ndarray, np.ndarray]:
         """The ``(lat, lon)`` centres of tiles ``tiles``, numbered as :func:`locate_points` numbers them; all by default."""
         row, col = np.divmod(np.arange(self.n_rows * self.n_cols) if tiles is None else tiles, self.n_cols)
         x, y = (col + 0.5) * self.tile_size_m, (row + 0.5) * self.tile_size_m
         return unproject(x, y, self.origin_lat, self.origin_lon)
-
-    def tile_center(self, idx: TileIndex) -> GeoPoint:
-        return GeoPoint(*self.centers(idx.row * self.n_cols + idx.col))
 
     def write_csv(self, path) -> None:
         """Export the grid: one row per tile with center coordinates."""
@@ -282,7 +239,9 @@ def build_grid(region: Region, tile_size_m: float = TILE_SIZE_M) -> TileGrid:
     if n_cols < 1 or n_rows < 1:
         raise SnapGridError(f"region has degenerate extent {width_m} x {height_m} m")
 
-    grid = TileGrid(south, west, float(tile_size_m), n_rows, n_cols, active=np.ones((n_rows, n_cols), dtype=bool))
+    shape = (n_rows, n_cols)  # a bbox grid allocates no mask, whatever its size
+    active = np.broadcast_to(True, shape) if region.polygon is None else np.empty(shape, dtype=bool)
+    grid = TileGrid(south, west, float(tile_size_m), n_rows, n_cols, active=active)
     try:
         check_point(*grid.centers(n_rows * n_cols - 1))
     except ValueError as exc:
@@ -293,10 +252,9 @@ def build_grid(region: Region, tile_size_m: float = TILE_SIZE_M) -> TileGrid:
     return grid
 
 
-def locate(p: GeoPoint, grid: TileGrid) -> Optional[TileIndex]:
-    """:func:`locate_points` for one point: its tile, or None when outside the grid or on an inactive tile."""
-    tile = int(locate_points(np.float64(p.lat), np.float64(p.lon), grid))  # numpy scalars: no array per call
-    return None if tile < 0 else TileIndex(*divmod(tile, grid.n_cols))
+def locate(lat: float, lon: float, grid: TileGrid) -> int:
+    """:func:`locate_points` for one point: its tile, or -1 outside the grid or on an inactive tile."""
+    return int(locate_points(np.float64(lat), np.float64(lon), grid))  # numpy scalars: no array per call
 
 
 def locate_points(lat: np.ndarray, lon: np.ndarray, grid: TileGrid) -> np.ndarray:
@@ -309,5 +267,5 @@ def locate_points(lat: np.ndarray, lon: np.ndarray, grid: TileGrid) -> np.ndarra
     x, y = project(lat, lon, grid.origin_lat, grid.origin_lon)
     col, row = np.floor(x / grid.tile_size_m), np.floor(y / grid.tile_size_m)
     inside = (x >= 0) & (y >= 0) & (col < grid.n_cols) & (row < grid.n_rows)  # NaN is outside too
-    tile = np.where(inside, row * grid.n_cols + col, 0).astype(np.int64)
-    return np.where(inside & grid.active.ravel()[tile], tile, -1)
+    row, col = np.where(inside, row, 0).astype(np.int64), np.where(inside, col, 0).astype(np.int64)
+    return np.where(inside & grid.active[row, col], row * grid.n_cols + col, -1)  # ravel would copy a broadcast mask

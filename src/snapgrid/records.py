@@ -1,8 +1,9 @@
 """Post-record ingest: parsing, serialization, local time, deletions.
 
-Records arrive as JSONL, one object per line, which :func:`parse_snaps`
-checks and decodes straight into :class:`SnapColumns`, which :func:`write_snaps`
-writes back; :class:`SnapRecord`, one record, passes the same checks. Timestamps are stored
+Records arrive as JSONL, one object per line with the keys ``id, ts_utc, lat,
+lon, city_id, duration_s, frame_scores, label, deleted``, which :func:`parse_snaps`
+checks and decodes straight into :class:`SnapColumns`, and which :func:`write_snaps`
+writes back in that order. Timestamps are stored
 internally as UTC epoch seconds; wall-clock local time is computed on
 demand from an IANA timezone identifier, so there is a single temporal
 source of truth. Post timestamps are treated as creation time (creation
@@ -30,7 +31,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 import numpy as np
 
 from .errors import ConfigError, SnapGridError
-from .geo import GeoPoint, check_point
+from .geo import check_point
 
 DRIVING = "driving"
 NON_DRIVING = "non_driving"
@@ -48,23 +49,6 @@ def parse_rfc3339(text: str) -> int:
 def format_rfc3339(ts_utc: int) -> str:
     """Render epoch seconds as a Z-suffixed RFC-3339 string."""
     return datetime.fromtimestamp(ts_utc, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-@dataclass(frozen=True)
-class SnapRecord:
-    """One geo-tagged post."""
-
-    id: str
-    ts_utc: int
-    location: GeoPoint
-    city_id: str
-    duration_s: float = 0.0
-    frame_scores: Optional[tuple[float, ...]] = None
-    label: Optional[str] = None
-    deleted: bool = False
-
-    def __post_init__(self):
-        _check_fields(self.duration_s, self.frame_scores, self.label)
 
 
 def _check_fields(duration_s, frame_scores, label) -> Optional[list[float]]:
@@ -165,7 +149,8 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns",
 def write_snaps(parts: Iterable["SnapColumns"], path: Union[str, Path]) -> None:
     """Write the records of each of ``parts``, in turn, to ``path`` as JSONL, one object per line, in their order: the
     text of ``json.dumps(obj, separators=(",", ":"))``, ``repr`` of each float and ``json``'s ASCII escaping of each
-    string, keys in :class:`SnapRecord`'s order, and no frame scores, no label and not deleted left out.
+    string, keys in the order ``id, ts_utc, lat, lon, city_id, duration_s, frame_scores, label, deleted``, and no frame
+    scores, no label and not deleted left out.
 
     Each part is let go before the next is taken, so a generator of parts is written holding one at a time."""
     labels, deleted_text = ("", *(f',"label":"{label}"' for label in LABELS)), ("", ',"deleted":true')
@@ -222,18 +207,6 @@ class SnapColumns:
     @property
     def scored(self) -> np.ndarray:
         return np.diff(self.score_offsets) > 0
-
-    def to_records(self, rows: Iterable[int]) -> list[SnapRecord]:
-        """The records at ``rows`` as :class:`SnapRecord` objects, checked as any record is."""
-        recs = []
-        for i in rows:
-            (a, b), (c, d), label = self.score_offsets[i:][:2].tolist(), self.id_offsets[i:][:2].tolist(), self.label[i]
-            recs.append(SnapRecord(
-                id=self.ids[c:d].tobytes().decode(*_UTF8), ts_utc=int(self.ts[i]),
-                location=GeoPoint(float(self.lat[i]), float(self.lon[i])), city_id=str(self.cities[self.city[i]]),
-                duration_s=float(self.duration_s[i]), frame_scores=tuple(self.scores[a:b].tolist()) if b > a else None,
-                label=LABELS[label] if label >= 0 else None, deleted=bool(self.deleted[i])))
-        return recs
 
     def save(self, path: Union[str, Path]) -> None:
         with open(path, "wb") as fh:  # given a name, np.savez would append ".npz" to it

@@ -20,13 +20,13 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from datetime import date, datetime, time, timedelta
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .annotation import N_RATERS
 from .geo import TILE_SIZE_M, Region, TileGrid, build_grid, unproject
-from .records import DRIVING, LABELS, NON_DRIVING, SnapColumns, SnapRecord, get_zone
+from .records import DRIVING, LABELS, NON_DRIVING, SnapColumns, get_zone
 from .regression import DESIGN_TERMS, CityStats
 from .temporal import HOURS_PER_WEEK, NightWindow
 
@@ -227,11 +227,13 @@ def gen_corpus(spec: SynthSpec, city_index: int) -> tuple[SnapColumns, TileGrid]
 
 
 def gen_annotations(
-    records: Sequence[SnapRecord],
+    ids: Sequence[str],
+    labels: Sequence[Optional[str]],
     flip_prob: float,
     seed: int,
 ) -> list[tuple[str, str, str]]:
-    """Simulated rater judgments: each of N_RATERS raters flips the true label with flip_prob.
+    """Simulated rater judgments of items ``ids`` whose true labels are ``labels``: each of N_RATERS raters flips
+    the true label with flip_prob.
 
     Returns long-format rows (item_id, rater_id, category).
     """
@@ -239,16 +241,16 @@ def gen_annotations(
         raise ValueError(f"flip_prob {flip_prob} outside [0, 0.5)")
     rng = np.random.default_rng(seed)
     rows = []
-    for rec in records:
-        if rec.label is None:
-            raise ValueError(f"record {rec.id} has no true label to annotate")
+    for item, label in zip(ids, labels, strict=True):
+        if label is None:
+            raise ValueError(f"record {item} has no true label to annotate")
         for r in range(N_RATERS):
             flip = rng.random() < flip_prob
             if flip:
-                category = NON_DRIVING if rec.label == DRIVING else DRIVING
+                category = NON_DRIVING if label == DRIVING else DRIVING
             else:
-                category = rec.label
-            rows.append((rec.id, f"rater{r}", category))
+                category = label
+            rows.append((item, f"rater{r}", category))
     return rows
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, SnapGridError
-from .records import DRIVING, NON_DRIVING
+from .records import DRIVING
 
 THRESHOLD_CHOICES = (10, 30, 50, 70, 90)
 # a frame is positive when its score is strictly above this
@@ -45,18 +45,6 @@ class VotingRule:
         elif self.threshold_pct is not None:
             raise ValueError(f"threshold_pct only applies to threshold voting, not {self.kind!r}")
 
-    @classmethod
-    def single(cls) -> "VotingRule":
-        return cls("single")
-
-    @classmethod
-    def majority(cls) -> "VotingRule":
-        return cls("majority")
-
-    @classmethod
-    def threshold(cls, pct: int) -> "VotingRule":
-        return cls("threshold", pct)
-
 
 def _decide(positive, n, rule: VotingRule):
     """Whether ``positive`` of ``n`` frames make a driving clip, for ints or integer arrays.
@@ -68,14 +56,6 @@ def _decide(positive, n, rule: VotingRule):
     if rule.kind == "majority":
         return 2 * positive > n
     return 100 * positive > rule.threshold_pct * n
-
-
-def aggregate_votes(frame_labels: Sequence[str], rule: VotingRule) -> str:
-    """Fold per-frame labels into one clip label under the voting rule."""
-    if len(frame_labels) == 0:
-        raise EmptyInputError("cannot vote over zero frames")
-    positive = sum(1 for lab in frame_labels if lab == DRIVING)
-    return DRIVING if _decide(positive, len(frame_labels), rule) else NON_DRIVING
 
 
 def classify_scores(scores: np.ndarray, offsets: np.ndarray, rule: VotingRule) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Record-by-record reference for the column code: what the columns of some records must be.
 
-``columns(recs)`` builds :class:`SnapColumns` from a list of
-:class:`SnapRecord` one record at a time, and ``record(obj)`` reads one
+``columns(recs)`` builds :class:`SnapColumns` from a list of this
+module's plain :class:`Record` one record at a time, and ``record(obj)`` reads one
 JSON object as ``write_snaps`` writes it, so tests can check
 ``parse_snaps`` and ``cleaned.npz`` against an independent path.
 ``gen_corpus(spec)`` is synth's generator one record at a time, every
@@ -12,26 +12,44 @@ which draws one city per call, and for ``records.write_snaps``.
 
 import json
 import math
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from typing import Optional
 
 import numpy as np
 
 from snapgrid import synth
-from snapgrid.geo import METERS_PER_DEG_LAT, GeoPoint, build_grid
+from snapgrid.geo import METERS_PER_DEG_LAT, build_grid
 from snapgrid.records import (
-    DRIVING, LABELS, NON_DRIVING, SnapColumns, SnapRecord, format_rfc3339, get_zone, parse_rfc3339,
+    DRIVING, LABELS, NON_DRIVING, SnapColumns, format_rfc3339, get_zone, parse_rfc3339,
 )
 
 _UTF8 = ("utf-8", "surrogatepass")
 
 
-def record(obj: dict) -> SnapRecord:
+@dataclass(frozen=True)
+class Record:
+    """One geo-tagged post as plain fields; nothing is checked."""
+
+    id: str
+    ts_utc: int
+    lat: float
+    lon: float
+    city_id: str
+    duration_s: float = 0.0
+    frame_scores: Optional[tuple[float, ...]] = None
+    label: Optional[str] = None
+    deleted: bool = False
+
+
+def record(obj: dict) -> Record:
     """The record that one JSONL object, as ``write_snaps`` writes it, holds."""
     scores = obj.get("frame_scores")
-    return SnapRecord(
+    return Record(
         id=obj["id"],
         ts_utc=parse_rfc3339(obj["ts_utc"]),
-        location=GeoPoint(obj["lat"], obj["lon"]),
+        lat=float(obj["lat"]),
+        lon=float(obj["lon"]),
         city_id=obj["city_id"],
         duration_s=float(obj.get("duration_s", 0.0)),
         frame_scores=None if scores is None else tuple(map(float, scores)),
@@ -40,7 +58,7 @@ def record(obj: dict) -> SnapRecord:
     )
 
 
-def columns(recs: list[SnapRecord]) -> SnapColumns:
+def columns(recs: list[Record]) -> SnapColumns:
     """``recs`` as columns in their order, the city table the sorted ids of their cities.
 
     The table is a str array unless an id ends in NUL, which a str array would drop: then it holds objects.
@@ -51,8 +69,8 @@ def columns(recs: list[SnapRecord]) -> SnapColumns:
     frames = [rec.frame_scores or () for rec in recs]
     return SnapColumns(
         ts=np.array([rec.ts_utc for rec in recs], dtype=np.int64),
-        lat=np.array([rec.location.lat for rec in recs], dtype=np.float64),
-        lon=np.array([rec.location.lon for rec in recs], dtype=np.float64),
+        lat=np.array([rec.lat for rec in recs], dtype=np.float64),
+        lon=np.array([rec.lon for rec in recs], dtype=np.float64),
         city=np.array([code[rec.city_id] for rec in recs], dtype=np.int32),
         cities=table if table.tolist() == cities else np.array(cities, dtype=object),
         label=np.array([-1 if rec.label is None else LABELS.index(rec.label) for rec in recs], dtype=np.int8),
@@ -81,11 +99,11 @@ def assert_same_columns(got: SnapColumns, want: SnapColumns, unstored: bool = Fa
             assert other.dtype == col.dtype and np.array_equal(other, col), name
 
 
-def _gen_city(cfg, city_index, spec) -> list[SnapRecord]:
+def _gen_city(cfg, city_index, spec) -> list[Record]:
     """One city's records as synth's generator draws them: its arrays, then one record and its Beta draws at a time."""
     rng = synth.city_rng(spec.seed, city_index)
     grid = build_grid(synth.city_region(cfg, spec.tile_size_m), spec.tile_size_m)
-    origin = grid.origin
+    origin_lat, origin_lon = grid.origin_lat, grid.origin_lon
 
     n = cfg.n_records
     n_tiles = grid.n_rows * grid.n_cols
@@ -117,14 +135,13 @@ def _gen_city(cfg, city_index, spec) -> list[SnapRecord]:
     day0 = date.fromisoformat(spec.start_date)
     base = datetime(day0.year, day0.month, day0.day, tzinfo=zone)
     mdeg_lat = METERS_PER_DEG_LAT
-    mdeg_lon = METERS_PER_DEG_LAT * math.cos(math.radians(origin.lat))
+    mdeg_lon = METERS_PER_DEG_LAT * math.cos(math.radians(origin_lat))
 
     records = []
     for i in range(n):
         row, col = divmod(int(tile_flat[i]), grid.n_cols)
         x = (col + frac_x[i]) * spec.tile_size_m
         y = (row + frac_y[i]) * spec.tile_size_m
-        loc = GeoPoint(origin.lat + y / mdeg_lat, origin.lon + x / mdeg_lon)
         dt = base + timedelta(
             days=int(days[i]), hours=int(hours[i]), minutes=int(minutes[i]), seconds=int(seconds[i])
         )
@@ -135,10 +152,11 @@ def _gen_city(cfg, city_index, spec) -> list[SnapRecord]:
         else:
             scores = rng.beta(2.0, 8.0, size=n_frames)
         records.append(
-            SnapRecord(
+            Record(
                 id=f"{cfg.city_id}-{i:06d}",
                 ts_utc=int(dt.timestamp()),
-                location=loc,
+                lat=float(origin_lat + y / mdeg_lat),
+                lon=float(origin_lon + x / mdeg_lon),
                 city_id=cfg.city_id,
                 duration_s=duration,
                 frame_scores=tuple(float(s) for s in scores),
@@ -149,14 +167,14 @@ def _gen_city(cfg, city_index, spec) -> list[SnapRecord]:
     return records
 
 
-def gen_corpus(spec) -> list[SnapRecord]:
+def gen_corpus(spec) -> list[Record]:
     """All cities' records in city order; city ``i``'s are the records ``synth.gen_corpus(spec, i)`` must give."""
     return [rec for i, cfg in enumerate(spec.cities) for rec in _gen_city(cfg, i, spec)]
 
 
-def _record_to_dict(rec: SnapRecord) -> dict:
+def _record_to_dict(rec: Record) -> dict:
     """``rec`` as one JSON object; no frame scores, no label and not deleted are left out."""
-    obj = {"id": rec.id, "ts_utc": format_rfc3339(rec.ts_utc), "lat": rec.location.lat, "lon": rec.location.lon,
+    obj = {"id": rec.id, "ts_utc": format_rfc3339(rec.ts_utc), "lat": rec.lat, "lon": rec.lon,
            "city_id": rec.city_id, "duration_s": rec.duration_s, "frame_scores": rec.frame_scores, "label": rec.label,
            "deleted": rec.deleted or None}  # json writes the scores' tuple as a list
     return {key: value for key, value in obj.items() if value is not None}

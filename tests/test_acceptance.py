@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from snapgrid import annotation, regression, records, spatial, synth, temporal
+from snapgrid import annotation, regression, spatial, synth, temporal
 from snapgrid.cli import main as cli_main
-from snapgrid.geo import GeoPoint, Region, TileIndex, build_grid, locate, project_local
+from snapgrid.geo import Region, build_grid, locate_points, project
 from snapgrid.records import DRIVING, NON_DRIVING
-from snapgrid.voting import THRESHOLD_CHOICES, VotingRule, aggregate_votes
+from snapgrid.voting import THRESHOLD_CHOICES, VotingRule, classify_scores
 
 E2E_SEED = 20
 STAGES = (
@@ -45,25 +45,28 @@ def _verdict(capsys, number: int, name: str, ok: bool, detail: str) -> None:
 
 
 def test_01_voting_rule_equivalence(capsys):
-    rules = [VotingRule.single(), VotingRule.majority()] + [
-        VotingRule.threshold(p) for p in THRESHOLD_CHOICES
+    rules = [VotingRule("single"), VotingRule("majority")] + [
+        VotingRule("threshold", p) for p in THRESHOLD_CHOICES
     ]
     t0 = time.perf_counter()
+    # every label vector of 1 to 12 frames is one clip: a score of 1.0 for a driving frame, 0.0 otherwise
+    vectors = [(length, bits) for length in range(1, 13) for bits in range(2**length)]
+    scores = np.array([float((bits >> i) & 1) for length, bits in vectors for i in range(length)])
+    offsets = np.cumsum([0] + [length for length, _bits in vectors])
+    votes = {rule: classify_scores(scores, offsets, rule).tolist() for rule in rules}
     mismatches = checked = 0
-    for length in range(1, 13):
-        for bits in range(2**length):
-            labels = [DRIVING if (bits >> i) & 1 else NON_DRIVING for i in range(length)]
-            n_driving = bin(bits).count("1")
-            frac = n_driving / length
-            for rule in rules:
-                if rule.kind == "single":
-                    want = DRIVING if n_driving >= 1 else NON_DRIVING
-                elif rule.kind == "majority":
-                    want = DRIVING if frac > 0.5 else NON_DRIVING
-                else:
-                    want = DRIVING if frac > rule.threshold_pct / 100.0 else NON_DRIVING
-                mismatches += aggregate_votes(labels, rule) != want
-                checked += 1
+    for k, (length, bits) in enumerate(vectors):
+        n_driving = bin(bits).count("1")
+        frac = n_driving / length
+        for rule in rules:
+            if rule.kind == "single":
+                want = DRIVING if n_driving >= 1 else NON_DRIVING
+            elif rule.kind == "majority":
+                want = DRIVING if frac > 0.5 else NON_DRIVING
+            else:
+                want = DRIVING if frac > rule.threshold_pct / 100.0 else NON_DRIVING
+            mismatches += (DRIVING if votes[rule][k] else NON_DRIVING) != want
+            checked += 1
     elapsed = time.perf_counter() - t0
     _verdict(
         capsys,
@@ -169,27 +172,16 @@ def test_04_kappa_and_adjudication(capsys):
     )
 
     p = 0.1
-    recs = [
-        records.SnapRecord(
-            id=f"x-{i:06d}",
-            ts_utc=1_700_000_000.0,
-            location=GeoPoint(0.0, 0.0),
-            city_id="x",
-            duration_s=5.0,
-            frame_scores=None,
-            label=DRIVING if i % 2 == 0 else NON_DRIVING,
-            deleted=False,
-        )
-        for i in range(5_000)
-    ]
-    rows = synth.gen_annotations(recs, flip_prob=p, seed=0)
+    ids = [f"x-{i:06d}" for i in range(5_000)]
+    labels = [DRIVING if i % 2 == 0 else NON_DRIVING for i in range(5_000)]
+    rows = synth.gen_annotations(ids, labels, flip_prob=p, seed=0)
     adjudicated = {
         g.item_id: g.label
         for g in annotation.adjudicate(
             annotation.matrix_from_long(rows), positive_category=DRIVING
         )
     }
-    err = sum(adjudicated[r.id] != r.label for r in recs) / len(recs)
+    err = sum(adjudicated[i] != label for i, label in zip(ids, labels)) / len(ids)
     analytic = 3 * p**2 * (1 - p) + p**3
     adj_ok = abs(err - analytic) <= 0.01
     _verdict(
@@ -274,8 +266,7 @@ def _ray_cast(lon: float, lat: float, ring) -> bool:
     inside = False
     n = len(ring)
     for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        ax, ay, bx, by = a.lon, a.lat, b.lon, b.lat
+        (ay, ax), (by, bx) = ring[i], ring[(i + 1) % n]
         cross = (bx - ax) * (lat - ay) - (by - ay) * (lon - ax)
         if (
             abs(cross) < 1e-12
@@ -290,17 +281,18 @@ def _ray_cast(lon: float, lat: float, ring) -> bool:
     return inside
 
 
-def _ring_at(anchor_lat: float, anchor_lon: float, points_m) -> list[GeoPoint]:
+def _ring_at(anchor_lat: float, anchor_lon: float, points_m) -> list[tuple[float, float]]:
+    """The ``(lat, lon)`` of each ``(x, y)`` metres east and north of the anchor; test-local projection."""
     meters_per_deg_lat = 111_320.0
     meters_per_deg_lon = meters_per_deg_lat * np.cos(np.radians(anchor_lat))
     return [
-        GeoPoint(anchor_lat + y / meters_per_deg_lat, anchor_lon + x / meters_per_deg_lon)
+        (anchor_lat + y / meters_per_deg_lat, anchor_lon + x / meters_per_deg_lon)
         for x, y in points_m
     ]
 
 
 def test_07_geometry_vs_brute_force(capsys):
-    # clause 1: locate() vs an exhaustive per-tile bounds scan
+    # clause 1: locate_points() vs an exhaustive per-tile bounds scan
     spec = synth.default_spec(0)
     locate_mismatches = 0
     n_points = 10_000
@@ -312,9 +304,7 @@ def test_07_geometry_vs_brute_force(capsys):
         dlat, dlon = north - south, east - west
         lats = rng.uniform(south - 0.1 * dlat, north + 0.1 * dlat, n_points)
         lons = rng.uniform(west - 0.1 * dlon, east + 0.1 * dlon, n_points)
-        pts = [GeoPoint(float(la), float(lo)) for la, lo in zip(lats, lons)]
-        xy = np.array([project_local(p, grid.origin) for p in pts])
-        xs, ys = xy[:, 0], xy[:, 1]
+        xs, ys = project(lats, lons, grid.origin_lat, grid.origin_lon)
         s = grid.tile_size_m
         expected = np.full(n_points, -1, dtype=int)
         claims = np.zeros(n_points, dtype=int)
@@ -325,12 +315,10 @@ def test_07_geometry_vs_brute_force(capsys):
                 if grid.active[r, c]:
                     expected[hit] = r * grid.n_cols + c
         assert claims.max() <= 1  # tiles partition the plane
-        for i, p in enumerate(pts):
-            idx = locate(p, grid)
-            enc = -1 if idx is None else idx.row * grid.n_cols + idx.col
-            locate_mismatches += enc != expected[i]
+        locate_mismatches += int(np.count_nonzero(locate_points(lats, lons, grid) != expected))
 
-    # clause 2: polygon tile masks vs the independent ray caster
+    # clause 2: tile centres vs the test's own projection, and polygon tile masks vs the independent
+    # ray caster at those centres
     km = 1000.0
     rings = {
         "triangle": _ring_at(0.0, 0.0, [(0, 0), (2.5 * km, 0), (0, 2.5 * km)]),
@@ -351,11 +339,15 @@ def test_07_geometry_vs_brute_force(capsys):
     mask_mismatches = tiles_checked = 0
     for ring in rings.values():
         grid = build_grid(Region.from_polygon(ring), km)
+        south, west = min(lat for lat, _lon in ring), min(lon for _lat, lon in ring)
+        got_lats, got_lons = grid.centers()
         for r in range(grid.n_rows):
             for c in range(grid.n_cols):
-                center = grid.tile_center(TileIndex(r, c))
-                oracle = _ray_cast(center.lon, center.lat, ring)
-                mask_mismatches += oracle != bool(grid.active[r, c])
+                lat, lon = _ring_at(south, west, [((c + 0.5) * km, (r + 0.5) * km)])[0]
+                k = r * grid.n_cols + c
+                exact = abs(got_lats[k] - lat) <= 1e-9 and abs(got_lons[k] - lon) <= 1e-9
+                oracle = _ray_cast(lon, lat, ring)
+                mask_mismatches += not exact or oracle != bool(grid.active[r, c])
                 tiles_checked += 1
     _verdict(
         capsys,

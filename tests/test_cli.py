@@ -16,9 +16,7 @@ import yaml
 from snapgrid import cli
 from snapgrid.cli import CLEANED, DEFAULT_CONFIG, STAGES, _commit, build_parser, load_config, main
 from snapgrid.errors import ConfigError
-from record_oracle import columns, record
-from snapgrid.geo import GeoPoint
-from snapgrid.records import SnapRecord
+from record_oracle import Record, columns, record
 
 
 @pytest.fixture(scope="module")
@@ -599,7 +597,7 @@ def test_classify_with_corrupt_cleaned_exits_2(pipeline_dir, tmp_path, capsys, d
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.npz"]
 
 
-def _kept_records(run: Path) -> list[SnapRecord]:
+def _kept_records(run: Path) -> list[Record]:
     """The records of ``run``'s corpus that ingest keeps: every city is configured, the deleted go."""
     recs = [record(json.loads(line)) for line in (run / "snaps.jsonl").read_text().splitlines()]
     return [rec for rec in recs if not rec.deleted]
@@ -613,21 +611,6 @@ def test_ingest_writes_the_kept_records_as_columns(pipeline_dir):
     assert want.keys() == got.keys()
     for name in want:
         assert want[name].dtype == got[name].dtype and np.array_equal(want[name], got[name]), name
-
-
-def test_ingest_builds_no_record_objects(two_city_inputs, tmp_path, monkeypatch):
-    # ingest decodes each line straight into columns: neither a SnapRecord nor a GeoPoint is built
-    for name in ("snaps.jsonl", "pipeline.yaml"):
-        shutil.copy(two_city_inputs / name, tmp_path)
-
-    def refuse(self):
-        raise AssertionError(f"a {type(self).__name__} was built")
-
-    monkeypatch.setattr(SnapRecord, "__post_init__", refuse)
-    monkeypatch.setattr(GeoPoint, "__post_init__", refuse)
-    assert main(["ingest", "--config", str(tmp_path / "pipeline.yaml")]) == 0
-    info = read_json(tmp_path / "ingest.json")
-    assert info["parsed"] == 100 and info["parse_failures"] == 0 and info["kept"] > 0
 
 
 def test_ingest_counts_a_line_that_is_not_utf8_as_bad(two_city_inputs, tmp_path, capsys):
@@ -793,12 +776,12 @@ def _save_cleaned(out_dir: Path, recs) -> None:
 def test_classify_hand_off_round_trips_ids_with_commas_and_quotes(tmp_path):
     # classify hands its rule on, and extent finds the same scored records, whatever their ids hold
     (tmp_path / "c.yaml").write_text("seed: 0\n")
-    base = {"ts_utc": 1741003200, "location": GeoPoint(1.0, 1.0), "city_id": "a"}
+    base = {"ts_utc": 1741003200, "lat": 1.0, "lon": 1.0, "city_id": "a"}
     _save_cleaned(tmp_path, [
-        SnapRecord(**base, id='a,"0"', frame_scores=(0.9, 0.8)),
-        SnapRecord(**base, id="a-1"),
-        SnapRecord(**base, id="a\n2", frame_scores=(0.1,)),
-        SnapRecord(**base, id="\ud800", frame_scores=(0.2,)),
+        Record(**base, id='a,"0"', frame_scores=(0.9, 0.8)),
+        Record(**base, id="a-1"),
+        Record(**base, id="a\n2", frame_scores=(0.1,)),
+        Record(**base, id="\ud800", frame_scores=(0.2,)),
     ])
     config = str(tmp_path / "c.yaml")
     assert main(["classify", "--config", config]) == 0
@@ -842,8 +825,7 @@ def _write_classified(out_dir, points, label):
     """
     score = 0.9 if label == "driving" else 0.1
     _save_cleaned(out_dir, [
-        SnapRecord(id=f"{city}-{i}", ts_utc=1741003200, location=GeoPoint(lat, lon), city_id=city,
-                   frame_scores=(score,))
+        Record(id=f"{city}-{i}", ts_utc=1741003200, lat=lat, lon=lon, city_id=city, frame_scores=(score,))
         for i, (city, lat, lon) in enumerate(points)
     ])
     assert main(["classify", "--config", str(out_dir / "c.yaml")]) == 0

@@ -1,6 +1,7 @@
-"""Grid geometry: local projection, polygon membership, tiling, and locate()."""
+"""Grid geometry: local projection, coordinate checks, polygon masks, tiling, and locate_points()."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,29 +10,38 @@ from hypothesis import given, strategies as st
 from snapgrid.errors import SnapGridError
 from snapgrid.geo import (
     METERS_PER_DEG_LAT,
-    GeoPoint,
     Region,
-    TileIndex,
     build_grid,
+    check_point,
     locate,
     locate_points,
-    project_local,
+    project,
     unproject,
 )
 
-EQUATOR = GeoPoint(0.0, 0.0)
+EQUATOR = (0.0, 0.0)
 
 
-def point_at(x: float, y: float, origin: GeoPoint) -> GeoPoint:
-    """The point ``x`` metres east and ``y`` metres north of ``origin``."""
-    return GeoPoint(*unproject(x, y, origin.lat, origin.lon))
+def point_at(x: float, y: float, origin: tuple[float, float]) -> tuple[float, float]:
+    """The ``(lat, lon)`` ``x`` metres east and ``y`` metres north of ``origin``, a ``(lat, lon)``."""
+    return unproject(x, y, *origin)
 
 
-def bbox_region(width_m: float, height_m: float, origin: GeoPoint = EQUATOR) -> Region:
+def origin_of(grid) -> tuple[float, float]:
+    return grid.origin_lat, grid.origin_lon
+
+
+def tile_at(lat: float, lon: float, grid) -> int:
+    """:func:`locate_points` of one point: ``row * n_cols + col``, or -1."""
+    return int(locate_points(np.array([lat]), np.array([lon]), grid)[0])
+
+
+def bbox_region(width_m: float, height_m: float, origin: tuple[float, float] = EQUATOR) -> Region:
     """Bounding box whose projected extent is width_m x height_m."""
-    north = origin.lat + height_m / METERS_PER_DEG_LAT
-    east = origin.lon + width_m / (METERS_PER_DEG_LAT * math.cos(math.radians(origin.lat)))
-    return Region.from_bbox(origin.lat, origin.lon, north, east)
+    lat, lon = origin
+    north = lat + height_m / METERS_PER_DEG_LAT
+    east = lon + width_m / (METERS_PER_DEG_LAT * math.cos(math.radians(lat)))
+    return Region.from_bbox(lat, lon, north, east)
 
 
 # ---------------------------------------------------------------------------
@@ -40,50 +50,57 @@ def bbox_region(width_m: float, height_m: float, origin: GeoPoint = EQUATOR) -> 
 
 def test_project_latitude_step():
     # 0.0089866 deg of latitude is almost exactly one kilometre
-    x, y = project_local(GeoPoint(0.0089866, 0.0), EQUATOR)
+    x, y = project(0.0089866, 0.0, *EQUATOR)
     assert x == 0.0
     assert y == pytest.approx(1000.39, abs=0.01)
 
 
 def test_project_longitude_shrinks_with_latitude():
-    origin = GeoPoint(60.0, 0.0)
-    x, y = project_local(GeoPoint(60.0, 0.01), origin)
+    x, y = project(60.0, 0.01, 60.0, 0.0)
     # cos(60 deg) halves the metres per degree of longitude
     assert x == pytest.approx(556.6, abs=1e-6)
     assert y == pytest.approx(0.0, abs=1e-9)
 
 
 def test_project_unproject_round_trip():
-    origin = GeoPoint(40.0, -74.0)
+    origin = (40.0, -74.0)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        p = GeoPoint(40.0 + rng.uniform(0, 0.1), -74.0 + rng.uniform(0, 0.1))
-        x, y = project_local(p, origin)
-        back = point_at(x, y, origin)
-        assert back.lat == pytest.approx(p.lat, abs=1e-12)
-        assert back.lon == pytest.approx(p.lon, abs=1e-12)
+        lat, lon = 40.0 + rng.uniform(0, 0.1), -74.0 + rng.uniform(0, 0.1)
+        x, y = project(lat, lon, *origin)
+        back_lat, back_lon = point_at(x, y, origin)
+        assert back_lat == pytest.approx(lat, abs=1e-12)
+        assert back_lon == pytest.approx(lon, abs=1e-12)
+
+
+# a polygon vertex is checked as a point, with the same message
+def _as_vertex(lat, lon):
+    return Region.from_polygon([(lat, lon), (0.0, 1.0), (1.0, 1.0)])
 
 
 def test_geopoint_validates_ranges():
-    with pytest.raises(ValueError):
-        GeoPoint(91.0, 0.0)
-    with pytest.raises(ValueError):
-        GeoPoint(0.0, 181.0)
-    with pytest.raises(ValueError):
-        GeoPoint(float("nan"), 0.0)
+    for lat, lon, message in ((91.0, 0.0, r"latitude 91\.0 outside"), (0.0, 181.0, r"longitude 181\.0 outside"),
+                              (float("nan"), 0.0, "must be finite")):
+        for check in (check_point, _as_vertex):
+            with pytest.raises(ValueError, match=message):
+                check(lat, lon)
 
 
 @pytest.mark.parametrize("lat, lon", [("1", 1.0), (1.0, "1"), (True, 1.0), (1.0, False), (np.bool_(True), 1.0),
                                       (None, 1.0), (b"1", 1.0)])
 def test_geopoint_rejects_what_is_not_a_real_number(lat, lon):
-    with pytest.raises(ValueError, match="real numbers"):
-        GeoPoint(lat, lon)
+    for check in (check_point, _as_vertex):
+        with pytest.raises(ValueError, match="real numbers"):
+            check(lat, lon)
 
 
 def test_geopoint_takes_python_and_numpy_real_scalars():
-    assert GeoPoint(np.float32(1.5), np.int64(2)) == GeoPoint(1.5, 2.0)
-    assert GeoPoint(1, 2) == GeoPoint(1.0, 2.0)
-    assert type(GeoPoint(np.float64(1.5), 2).lat) is float
+    assert check_point(np.float32(1.5), np.int64(2)) == (1.5, 2.0)
+    assert check_point(1, 2) == (1.0, 2.0)
+    assert type(check_point(np.float64(1.5), 2)[0]) is float
+    # polygon vertices are kept as plain floats
+    square = Region.from_polygon([(np.float64(0.0), 0), (0, np.float32(1.0)), (1, 1), (np.int64(1), 0.0)])
+    assert {type(v) for vertex in square.polygon for v in vertex} == {float}
 
 
 def test_bbox_constructor_rejects_strings_and_booleans():
@@ -97,52 +114,41 @@ def test_bbox_constructor_rejects_strings_and_booleans():
 
 
 # ---------------------------------------------------------------------------
-# polygon membership (even-odd rule, boundary counts as inside)
+# polygon masks (a tile is active when its centre is inside: even-odd rule, boundary counts as inside)
 
-UNIT_SQUARE = (
-    GeoPoint(0.0, 0.0),
-    GeoPoint(0.0, 1.0),
-    GeoPoint(1.0, 1.0),
-    GeoPoint(1.0, 0.0),
-)
+UNIT_SQUARE = ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0))  # (lat, lon) vertices
+
+
+def polygon_grid(ring, tile_deg: float):
+    """The grid of a polygon at the equator with tiles ``tile_deg`` degrees on a side, their centres exact."""
+    return build_grid(Region.from_polygon(ring), tile_deg * METERS_PER_DEG_LAT)
 
 
 def test_point_in_polygon_interior_and_exterior():
-    square = Region.from_polygon(UNIT_SQUARE)
-    assert square.contains(GeoPoint(0.5, 0.5))
-    assert not square.contains(GeoPoint(1.5, 0.5))
-    assert not square.contains(GeoPoint(-0.1, 0.5))
+    grid = polygon_grid(UNIT_SQUARE, 0.5)
+    assert grid.active.tolist() == [[True, True], [True, True]]
+    # inside, and north and south of the square, off the grid
+    assert [tile_at(lat, 0.5, grid) for lat in (0.5, 1.5, -0.1)] == [3, -1, -1]
 
 
 def test_point_in_polygon_boundary_is_inside():
-    square = Region.from_polygon(UNIT_SQUARE)
-    assert square.contains(GeoPoint(0.0, 0.5))  # edge
-    assert square.contains(GeoPoint(1.0, 1.0))  # vertex
-    assert square.contains(GeoPoint(0.5, 0.0))  # vertical edge
+    # the centres (0.5, 1.5) and (1.5, 0.5) lie on the hypotenuse
+    triangle = polygon_grid(((0.0, 0.0), (0.0, 2.0), (2.0, 0.0)), 1.0)
+    assert triangle.active.tolist() == [[True, True], [True, False]]
+    # the centre (1.5, 1.5) is a vertex, which the ray cast alone counts as outside
+    kite = polygon_grid(((0.0, 0.0), (0.0, 2.0), (1.5, 1.5), (2.0, 0.0)), 1.0)
+    assert kite.active.tolist() == [[True, True], [True, True]]
 
 
 def test_point_in_polygon_concave():
     # L-shape: the notch at the top right is outside
-    ell = Region.from_polygon((
-        GeoPoint(0.0, 0.0),
-        GeoPoint(0.0, 2.0),
-        GeoPoint(1.0, 2.0),
-        GeoPoint(1.0, 1.0),
-        GeoPoint(2.0, 1.0),
-        GeoPoint(2.0, 0.0),
-    ))
-    assert ell.contains(GeoPoint(0.5, 1.5))
-    assert not ell.contains(GeoPoint(1.5, 1.5))
-    assert ell.contains(GeoPoint(1.5, 0.5))
+    ell = polygon_grid(((0.0, 0.0), (0.0, 2.0), (1.0, 2.0), (1.0, 1.0), (2.0, 1.0), (2.0, 0.0)), 1.0)
+    assert ell.active.tolist() == [[True, True], [True, False]]
+    assert np.flatnonzero(ell.active).tolist() == [0, 1, 2]
 
 
 def test_self_intersecting_ring_rejected():
-    bowtie = (
-        GeoPoint(0.0, 0.0),
-        GeoPoint(1.0, 1.0),
-        GeoPoint(1.0, 0.0),
-        GeoPoint(0.0, 1.0),
-    )
+    bowtie = ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0))
     with pytest.raises(SnapGridError, match=r"^polygon ring self-intersects \(edges \d+ and \d+\)$"):
         Region.from_polygon(bowtie)
 
@@ -155,6 +161,22 @@ def test_build_grid_exact_multiple():
     grid = build_grid(bbox_region(2000.0, 2000.0), tile_size_m=1000.0)
     assert (grid.n_rows, grid.n_cols) == (2, 2)
     assert grid.n_active == 4  # bbox regions activate everything
+
+
+def test_a_bbox_grid_allocates_no_mask():
+    # about 40M tiles: the mask is a read-only view of one True, and locating points reads it without a copy
+    region = Region.from_bbox(0.0, 0.0, 40.0, 80.0)
+    tracemalloc.start()
+    try:
+        grid = build_grid(region)
+        last = grid.n_rows * grid.n_cols - 1
+        tiles = locate_points(*grid.centers(np.array([0, last])), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last > 30_000_000 and peak < 1 << 20
+    assert tiles.tolist() == [0, last]
+    assert grid.active.shape == (grid.n_rows, grid.n_cols) and not grid.active.flags.writeable
 
 
 def test_build_grid_partial_tile_rounds_up():
@@ -178,7 +200,7 @@ def test_bbox_constructor_rejects_inverted_bounds():
 def triangle_region() -> Region:
     """Right triangle with 2.5 km legs; no tile center falls on the hypotenuse."""
     d = 2500.0 / METERS_PER_DEG_LAT
-    ring = (GeoPoint(0.0, 0.0), GeoPoint(0.0, d), GeoPoint(d, 0.0))
+    ring = ((0.0, 0.0), (0.0, d), (d, 0.0))
     return Region.from_polygon(ring)
 
 
@@ -201,16 +223,16 @@ def crossing_number_oracle(lon: float, lat: float, ring) -> bool:
     """Independent even-odd ray cast with boundary included, for cross-checks."""
     n = len(ring)
     for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        cross = (b.lon - a.lon) * (lat - a.lat) - (b.lat - a.lat) * (lon - a.lon)
+        (a_lat, a_lon), (b_lat, b_lon) = ring[i], ring[(i + 1) % n]
+        cross = (b_lon - a_lon) * (lat - a_lat) - (b_lat - a_lat) * (lon - a_lon)
         if cross == 0.0:
-            if min(a.lon, b.lon) <= lon <= max(a.lon, b.lon) and min(a.lat, b.lat) <= lat <= max(a.lat, b.lat):
+            if min(a_lon, b_lon) <= lon <= max(a_lon, b_lon) and min(a_lat, b_lat) <= lat <= max(a_lat, b_lat):
                 return True
     inside = False
     for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        if (a.lat > lat) != (b.lat > lat):
-            x_cross = a.lon + (lat - a.lat) * (b.lon - a.lon) / (b.lat - a.lat)
+        (a_lat, a_lon), (b_lat, b_lon) = ring[i], ring[(i + 1) % n]
+        if (a_lat > lat) != (b_lat > lat):
+            x_cross = a_lon + (lat - a_lat) * (b_lon - a_lon) / (b_lat - a_lat)
             if lon < x_cross:
                 inside = not inside
     return inside
@@ -219,79 +241,72 @@ def crossing_number_oracle(lon: float, lat: float, ring) -> bool:
 def test_polygon_mask_matches_independent_ray_cast():
     region = triangle_region()
     grid = build_grid(region, tile_size_m=1000.0)
-    for row in range(grid.n_rows):
-        for col in range(grid.n_cols):
-            center = grid.tile_center(TileIndex(row, col))
-            expect = crossing_number_oracle(center.lon, center.lat, region.polygon)
-            assert grid.active[row, col] == expect, (row, col)
+    lat, lon = grid.centers()
+    for tile in range(grid.n_rows * grid.n_cols):
+        expect = crossing_number_oracle(lon[tile], lat[tile], region.polygon)
+        assert grid.active.flat[tile] == expect, tile
 
 
 # ---------------------------------------------------------------------------
-# locate
+# locate_points: a point's tile is row * n_cols + col, or -1 for none
 
 
 def test_locate_examples():
     grid = build_grid(bbox_region(2000.0, 2000.0), tile_size_m=1000.0)
-    p = point_at(1500.0, 500.0, grid.origin)
-    assert locate(p, grid) == TileIndex(0, 1)
+    assert tile_at(*point_at(1500.0, 500.0, origin_of(grid)), grid) == 1  # row 0, col 1
     # origin corner belongs to tile (0, 0)
-    assert locate(grid.origin, grid) == TileIndex(0, 0)
+    assert tile_at(*origin_of(grid), grid) == 0
 
 
 def test_locate_tile_edge_goes_to_higher_index():
     grid = build_grid(bbox_region(2000.0, 2000.0), tile_size_m=1000.0)
-    p = point_at(1000.0, 0.0, grid.origin)
-    assert locate(p, grid) == TileIndex(0, 1)
-    p = point_at(0.0, 1000.0, grid.origin)
-    assert locate(p, grid) == TileIndex(1, 0)
+    assert tile_at(*point_at(1000.0, 0.0, origin_of(grid)), grid) == 1  # row 0, col 1
+    assert tile_at(*point_at(0.0, 1000.0, origin_of(grid)), grid) == 2  # row 1, col 0
 
 
 def test_locate_outside_grid_is_none():
     grid = build_grid(bbox_region(2000.0, 2000.0), tile_size_m=1000.0)
-    assert locate(GeoPoint(-0.001, 0.001), grid) is None
-    assert locate(GeoPoint(0.001, -0.001), grid) is None
+    assert tile_at(-0.001, 0.001, grid) == -1
+    assert tile_at(0.001, -0.001, grid) == -1
     # the far north/east edges fall past the last row/column
-    assert locate(point_at(2000.0, 500.0, grid.origin), grid) is None
-    assert locate(point_at(500.0, 2000.0, grid.origin), grid) is None
+    assert tile_at(*point_at(2000.0, 500.0, origin_of(grid)), grid) == -1
+    assert tile_at(*point_at(500.0, 2000.0, origin_of(grid)), grid) == -1
 
 
 def test_locate_inactive_tile_is_none():
     grid = build_grid(triangle_region(), tile_size_m=1000.0)
-    dead = grid.tile_center(TileIndex(2, 2))
+    lat, lon = grid.centers(np.array([8, 0]))  # tiles (2, 2) and (0, 0)
     assert not grid.active[2, 2]
-    assert locate(dead, grid) is None
-    alive = grid.tile_center(TileIndex(0, 0))
-    assert locate(alive, grid) == TileIndex(0, 0)
+    assert locate_points(lat, lon, grid).tolist() == [-1, 0]
 
 
-def brute_force_locate(p: GeoPoint, grid):
-    """Scan every tile's half-open projected bounds; None when no tile matches."""
-    x, y = project_local(p, grid.origin)
+def brute_force_locate(lat: float, lon: float, grid) -> int:
+    """Scan every tile's half-open projected bounds; -1 when no active tile matches."""
+    x, y = project(lat, lon, *origin_of(grid))
     s = grid.tile_size_m
     hits = []
     for row in range(grid.n_rows):
         for col in range(grid.n_cols):
             if col * s <= x < (col + 1) * s and row * s <= y < (row + 1) * s:
-                hits.append(TileIndex(row, col))
+                hits.append((row, col))
     assert len(hits) <= 1
-    if not hits or not grid.active[hits[0].row, hits[0].col]:
-        return None
-    return hits[0]
+    if not hits or not grid.active[hits[0]]:
+        return -1
+    return hits[0][0] * grid.n_cols + hits[0][1]
 
 
 def test_locate_matches_brute_force_scan():
     grid = build_grid(triangle_region(), tile_size_m=1000.0)
     rng = np.random.default_rng(11)
     d = 2500.0 / METERS_PER_DEG_LAT
-    for _ in range(2000):
-        p = GeoPoint(rng.uniform(-0.2 * d, 1.2 * d), rng.uniform(-0.2 * d, 1.2 * d))
-        assert locate(p, grid) == brute_force_locate(p, grid)
+    lats, lons = rng.uniform(-0.2 * d, 1.2 * d, (2000, 2)).T  # (lat, lon) pairs
+    assert locate_points(lats, lons, grid).tolist() == [brute_force_locate(a, b, grid) for a, b in zip(lats, lons)]
 
 
 def test_locate_round_trips_tile_centers():
-    grid = build_grid(bbox_region(5000.0, 3000.0, origin=GeoPoint(40.7, -74.0)), 1000.0)
-    for row, col in np.argwhere(grid.active).tolist():
-        assert locate(grid.tile_center(TileIndex(row, col)), grid) == TileIndex(row, col)
+    grid = build_grid(bbox_region(5000.0, 3000.0, origin=(40.7, -74.0)), 1000.0)
+    tiles = np.flatnonzero(grid.active)
+    assert locate_points(*grid.centers(tiles), grid).tolist() == tiles.tolist()
 
 
 def test_grid_csv_export(tmp_path):
@@ -318,23 +333,22 @@ def test_locate_points_is_locate(offsets, region):
     # locate_points, which locate calls for one point, against a scan of every tile's bounds;
     # the triangle's inactive tiles locate nowhere; "north" has a cosine well below 1
     grid = build_grid({"bbox": bbox_region(3000.0, 3000.0), "triangle": triangle_region(),
-                       "north": bbox_region(3000.0, 3000.0, origin=GeoPoint(59.9, 10.7))}[region], 1000.0)
-    points = [point_at(x, y, grid.origin) for x, y in offsets]
-    points += [GeoPoint(grid.origin.lat, grid.origin.lon + d) for d in (0.0, 1e-9, -1e-9)]  # on the origin's row
-    tiles = locate_points(np.array([p.lat for p in points]), np.array([p.lon for p in points]), grid)
-    want = [brute_force_locate(p, grid) for p in points]
-    assert [None if t < 0 else TileIndex(t // grid.n_cols, t % grid.n_cols) for t in tiles.tolist()] == want
+                       "north": bbox_region(3000.0, 3000.0, origin=(59.9, 10.7))}[region], 1000.0)
+    points = [point_at(x, y, origin_of(grid)) for x, y in offsets]
+    points += [(grid.origin_lat, grid.origin_lon + d) for d in (0.0, 1e-9, -1e-9)]  # on the origin's row
+    lats, lons = np.array(points).reshape(-1, 2).T
+    assert locate_points(lats, lons, grid).tolist() == [brute_force_locate(*p, grid) for p in points]
 
 
 def test_locate_points_on_exact_tile_edges():
     # at the equator whole kilometres project back exactly: every tile corner, the far edges included
     grid = build_grid(bbox_region(3000.0, 3000.0), 1000.0)
     corners = [(1000.0 * i, 1000.0 * j) for i in range(4) for j in range(4)]
-    points = [point_at(x, y, grid.origin) for x, y in corners]
-    assert [project_local(p, grid.origin) for p in points] == corners
-    tiles = locate_points(np.array([p.lat for p in points]), np.array([p.lon for p in points]), grid)
+    points = [point_at(x, y, origin_of(grid)) for x, y in corners]
+    assert [project(*p, *origin_of(grid)) for p in points] == corners
+    tiles = locate_points(*np.array(points).T, grid)
     assert tiles.tolist() == [-1 if 3 in (i, j) else 3 * j + i for i in range(4) for j in range(4)]
-    assert [locate(p, grid) for p in points] == [None if t < 0 else TileIndex(t // 3, t % 3) for t in tiles]
+    assert [locate(*p, grid) for p in points] == tiles.tolist()  # locate is locate_points for one point
 
 
 def test_locate_points_of_nothing():

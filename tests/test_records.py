@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import record_oracle
-from record_oracle import assert_same_columns, columns, record
+from record_oracle import Record, assert_same_columns, columns, record
 from snapgrid.errors import ConfigError, SnapGridError
-from snapgrid.geo import GeoPoint
 from snapgrid.records import (
     SnapColumns,
-    SnapRecord,
     filter_active,
     format_rfc3339,
     parse_rfc3339,
@@ -27,7 +25,8 @@ def make_record(i=0, **overrides):
     fields = dict(
         id=f"nyc-{i:06d}",
         ts_utc=1554076800 + i * 60,
-        location=GeoPoint(40.75 + i * 1e-4, -73.99),
+        lat=40.75 + i * 1e-4,
+        lon=-73.99,
         city_id="nyc",
         duration_s=5.0,
         frame_scores=(0.9, 0.2, 0.7),
@@ -35,7 +34,7 @@ def make_record(i=0, **overrides):
         deleted=False,
     )
     fields.update(overrides)
-    return SnapRecord(**fields)
+    return Record(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +231,16 @@ def test_mostly_garbage_input_raises():
 
 
 def test_record_validation():
-    with pytest.raises(ValueError):
-        make_record(duration_s=-1.0)
-    with pytest.raises(ValueError):
-        make_record(label="walking")
-    with pytest.raises(ValueError):
-        make_record(frame_scores=(0.5, 1.5))
+    good = {"id": "a", "ts_utc": "2019-04-01T00:00:00Z", "lat": 1.0, "lon": 2.0, "city_id": "x"}
+    bad = [{"duration_s": -1.0}, {"label": "walking"}, {"frame_scores": [0.5, 1.5]}, {"frame_scores": []}]
+    parsed, failures = parse_snaps([json.dumps({**good, **fields}) for fields in bad] + [json.dumps(good)] * 4)
+    assert len(parsed) == 4
+    assert [(f.line_number, f.message) for f in failures] == [
+        (1, "duration_s must be finite and nonnegative, got -1.0"),
+        (2, "label must be one of ('driving', 'non_driving'), got 'walking'"),
+        (3, "frame score 1.5 outside [0, 1]"),
+        (4, "frame_scores, when present, must be nonempty"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +278,7 @@ def test_columns_round_trip(tmp_path):
     assert cols.cities.tolist() == ["nyc", "zz"] and cols.city.tolist() == [1, 0, 0, 0]
     assert cols.label.tolist() == [0, -1, 1, 0]
     assert cols.ts.tolist() == [r.ts_utc for r in recs]
-    assert cols.lat.tolist() == [r.location.lat for r in recs]
+    assert cols.lat.tolist() == [r.lat for r in recs]
     assert cols.scored.tolist() == [False, True, True, False]
     assert cols.scores.tolist() == [0.9, 0.2, 0.7, 0.5] and cols.score_offsets.tolist() == [0, 0, 3, 4, 4]
     ends = cols.id_offsets.tolist()

@@ -238,7 +238,8 @@ def _whole_corpus_files(out: Path, seed: int, n_cities: int, n_records: int, ann
     sample = [rec for k, rec in enumerate(recs) if k % n_records < annotated]
     with open(out / "annotations.csv", "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(
-            [("item_id", "rater_id", "category"), *gen_annotations(sample, flip_prob=0.1, seed=seed)])
+            [("item_id", "rater_id", "category"),
+             *gen_annotations([rec.id for rec in sample], [rec.label for rec in sample], flip_prob=0.1, seed=seed)])
     write_city_stats(gen_regression_cities(130, seed=seed, noise_sigma=0.1), out / "city_stats.csv")
     write_manifest(build_manifest(spec, regression_sigma=0.1), out / "manifest.json")
     pipeline = {"seed": seed, "snaps": "snaps.jsonl", "annotations": "annotations.csv", "city_stats": "city_stats.csv",
@@ -320,7 +321,8 @@ def test_sample_family_moments():
 # annotation noise
 
 
-def sample_records(n):
+def sample_records(n) -> tuple[list[str], list[str]]:
+    """The ids and true labels of ``n`` synthetic records."""
     spec = SynthSpec(
         seed=7,
         cities=(
@@ -330,30 +332,33 @@ def sample_records(n):
         ),
     )
     cols, _ = gen_corpus(spec, 0)
-    return cols.to_records(range(len(cols)))
+    ends = cols.id_offsets.tolist()
+    return [cols.ids[a:b].tobytes().decode() for a, b in zip(ends, ends[1:])], [LABELS[c] for c in cols.label.tolist()]
 
 
 def test_zero_flip_probability_is_unanimous():
-    records = sample_records(50)
-    rows = gen_annotations(records, flip_prob=0.0, seed=0)
+    ids, labels = sample_records(50)
+    rows = gen_annotations(ids, labels, flip_prob=0.0, seed=0)
     matrix = matrix_from_long(rows)
     assert fleiss_kappa(matrix) == 1.0
 
 
 def test_flip_probability_bound():
-    records = sample_records(5)
+    ids, labels = sample_records(5)
     with pytest.raises(ValueError):
-        gen_annotations(records, flip_prob=0.5, seed=0)
+        gen_annotations(ids, labels, flip_prob=0.5, seed=0)
     with pytest.raises(ValueError):
-        gen_annotations(records, flip_prob=-0.1, seed=0)
+        gen_annotations(ids, labels, flip_prob=-0.1, seed=0)
+    with pytest.raises(ValueError, match=f"^record {ids[2]} has no true label to annotate$"):
+        gen_annotations(ids, labels[:2] + [None] + labels[3:], flip_prob=0.1, seed=0)
 
 
 def test_adjudication_recovers_truth_under_noise():
-    records = sample_records(5000)
-    rows = gen_annotations(records, flip_prob=0.1, seed=0)
+    ids, labels = sample_records(5000)
+    rows = gen_annotations(ids, labels, flip_prob=0.1, seed=0)
     matrix = matrix_from_long(rows)
     adjudicated = {g.item_id: g.label for g in adjudicate(matrix, DRIVING)}
-    truth = {r.id: r.label for r in records}
+    truth = dict(zip(ids, labels))
     agree = sum(1 for rid in truth if adjudicated[rid] == truth[rid])
     assert agree / len(truth) >= 0.97
 

@@ -18,14 +18,13 @@ from snapgrid.voting import (
     THRESHOLD_CHOICES,
     VotingRule,
     _decide,
-    aggregate_votes,
     classify_scores,
     evaluate,
     extent,
 )
 
-ALL_RULES = [VotingRule.single(), VotingRule.majority()] + [
-    VotingRule.threshold(p) for p in THRESHOLD_CHOICES
+ALL_RULES = [VotingRule("single"), VotingRule("majority")] + [
+    VotingRule("threshold", p) for p in THRESHOLD_CHOICES
 ]
 
 labels_strategy = st.lists(
@@ -40,6 +39,11 @@ def vote(scores, rule) -> str:
     return DRIVING if hit[0] else NON_DRIVING
 
 
+def vote_labels(labels, rule) -> str:
+    """:func:`vote` of one clip whose frames carry ``labels``: a score of 1.0 for driving, 0.0 otherwise."""
+    return vote([1.0 if lab == DRIVING else 0.0 for lab in labels], rule)
+
+
 # ---------------------------------------------------------------------------
 # rule construction
 
@@ -48,7 +52,7 @@ def test_rule_constructors_validate():
     with pytest.raises(ValueError):
         VotingRule("plurality")
     with pytest.raises(ValueError):
-        VotingRule.threshold(55)  # not one of the supported cutoffs
+        VotingRule("threshold", 55)  # not one of the supported cutoffs
     with pytest.raises(ValueError):
         VotingRule("majority", threshold_pct=50)
     for pct in (30.0, True, "30"):  # only an int threshold, though 30.0 == 30
@@ -62,28 +66,28 @@ def test_rule_constructors_validate():
 
 def test_single_fires_on_one_positive_frame():
     labels = [DRIVING, NON_DRIVING, NON_DRIVING]
-    assert aggregate_votes(labels, VotingRule.single()) == DRIVING
-    assert aggregate_votes(labels, VotingRule.majority()) == NON_DRIVING
+    assert vote_labels(labels, VotingRule("single")) == DRIVING
+    assert vote_labels(labels, VotingRule("majority")) == NON_DRIVING
 
 
 def test_majority_is_strict():
     # exactly half the frames positive is not a majority
-    assert aggregate_votes([DRIVING, NON_DRIVING], VotingRule.majority()) == NON_DRIVING
-    assert aggregate_votes([DRIVING, DRIVING, NON_DRIVING], VotingRule.majority()) == DRIVING
+    assert vote_labels([DRIVING, NON_DRIVING], VotingRule("majority")) == NON_DRIVING
+    assert vote_labels([DRIVING, DRIVING, NON_DRIVING], VotingRule("majority")) == DRIVING
 
 
 def test_threshold_is_strict():
     labels = [DRIVING, NON_DRIVING]
-    assert aggregate_votes(labels, VotingRule.threshold(50)) == NON_DRIVING
+    assert vote_labels(labels, VotingRule("threshold", 50)) == NON_DRIVING
     one_of_twelve = [DRIVING] + [NON_DRIVING] * 11
-    assert aggregate_votes(one_of_twelve, VotingRule.threshold(10)) == NON_DRIVING  # 1/12 < 0.1
+    assert vote_labels(one_of_twelve, VotingRule("threshold", 10)) == NON_DRIVING  # 1/12 < 0.1
     two_of_twelve = [DRIVING] * 2 + [NON_DRIVING] * 10
-    assert aggregate_votes(two_of_twelve, VotingRule.threshold(10)) == DRIVING
+    assert vote_labels(two_of_twelve, VotingRule("threshold", 10)) == DRIVING
 
 
-def test_aggregate_rejects_empty():
-    with pytest.raises(EmptyInputError):
-        aggregate_votes([], VotingRule.single())
+def test_a_clip_with_no_frames_is_never_driving():
+    for rule in ALL_RULES:
+        assert vote([], rule) == NON_DRIVING
 
 
 def test_frame_label_cutoff_is_strict():
@@ -92,8 +96,6 @@ def test_frame_label_cutoff_is_strict():
         assert vote([FRAME_CUTOFF], rule) == NON_DRIVING
         assert vote([0.500001], rule) == DRIVING
         assert vote([0.499999], rule) == NON_DRIVING
-        # a clip with no frames is never driving
-        assert vote([], rule) == NON_DRIVING
 
 
 def test_exact_ties_resolve_negative_at_every_length():
@@ -108,8 +110,8 @@ def test_exact_ties_resolve_negative_at_every_length():
 
 def test_classify_scores_composes_binarize_and_vote():
     scores = (0.9, 0.1, 0.2)
-    assert vote(scores, VotingRule.single()) == DRIVING
-    assert vote(scores, VotingRule.majority()) == NON_DRIVING
+    assert vote(scores, VotingRule("single")) == DRIVING
+    assert vote(scores, VotingRule("majority")) == NON_DRIVING
 
 
 @given(
@@ -119,7 +121,7 @@ def test_classify_scores_composes_binarize_and_vote():
     rule_strategy,
 )
 def test_classify_scores_is_the_fraction_rule(scores, rule):
-    # the integer comparisons agree with the float formula they replace, and with aggregate_votes
+    # the integer comparisons agree with the float formula they replace, and with the frames' labels voted
     positive = sum(s > FRAME_CUTOFF for s in scores)
     fraction = positive / len(scores)
     if rule.kind == "single":
@@ -130,7 +132,7 @@ def test_classify_scores_is_the_fraction_rule(scores, rule):
         hit = fraction > rule.threshold_pct / 100
     frame_labels = [DRIVING if s > FRAME_CUTOFF else NON_DRIVING for s in scores]
     assert vote(scores, rule) == (DRIVING if hit else NON_DRIVING)
-    assert vote(scores, rule) == aggregate_votes(frame_labels, rule)
+    assert vote(scores, rule) == vote_labels(frame_labels, rule)
 
 
 @st.composite
@@ -172,41 +174,41 @@ def test_column_vote_matches_decide(data, rule):
 def test_aggregate_invariant_under_frame_order(labels, rule, seed):
     shuffled = labels[:]
     random.Random(seed).shuffle(shuffled)
-    assert aggregate_votes(shuffled, rule) == aggregate_votes(labels, rule)
+    assert vote_labels(shuffled, rule) == vote_labels(labels, rule)
 
 
 @given(labels_strategy, rule_strategy)
 def test_flipping_a_frame_positive_is_monotone(labels, rule):
-    before = aggregate_votes(labels, rule)
+    before = vote_labels(labels, rule)
     for i, lab in enumerate(labels):
         if lab == NON_DRIVING:
             flipped = labels[:i] + [DRIVING] + labels[i + 1 :]
-            after = aggregate_votes(flipped, rule)
+            after = vote_labels(flipped, rule)
             if before == DRIVING:
                 assert after == DRIVING
     if before == NON_DRIVING and any(l == DRIVING for l in labels):
         # removing positives can only move away from driving
         stripped = [NON_DRIVING] * len(labels)
-        assert aggregate_votes(stripped, rule) == NON_DRIVING
+        assert vote_labels(stripped, rule) == NON_DRIVING
 
 
 @given(labels_strategy)
 def test_thresholds_nest(labels):
     # a stricter threshold firing implies every looser one fires too
     fired = [
-        aggregate_votes(labels, VotingRule.threshold(p)) == DRIVING
+        vote_labels(labels, VotingRule("threshold", p)) == DRIVING
         for p in THRESHOLD_CHOICES
     ]
     for looser, stricter in zip(fired, fired[1:]):
         assert looser or not stricter
     if any(fired):
-        assert aggregate_votes(labels, VotingRule.single()) == DRIVING
+        assert vote_labels(labels, VotingRule("single")) == DRIVING
 
 
 @given(labels_strategy)
 def test_majority_equals_threshold_fifty(labels):
-    assert aggregate_votes(labels, VotingRule.majority()) == aggregate_votes(
-        labels, VotingRule.threshold(50)
+    assert vote_labels(labels, VotingRule("majority")) == vote_labels(
+        labels, VotingRule("threshold", 50)
     )
 
 
@@ -220,7 +222,7 @@ def test_aggregate_matches_fraction_oracle(labels, rule):
         expect = fraction > 0.5
     else:
         expect = fraction > rule.threshold_pct / 100.0
-    assert (aggregate_votes(labels, rule) == DRIVING) == expect
+    assert (vote_labels(labels, rule) == DRIVING) == expect
 
 
 # ---------------------------------------------------------------------------
