@@ -37,7 +37,7 @@ def main():
     driving = (corpus.label == LABELS.index(DRIVING)) & ~corpus.deleted
     lat, lon = corpus.lat[driving], corpus.lon[driving]
 
-    counts = tile_counts(locate_points(lat, lon, grid), grid, city_id="demo")
+    counts = tile_counts(locate_points(lat, lon, grid), grid)
     occupied = counts.positive_counts
     print(
         f"{np.count_nonzero(driving)} driving posts over {grid.n_active} tiles; "

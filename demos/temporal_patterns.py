@@ -44,13 +44,13 @@ def main():
     for i, cfg in enumerate(spec.cities):
         city, _grid = synth.gen_corpus(spec, i)
         driving = city.ts[(city.label == LABELS.index(DRIVING)) & ~city.deleted]
-        profile = hourly_profile(driving, cfg.tz_id, cfg.city_id)
+        profile = hourly_profile(driving, cfg.tz_id)
         profiles[cfg.city_id] = profile
-        uplift = night_uplift(profile, window)
-        print(f"  {cfg.city_id} ({cfg.tz_id:>9}): {sparkline(profile.counts)}  night +{uplift:.0f}%")
+        uplift = night_uplift(profile, window, cfg.city_id)
+        print(f"  {cfg.city_id} ({cfg.tz_id:>9}): {sparkline(profile)}  night +{uplift:.0f}%")
 
     ids = list(profiles)
-    r = pearson(profiles[ids[0]].counts, profiles[ids[1]].counts)
+    r = pearson(profiles[ids[0]], profiles[ids[1]])
     print(f"\nPearson r between {ids[0]} and {ids[1]} profiles: {r:.3f}")
     print("(the generator plants the same 75% night uplift everywhere, so profiles agree)")
 
@@ -69,7 +69,7 @@ def main():
     )
     print(f"planted partition recovered exactly: {bool(agreement.all())}")
 
-    coords = embed_2d(X).coords
+    coords = embed_2d(X)
     spans = coords.max(axis=0) - coords.min(axis=0)
     print(f"2-d SVD embedding spans {spans[0]:.3f} x {spans[1]:.3f} (for plotting)")
 

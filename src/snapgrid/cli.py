@@ -54,7 +54,7 @@ from .geo import Region, build_grid, locate_points
 
 DEFAULT_CONFIG = {
     "seed": 0,
-    "night_window": {"start_hour": 18, "end_hour": 2},
+    "night_window": asdict(temporal.NightWindow()),
     "clustering": {"k": 3},
     "cities": {},
 }
@@ -420,8 +420,8 @@ def cmd_spatial(args, cfg, out_dir: Path) -> tuple[dict, str]:
     for city_id, rows in _city_rows(cols, regions, scored).items():
         grid = build_grid(regions[city_id][0])
         tiles = locate_points(cols.lat[rows], cols.lon[rows], grid)
-        driving_counts = spatial.tile_counts(tiles[driving[rows]], grid, city_id)
-        total = spatial.tile_counts(tiles, grid, city_id)
+        driving_counts = spatial.tile_counts(tiles[driving[rows]], grid)
+        total = spatial.tile_counts(tiles, grid)
         comparisons.append(spatial.compare_fits(driving_counts.positive_counts, city_id))
         outputs[f"heatmap_{city_id}.csv"] = partial(spatial.heatmap_export, grid, driving_counts, total)
     wins = spatial.concentration_summary(comparisons)
@@ -441,13 +441,13 @@ def cmd_temporal(args, cfg, out_dir: Path) -> tuple[dict, str]:
     per_city = {}
     pooled = np.zeros(24, dtype=np.int64)
     for city_id, rows in _city_rows(cols, regions, driving).items():
-        profile = temporal.hourly_profile(cols.ts[rows], regions[city_id][1], city_id)
-        pooled += profile.counts
+        profile = temporal.hourly_profile(cols.ts[rows], regions[city_id][1])
+        pooled += profile
         per_city[city_id] = {
-            "profile": profile.counts.tolist(),
-            "night_uplift_pct": temporal.night_uplift(profile, window),
+            "profile": profile.tolist(),
+            "night_uplift_pct": temporal.night_uplift(profile, window, city_id),
         }
-    uplift = temporal.night_uplift(temporal.HourlyProfile(city_id="_pooled", counts=pooled), window)
+    uplift = temporal.night_uplift(pooled, window, "_pooled")
     correlations = {
         city_id: temporal.pearson(per_city[city_id]["profile"], pooled)
         for city_id in per_city
@@ -481,7 +481,7 @@ def cmd_cluster(args, cfg, out_dir: Path) -> tuple[dict, str]:
     sil = temporal.silhouette(X, result.labels) if 2 <= k < X.shape[0] else None
     k_range = [kk for kk in range(2, 7) if kk <= len(kept)]
     elbow = temporal.elbow_curve(X, k_range, seed=seed)
-    emb = temporal.embed_2d(X)
+    coords = temporal.embed_2d(X)
     report = {
         "k": k,
         "seed": seed,
@@ -490,7 +490,7 @@ def cmd_cluster(args, cfg, out_dir: Path) -> tuple[dict, str]:
         "inertia": result.inertia,
         "silhouette": sil,
         "elbow": [[kk, inertia] for kk, inertia in elbow],
-        "embedding": {c: [float(x), float(y)] for c, (x, y) in zip(kept, emb.coords)},
+        "embedding": {c: [float(x), float(y)] for c, (x, y) in zip(kept, coords)},
     }
     sil_text = f", silhouette={sil:.3f}" if sil is not None else ""
     return (

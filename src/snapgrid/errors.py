@@ -4,6 +4,9 @@ Library code signals a bad input or an undefined result with
 :class:`SnapGridError`, which the CLI turns into one stderr line and exit
 1. A subclass exists only where a caller catches it by name, to act on it
 differently from other failures; ``tests/test_package.py`` enforces this.
+There are two: the CLI exits 2 on a :class:`ConfigError`, and
+``spatial.compare_fits`` records a :class:`DegenerateSampleError` as one
+family's failure and goes on with the others.
 """
 
 
@@ -13,10 +16,6 @@ class SnapGridError(ValueError):
 
 class ConfigError(SnapGridError):
     """Bad configuration or a missing or mismatched intermediate; the CLI exits 2."""
-
-
-class EmptyInputError(SnapGridError):
-    """Nothing to compute over; ``temporal.week_vectors`` drops such a city."""
 
 
 class DegenerateSampleError(SnapGridError):

@@ -51,22 +51,6 @@ def format_rfc3339(ts_utc: int) -> str:
     return datetime.fromtimestamp(ts_utc, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _check_fields(duration_s, frame_scores, label) -> Optional[list[float]]:
-    """Check a record's duration, frame scores and label; the scores come back as floats."""
-    # a list, not a tuple: a tuple freed here would stay cached in CPython's tuple free lists
-    duration_s, scores = float(duration_s), None if frame_scores is None else list(map(float, frame_scores))
-    if not 0 <= duration_s < math.inf:  # NaN too, which JSON cannot carry
-        raise ValueError(f"duration_s must be finite and nonnegative, got {duration_s}")
-    if label is not None and label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}, got {label!r}")
-    if scores is not None and len(scores) == 0:
-        raise ValueError("frame_scores, when present, must be nonempty")
-    for s in scores or ():
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"frame score {s} outside [0, 1]")
-    return scores
-
-
 @dataclass(frozen=True)
 class ParseFailure:
     line_number: int
@@ -99,7 +83,18 @@ def _fields(line: str, codes: dict[str, int]) -> tuple[tuple, Optional[list[floa
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
     ts, (lat, lon), label = parse_rfc3339(obj["ts_utc"]), check_point(obj["lat"], obj["lon"]), obj.get("label")
-    scores = _check_fields(obj.get("duration_s", 0.0), obj.get("frame_scores"), label)
+    # the scores as a list, not a tuple: a tuple freed here would stay cached in CPython's tuple free lists
+    duration_s, scores = float(obj.get("duration_s", 0.0)), obj.get("frame_scores")
+    scores = None if scores is None else list(map(float, scores))
+    if not 0 <= duration_s < math.inf:  # NaN too, which JSON cannot carry
+        raise ValueError(f"duration_s must be finite and nonnegative, got {duration_s}")
+    if label is not None and label not in LABELS:
+        raise ValueError(f"label must be one of {LABELS}, got {label!r}")
+    if scores is not None and len(scores) == 0:
+        raise ValueError("frame_scores, when present, must be nonempty")
+    for s in scores or ():
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"frame score {s} outside [0, 1]")
     city, code = codes.setdefault(obj["city_id"], len(codes)), -1 if label is None else LABELS.index(label)
     return (ts, lat, lon, city, code, obj.get("deleted", False)), scores, obj["id"]
 

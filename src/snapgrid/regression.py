@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, SnapGridError
+from .errors import SnapGridError
 
 DESIGN_TERMS = (
     "intercept",
@@ -71,7 +71,6 @@ class Design:
     X: np.ndarray
     y: np.ndarray
     columns: tuple[str, ...]
-    city_ids: tuple[str, ...]
     excluded: tuple[tuple[str, str], ...]
 
 
@@ -82,7 +81,7 @@ def build_design(cities: Sequence[CityStats]) -> Design:
     share stays on the 0-100 scale, matching how the coefficient
     magnitudes are conventionally reported.
     """
-    rows, ys, ids, excluded = [], [], [], []
+    rows, ys, excluded = [], [], []
     for c in cities:
         missing = [name for name in (*_CENSUS_NUMBERS, "developing") if getattr(c, name) is None]
         if missing:
@@ -101,14 +100,12 @@ def build_design(cities: Sequence[CityStats]) -> Design:
             ]
         )
         ys.append(math.log(c.driving_snaps + 1.0))
-        ids.append(c.city_id)
     if not rows:
-        raise EmptyInputError("no city has the full set of design fields")
+        raise SnapGridError("no city has the full set of design fields")
     return Design(
         X=np.array(rows, dtype=float),
         y=np.array(ys, dtype=float),
         columns=DESIGN_TERMS,
-        city_ids=tuple(ids),
         excluded=tuple(excluded),
     )
 
@@ -123,7 +120,6 @@ class OLSResult:
     r_squared: float
     ssr: float
     n: int
-    df_resid: int
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OLSResult:
@@ -177,14 +173,12 @@ def ols_fit(X: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OLSResult:
         r_squared=r_squared,
         ssr=ssr,
         n=n,
-        df_resid=df_resid,
     )
 
 
 @dataclass(frozen=True)
 class LRTestResult:
     chisq: float
-    df: int
     p_value: float
 
 
@@ -206,14 +200,14 @@ def lr_test(full: OLSResult, reduced: OLSResult) -> LRTestResult:
         raise SnapGridError(f"reduced model is not nested; extra columns: {extra}")
     df = len(full_cols) - len(red_cols)
     if df == 0:
-        return LRTestResult(chisq=0.0, df=0, p_value=1.0)
+        return LRTestResult(chisq=0.0, p_value=1.0)
     if full.ssr <= 0:
         # perfect full fit: the reduced model is infinitely worse unless it is perfect too
         chisq = 0.0 if reduced.ssr <= 0 else math.inf
     else:
         chisq = max(0.0, full.n * math.log(reduced.ssr / full.ssr))
     p_value = float(special.chdtrc(df, chisq))
-    return LRTestResult(chisq=chisq, df=df, p_value=p_value)
+    return LRTestResult(chisq=chisq, p_value=p_value)
 
 
 def stars(p_value: float) -> str:

@@ -13,7 +13,7 @@ BIC (k ln n - 2 loglik, lower is better):
 
 Counts are integers but the likelihoods are continuous; for the count
 magnitudes seen per tile this is an adequate, fast approximation. The
-power-law lower cutoff defaults to the smallest positive count (no
+power-law lower cutoff is the smallest positive count (no
 cutoff search), which keeps all four fits comparable on identical data.
 Zero-count tiles never enter any fit, since the log-normal and power-law
 densities are undefined at zero.
@@ -44,7 +44,6 @@ N_PARAMS = {"power_law": 1, "normal": 2, "log_normal": 2, "exponential": 1}
 class TileCountVector:
     """Counts of located records per active tile of one city's grid."""
 
-    city_id: str
     tiles: np.ndarray  # the active tiles, numbered as geo.locate_points numbers them
     counts: np.ndarray  # int, aligned with tiles
     out_of_grid: int = 0
@@ -60,7 +59,7 @@ class TileCountVector:
         return self.counts[self.counts >= 1]
 
 
-def tile_counts(tiles: np.ndarray, grid: TileGrid, city_id: str) -> TileCountVector:
+def tile_counts(tiles: np.ndarray, grid: TileGrid) -> TileCountVector:
     """Count one city's located records per active tile of its grid.
 
     ``tiles`` holds each record's tile as :func:`geo.locate_points` gives
@@ -68,12 +67,11 @@ def tile_counts(tiles: np.ndarray, grid: TileGrid, city_id: str) -> TileCountVec
     """
     located, active = tiles[tiles >= 0], np.flatnonzero(grid.active)
     counts = np.bincount(np.searchsorted(active, located), minlength=len(active))  # each tile's place among the active
-    return TileCountVector(city_id=city_id, tiles=active, counts=counts, out_of_grid=len(tiles) - len(located))
+    return TileCountVector(tiles=active, counts=counts, out_of_grid=len(tiles) - len(located))
 
 
 @dataclass(frozen=True)
 class FittedDistribution:
-    family: str
     params: dict[str, float]
     log_likelihood: float
     bic: float
@@ -144,7 +142,7 @@ def fit_mle(x: Sequence[float], family: str) -> FittedDistribution:
 
     loglik = log_likelihood(family, x, params)
     bic = N_PARAMS[family] * math.log(n) - 2.0 * loglik
-    return FittedDistribution(family=family, params=params, log_likelihood=loglik, bic=bic, n=n)
+    return FittedDistribution(params=params, log_likelihood=loglik, bic=bic, n=n)
 
 
 @dataclass(frozen=True)

@@ -1,45 +1,38 @@
 """Local-time rhythms: hourly profiles, night uplift, and weekly clustering.
 
 All bucketing happens in each city's own IANA timezone, so "18:00" means
-evening in that city regardless of where it sits on the globe. Weekly
-activity vectors (168 hour-of-week fractions, Monday 00:00 first) feed a
-small from-scratch k-means so cities with similar rhythms group together;
-silhouette scores and an elbow curve guide the choice of k, and a 2-D PCA
-projection provides eyes on the result.
+evening in that city regardless of where it sits on the globe. Local time
+is taken in one place, ``_hours_of_week``; the hourly profile and the week
+vectors both count its hours of the week. Weekly activity vectors (168
+hour-of-week fractions, Monday 00:00 first) feed a small from-scratch
+k-means so cities with similar rhythms group together; silhouette scores
+and an elbow curve guide the choice of k, and a 2-D PCA projection
+provides eyes on the result.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, SnapGridError
+from .errors import SnapGridError
 from .records import to_local_time
 
 HOURS_PER_WEEK = 168
 
 
-@dataclass(frozen=True)
-class HourlyProfile:
-    """Counts of records per local hour of day (24 bins)."""
-
-    city_id: str
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (24,):
-            raise SnapGridError(f"hourly profile needs 24 bins, got shape {counts.shape}")
-        object.__setattr__(self, "counts", counts)
+def _hours_of_week(ts: np.ndarray, tz_id: str) -> np.ndarray:
+    """Each of UTC epoch seconds ``ts`` as its local hour of the week in ``tz_id``; 0 is Monday 00:00."""
+    hours = [local.weekday() * 24 + local.hour for local in (to_local_time(t, tz_id) for t in ts.tolist())]
+    return np.array(hours, dtype=np.int64)
 
 
-def hourly_profile(ts: np.ndarray, tz_id: str, city_id: str) -> HourlyProfile:
-    """Bucket UTC epoch seconds ``ts`` by their local wall-clock hour."""
-    hours = [to_local_time(t, tz_id).hour for t in ts.tolist()]
-    return HourlyProfile(city_id=city_id, counts=np.bincount(hours, minlength=24))
+def hourly_profile(ts: np.ndarray, tz_id: str) -> np.ndarray:
+    """Counts of UTC epoch seconds ``ts`` per local wall-clock hour of the day (24 bins)."""
+    return np.bincount(_hours_of_week(ts, tz_id) % 24, minlength=24)
 
 
 @dataclass(frozen=True)
@@ -63,17 +56,17 @@ class NightWindow:
         return hour >= self.start_hour or hour < self.end_hour
 
 
-def night_uplift(profile: HourlyProfile, window: NightWindow = NightWindow()) -> float:
-    """Percent excess of mean in-window over mean out-of-window hourly counts.
+def night_uplift(counts: np.ndarray, window: NightWindow, city_id: str) -> float:
+    """Percent excess of mean in-window over mean out-of-window hourly ``counts`` of city ``city_id``.
 
     100.0 means night hours average twice the day hours. Undefined (raises)
     when the out-of-window mean is zero.
     """
     inside = np.array([window.contains(h) for h in range(24)])
-    mean_in = float(profile.counts[inside].mean())
-    mean_out = float(profile.counts[~inside].mean())
+    mean_in = float(counts[inside].mean())
+    mean_out = float(counts[~inside].mean())
     if mean_out == 0:
-        raise SnapGridError(f"city {profile.city_id}: no activity outside the window; uplift undefined")
+        raise SnapGridError(f"city {city_id}: no activity outside the window; uplift undefined")
     return (mean_in / mean_out - 1.0) * 100.0
 
 
@@ -92,27 +85,21 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return float((xc * yc).sum() / denom)
 
 
-def week_vector(ts: np.ndarray, tz_id: str) -> np.ndarray:
-    """168 hour-of-week activity fractions of UTC epoch seconds ``ts``; index 0 is Monday 00:00 local."""
-    if len(ts) == 0:
-        raise EmptyInputError("no records to build a week vector from")
-    hours = [local.weekday() * 24 + local.hour for local in (to_local_time(t, tz_id) for t in ts.tolist())]
-    counts = np.bincount(hours, minlength=HOURS_PER_WEEK)
-    return counts / counts.sum()
-
-
 def week_vectors(ts_by_city: Mapping[str, np.ndarray], tz_by_city: Mapping[str, str]) -> tuple[np.ndarray, list[str]]:
-    """Stack per-city week vectors; cities with no activity are dropped with a warning."""
+    """Each city's 168 hour-of-week activity fractions, one row per city; index 0 is Monday 00:00 local.
+
+    Cities with no activity are dropped with a warning.
+    """
     rows, kept = [], []
-    for city_id in ts_by_city:
-        try:
-            rows.append(week_vector(ts_by_city[city_id], tz_by_city[city_id]))
-        except EmptyInputError:
+    for city_id, ts in ts_by_city.items():
+        if len(ts) == 0:
             warnings.warn(f"city {city_id!r} has no activity; dropped from week vectors")
             continue
+        counts = np.bincount(_hours_of_week(ts, tz_by_city[city_id]), minlength=HOURS_PER_WEEK)
+        rows.append(counts / counts.sum())
         kept.append(city_id)
     if not rows:
-        raise EmptyInputError("no cities with activity")
+        raise SnapGridError("no cities with activity")
     return np.vstack(rows), kept
 
 
@@ -123,10 +110,8 @@ def week_vectors(ts_by_city: Mapping[str, np.ndarray], tz_by_city: Mapping[str, 
 @dataclass(frozen=True)
 class ClusterResult:
     labels: np.ndarray
-    centers: np.ndarray
     inertia: float
-    n_iter: int
-    inertia_history: tuple[float, ...] = field(default=(), repr=False)
+    n_iter: int  # Lloyd updates of the best start
 
 
 def _squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -151,31 +136,28 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int):
-    history = []
-    labels = np.zeros(X.shape[0], dtype=np.int64)
-    for it in range(1, max_iter + 1):
+def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, float, int]:
+    """Labels and inertia at the last centers once an update leaves them in place or after ``max_iter`` updates."""
+    n_iter = 0
+    while True:
         d2 = _squared_distances(X, centers)
         labels = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(X.shape[0]), labels].sum())
-        history.append(inertia)
+        closest = d2[np.arange(X.shape[0]), labels]
+        if n_iter == max_iter:
+            break
+        n_iter += 1
         new_centers = centers.copy()
         for j in range(centers.shape[0]):
             members = X[labels == j]
             if len(members) == 0:
                 # revive the dead cluster at the point worst served right now
-                farthest = d2[np.arange(X.shape[0]), labels].argmax()
-                new_centers[j] = X[farthest]
+                new_centers[j] = X[closest.argmax()]
             else:
                 new_centers[j] = members.mean(axis=0)
         if np.allclose(new_centers, centers):
-            return labels, centers, inertia, it, history
+            break
         centers = new_centers
-    d2 = _squared_distances(X, centers)
-    labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(X.shape[0]), labels].sum())
-    history.append(inertia)
-    return labels, centers, inertia, max_iter, history
+    return labels, float(closest.sum()), n_iter
 
 
 def kmeans(X: np.ndarray, k: int, seed: int = 0) -> ClusterResult:
@@ -190,14 +172,12 @@ def kmeans(X: np.ndarray, k: int, seed: int = 0) -> ClusterResult:
     best = None
     for _ in range(10):
         centers0 = _kmeans_pp_init(X, k, rng)
-        labels, centers, inertia, n_iter, history = _lloyd(X, centers0, 300)
+        labels, inertia, n_iter = _lloyd(X, centers0, 300)
         if best is None or inertia < best.inertia:
             best = ClusterResult(
                 labels=labels,
-                centers=centers,
                 inertia=inertia,
                 n_iter=n_iter,
-                inertia_history=tuple(history),
             )
     return best
 
@@ -232,15 +212,8 @@ def elbow_curve(X: np.ndarray, k_values: Sequence[int], seed: int = 0) -> list[t
     return [(k, kmeans(X, k, seed=seed).inertia) for k in k_values]
 
 
-@dataclass(frozen=True)
-class Embedding:
-    coords: np.ndarray
-    components: np.ndarray
-    explained_variance_ratio: np.ndarray
-
-
-def embed_2d(X: np.ndarray) -> Embedding:
-    """Project rows onto the top two principal components (SVD of centered data).
+def embed_2d(X: np.ndarray) -> np.ndarray:
+    """Each row's coordinates on the top two principal components (SVD of centered data), n x 2.
 
     Each component's sign is fixed so its largest-magnitude loading is
     positive, making embeddings reproducible across platforms.
@@ -249,14 +222,10 @@ def embed_2d(X: np.ndarray) -> Embedding:
     if X.ndim != 2 or X.shape[0] < 2:
         raise SnapGridError("need a 2-d matrix with at least 2 rows")
     centered = X - X.mean(axis=0)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    components = vt[:2].copy()
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    components = vt[:2]
     for j in range(components.shape[0]):
         pivot = np.abs(components[j]).argmax()
         if components[j, pivot] < 0:
             components[j] = -components[j]
-    coords = centered @ components.T
-    var = s**2
-    total = var.sum()
-    ratio = var[:2] / total if total > 0 else np.zeros(min(2, len(var)))
-    return Embedding(coords=coords, components=components, explained_variance_ratio=ratio)
+    return centered @ components.T

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, SnapGridError
+from .errors import SnapGridError
 from .records import DRIVING
 
 THRESHOLD_CHOICES = (10, 30, 50, 70, 90)
@@ -85,7 +85,7 @@ def evaluate(predicted: np.ndarray, truths: np.ndarray) -> EvalReport:
     if len(predicted) != len(truths):
         raise SnapGridError(f"length mismatch: {len(predicted)} predicted vs {len(truths)} true labels")
     if len(predicted) == 0:
-        raise EmptyInputError("need at least one predicted label")
+        raise SnapGridError("need at least one predicted label")
     tp, fp = int(np.count_nonzero(predicted & truths)), int(np.count_nonzero(predicted & ~truths))
     fn, tn = int(np.count_nonzero(~predicted & truths)), int(np.count_nonzero(~predicted & ~truths))
     precision = tp / (tp + fp) if tp + fp else 0.0
@@ -113,7 +113,7 @@ class ExtentReport:
 def extent(city: np.ndarray, driving: np.ndarray, cities: Sequence[str]) -> ExtentReport:
     """Driving fraction per city and pooled; ``city`` is each record's index into ``cities``, ``driving`` its vote."""
     if len(city) == 0:
-        raise EmptyInputError("need at least one classified record")
+        raise SnapGridError("need at least one classified record")
     totals = np.bincount(city, minlength=len(cities)).tolist()
     hits = np.bincount(city[driving], minlength=len(cities)).tolist()
     per_city = {c: hits[i] / totals[i] for i, c in enumerate(cities) if totals[i]}

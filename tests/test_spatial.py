@@ -204,7 +204,7 @@ def counts_at(grid, points_m):
     lat, lon = unproject(np.array([x for x, _ in points_m]), np.array([y for _, y in points_m]),
                          grid.origin_lat, grid.origin_lon)
     tiles = locate_points(lat, lon, grid)
-    return tile_counts(tiles, grid, "metro")
+    return tile_counts(tiles, grid)
 
 
 def test_tile_counts_places_records():

@@ -126,8 +126,8 @@ def test_zero_driving_fraction_has_no_driving_records():
     assert (cols.label == LABELS.index(NON_DRIVING)).all()
 
 
-def located_counts(cols, grid, city_id, rows=slice(None)):
-    return tile_counts(locate_points(cols.lat[rows], cols.lon[rows], grid), grid, city_id)
+def located_counts(cols, grid, rows=slice(None)):
+    return tile_counts(locate_points(cols.lat[rows], cols.lon[rows], grid), grid)
 
 
 def test_near_uniform_weights_spread_counts_evenly():
@@ -137,7 +137,7 @@ def test_near_uniform_weights_spread_counts_evenly():
         family="normal", family_params={"mu": 5.0, "sigma": 1e-9},
     )
     cols, grid = gen_corpus(SynthSpec(seed=2, cities=(cfg,)), 0)
-    vec = located_counts(cols, grid, "flat")
+    vec = located_counts(cols, grid)
     counts = vec.counts
     assert counts.min() > 0
     assert counts.max() / counts.min() < 1.2
@@ -147,7 +147,7 @@ def test_tile_counts_recover_planted_power_law():
     spec = default_spec(seed=0, n_cities=1)
     cols, grid = gen_corpus(spec, 0)
     driving = cols.label == LABELS.index(DRIVING)
-    comp = compare_fits(located_counts(cols, grid, "city00", driving).positive_counts, "city00")
+    comp = compare_fits(located_counts(cols, grid, driving).positive_counts, "city00")
     assert comp.best_by_bic == "power_law"
 
 

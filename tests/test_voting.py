@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from snapgrid.errors import EmptyInputError
+from snapgrid.errors import SnapGridError
 from snapgrid.records import DRIVING, NON_DRIVING
 from snapgrid.voting import (
     FRAME_CUTOFF,
@@ -257,7 +257,7 @@ def test_evaluate_confusion_example():
 def test_evaluate_validates_lengths():
     with pytest.raises(Exception):
         evaluate(np.array([True]), np.array([True, True]))
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(SnapGridError, match="^need at least one predicted label$"):
         evaluate(np.array([], dtype=bool), np.array([], dtype=bool))
 
 
@@ -282,5 +282,5 @@ def test_extent_zero_driving():
 
 
 def test_extent_rejects_empty_input():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(SnapGridError, match="^need at least one classified record$"):
         extent(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool), ["a"])
