@@ -26,7 +26,7 @@ def main():
     south, west = 51.50, -0.14
     north, east = unproject(5000.0, 3000.0, south, west)
     box = Region.from_bbox(south, west, north, east)
-    grid = build_grid(box, tile_size_m=1000.0)
+    grid = build_grid(box)
     show_grid("bbox city", grid)
 
     # Point lookup. locate_points() floors the projected coordinates, so a
@@ -47,7 +47,7 @@ def main():
     # A triangular "city" shows the polygon mask: a tile stays active only
     # when its center lies inside the ring (boundary counts as inside).
     triangle = Region.from_polygon(km_ring(51.50, -0.14, [(0, 0), (4.5, 0), (0, 4.5)]))
-    tri_grid = build_grid(triangle, tile_size_m=1000.0)
+    tri_grid = build_grid(triangle)
     show_grid("triangle city", tri_grid)
     lat, lon = tri_grid.centers(np.array([0]))
     print(f"  tile (0,0) center: ({lat[0]:.5f}, {lon[0]:.5f})")

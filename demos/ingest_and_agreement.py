@@ -53,7 +53,7 @@ def main():
     matrix = matrix_from_long(rows)
     kappa = fleiss_kappa(matrix)
     print(f"\nFleiss kappa over {matrix.n_items} items, {matrix.n_raters} raters: {kappa:.3f}")
-    for g in adjudicate(matrix, positive_category=DRIVING):
+    for g in adjudicate(matrix):
         print(f"  {g.item_id}: {g.label} ({g.support}/3 votes)")
 
 

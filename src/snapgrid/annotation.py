@@ -17,6 +17,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import SnapGridError
+from .records import DRIVING
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,25 +124,25 @@ class GroundTruthLabel:
     support: int
 
 
-def adjudicate(matrix: AnnotationMatrix, positive_category: str) -> list[GroundTruthLabel]:
-    """Two-of-n adjudication: positive iff at least 2 raters chose the positive category.
+def adjudicate(matrix: AnnotationMatrix) -> list[GroundTruthLabel]:
+    """Two-of-n adjudication: ``records.DRIVING`` iff at least 2 raters chose it, else the other category.
 
-    Binary matrices only. ``support`` is the number of raters agreeing
-    with the assigned label.
+    Binary matrices with a driving category only. ``support`` is the
+    number of raters agreeing with the assigned label.
     """
     if len(matrix.categories) != 2:
         raise SnapGridError(f"adjudication needs 2 categories, got {len(matrix.categories)}")
-    if positive_category not in matrix.categories:
-        raise SnapGridError(f"unknown category {positive_category!r}")
+    if DRIVING not in matrix.categories:
+        raise SnapGridError(f"unknown category {DRIVING!r}")
     if matrix.n_raters < 2:
         raise SnapGridError(f"need at least 2 raters per item, got {matrix.n_raters}")
-    pos = matrix.categories.index(positive_category)
+    pos = matrix.categories.index(DRIVING)
     neg = 1 - pos
     negative_category = matrix.categories[neg]
     labels = []
     for i, item_id in enumerate(matrix.item_ids):
         if matrix.counts[i, pos] >= 2:
-            labels.append(GroundTruthLabel(item_id, positive_category, int(matrix.counts[i, pos])))
+            labels.append(GroundTruthLabel(item_id, DRIVING, int(matrix.counts[i, pos])))
         else:
             labels.append(GroundTruthLabel(item_id, negative_category, int(matrix.counts[i, neg])))
     return labels

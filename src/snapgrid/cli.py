@@ -199,22 +199,23 @@ def _producer(name: str) -> str:
     return next(stage for stage, (*_, files) in STAGES.items() if name in files)
 
 
-def _rerun(path: Path, problem=None) -> ConfigError:
-    """``path`` is missing, or has ``problem``: name the stage that writes it."""
-    if problem is None:
-        return ConfigError(f"{path} not found; run the {_producer(path.name)} stage first")
-    return ConfigError(f"{problem}; re-run the {_producer(path.name)} stage")
-
-
-def _load_cleaned(out_dir: Path) -> records.SnapColumns:
-    """The columns of ``cleaned.npz``."""
-    path = out_dir / CLEANED
+def _read(path: Path, parse):
+    """``parse(path)`` of the intermediate ``path``: a ConfigError that names the stage writing it if ``path`` is
+    missing (FileNotFoundError) or ``parse`` finds it damaged or mismatched (ValueError)."""
     try:
-        return records.SnapColumns.load(path)
+        return parse(path)
     except FileNotFoundError:
-        raise _rerun(path)
+        raise ConfigError(f"{path} not found; run the {_producer(path.name)} stage first")
     except ValueError as exc:
-        raise _rerun(path, f"{path}: {exc}")
+        raise ConfigError(f"{path}: {exc}; re-run the {_producer(path.name)} stage")
+
+
+def _json_object(path: Path) -> dict:
+    """The JSON object in ``path``; ValueError for text that is not JSON or not an object."""
+    obj = json.loads(path.read_text())
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    return obj
 
 
 def _ids_crc32(cols: records.SnapColumns, rows: np.ndarray) -> int:
@@ -237,22 +238,19 @@ def _load_classified(out_dir: Path) -> tuple[records.SnapColumns, np.ndarray, np
     ids, in file order, and the cutoff ``voting.FRAME_CUTOFF``; otherwise
     it belongs to another corpus or is damaged, and classify must run again.
     """
-    cols = _load_cleaned(out_dir)
+    cols = _read(out_dir / CLEANED, records.SnapColumns.load)
     scored = cols.scored
-    path = out_dir / "classify.json"
-    try:
-        info = json.loads(path.read_text())
-        if not isinstance(info, dict):
-            raise ValueError("not a JSON object")
+
+    def rule_of(path: Path) -> voting.VotingRule:
+        info = _json_object(path)
         if info.get("scored_ids_crc32") != _ids_crc32(cols, scored):
             raise ValueError(f"scored_ids_crc32 does not match the scored records of {CLEANED}")
         rule = voting.VotingRule(info.get("rule"), info.get("threshold_pct"))
         if info.get("cutoff") != voting.FRAME_CUTOFF:
             raise ValueError(f"cutoff must be {voting.FRAME_CUTOFF}, got {info.get('cutoff')!r}")
-    except FileNotFoundError:
-        raise _rerun(path)
-    except ValueError as exc:
-        raise _rerun(path, f"{path}: {exc}")
+        return rule
+
+    rule = _read(out_dir / "classify.json", rule_of)
     return cols, scored, voting.classify_scores(cols.scores, cols.score_offsets, rule)
 
 
@@ -268,24 +266,24 @@ def _city_rows(cols: records.SnapColumns, cities, rows: np.ndarray) -> dict[str,
 
 
 def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
-    for flag, least in (("cities", 1), ("records", 1), ("annotated", 0)):
-        if getattr(args, flag) < least:
-            raise ConfigError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
+    for flag in ("cities", "records"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     spec = synth.default_spec(args.seed, n_cities=args.cities, n_records=args.records)
-    ids: list[str] = []  # the ids and true labels of each city's first --annotated records, in city order
+    ids: list[str] = []  # the ids and true labels of each city's first synth.N_ANNOTATED records, in city order
     labels: list[Optional[str]] = []
 
     def city_parts():  # one city's columns at a time; the next is drawn only after the writer let it go
         for i in range(len(spec.cities)):
             part = synth.gen_corpus(spec, i)[0]
-            ends = part.id_offsets[:min(args.annotated, len(part)) + 1].tolist()
+            ends = part.id_offsets[:min(synth.N_ANNOTATED, len(part)) + 1].tolist()
             ids.extend(part.ids[a:b].tobytes().decode("utf-8", "surrogatepass") for a, b in zip(ends, ends[1:]))
             labels.extend(records.LABELS[code] if code >= 0 else None for code in part.label[:len(ends) - 1].tolist())
             yield part
             del part
 
     def write_annotations(path: Path) -> None:  # after snaps.jsonl, which fills the sample
-        rows = synth.gen_annotations(ids, labels, flip_prob=0.1, seed=spec.seed)
+        rows = synth.gen_annotations(ids, labels, seed=spec.seed)
         path.write_bytes(_csv_text(("item_id", "rater_id", "category"), rows).encode())
 
     reg_sigma = 0.1  # the manifest records the regression noise
@@ -300,7 +298,7 @@ def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
         "cities": {
             c.city_id: {
                 "tz": c.tz_id,
-                "bbox": list(synth.city_region(c, spec.tile_size_m).bbox),
+                "bbox": list(synth.city_region(c).bbox),
             }
             for c in spec.cities
         },
@@ -361,7 +359,7 @@ def cmd_annotate(args, cfg, out_dir: Path) -> tuple[dict, str]:
     matrix = annotation.load_annotations_csv(path)
     kappa = annotation.fleiss_kappa(matrix)
     try:
-        labels = annotation.adjudicate(matrix, positive_category=records.DRIVING)
+        labels = annotation.adjudicate(matrix)
     except SnapGridError as exc:  # the ratings lack driving or hold a third category
         raise SnapGridError(f"{path}: {exc}") from exc
     positive = sum(1 for g in labels if g.label == records.DRIVING)
@@ -385,7 +383,7 @@ def cmd_classify(args, cfg, out_dir: Path) -> tuple[dict, str]:
     except ValueError as exc:
         raise ConfigError(f"bad voting rule: {exc}")
 
-    cols = _load_cleaned(out_dir)
+    cols = _read(out_dir / CLEANED, records.SnapColumns.load)
     scored = cols.scored
     votes = voting.classify_scores(cols.scores, cols.score_offsets, rule)[scored]
 
@@ -516,20 +514,18 @@ def cmd_regress(args, cfg, out_dir: Path) -> tuple[dict, str]:
 def cmd_report(args, cfg, out_dir: Path) -> tuple[dict, str]:
     # the integer keys of a part that the cross-check below reads
     checked = {"ingest.json": ("kept",), "classify.json": ("n_classified", "n_skipped_unscored")}
+
+    def part_of(path: Path) -> dict:
+        part = _json_object(path)
+        for key in checked.get(path.name, ()):
+            if type(part.get(key)) is not int:
+                raise ValueError(f"no integer {key!r}")
+        return part
+
     parts = {}
     for name in (name for *_, files in STAGES.values() for name in files if name.endswith(".json")):
-        path, part = out_dir / name, None
-        if path.exists():
-            try:
-                part = json.loads(path.read_text())
-                if not isinstance(part, dict):
-                    raise ValueError("not a JSON object")
-                for key in checked.get(name, ()):
-                    if type(part.get(key)) is not int:
-                        raise ValueError(f"no integer {key!r}")
-            except ValueError as exc:
-                raise _rerun(path, f"{path}: {exc}")
-        parts[name.removesuffix(".json")] = part
+        path = out_dir / name
+        parts[name.removesuffix(".json")] = _read(path, part_of) if path.exists() else None
     ingest, classify = parts["ingest"], parts["classify"]
     if ingest is not None and classify is not None:
         # classify saw every record ingest kept, or the two parts are from different runs
@@ -582,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out-dir", required=True)
             p.add_argument("--cities", type=int, default=synth.N_CITIES)
             p.add_argument("--records", type=int, default=synth.N_RECORDS, help="records per city")
-            p.add_argument("--annotated", type=int, default=200, help="annotated records per city")
             continue
         p.add_argument("--config", help="pipeline YAML config")
         p.add_argument("--out-dir", help="output directory (default: the config file's directory)")

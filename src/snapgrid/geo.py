@@ -188,7 +188,7 @@ class Region:
 
 @dataclass(frozen=True, eq=False)
 class TileGrid:
-    """A fixed-size metric tile partition of one region.
+    """A partition of one region into square tiles ``TILE_SIZE_M`` on a side.
 
     ``(origin_lat, origin_lon)`` is the southwest corner of the region's bounding box.
     ``active`` marks tiles whose center lies inside the region; for bbox
@@ -197,7 +197,6 @@ class TileGrid:
 
     origin_lat: float
     origin_lon: float
-    tile_size_m: float
     n_rows: int
     n_cols: int
     active: np.ndarray = field(repr=False)  # bool, shape (n_rows, n_cols)
@@ -209,7 +208,7 @@ class TileGrid:
     def centers(self, tiles=None) -> tuple[np.ndarray, np.ndarray]:
         """The ``(lat, lon)`` centres of tiles ``tiles``, numbered as :func:`locate_points` numbers them; all by default."""
         row, col = np.divmod(np.arange(self.n_rows * self.n_cols) if tiles is None else tiles, self.n_cols)
-        x, y = (col + 0.5) * self.tile_size_m, (row + 0.5) * self.tile_size_m
+        x, y = (col + 0.5) * TILE_SIZE_M, (row + 0.5) * TILE_SIZE_M
         return unproject(x, y, self.origin_lat, self.origin_lon)
 
     def write_csv(self, path) -> None:
@@ -223,25 +222,23 @@ class TileGrid:
                                  np.where(self.active.ravel(), "true", "false").tolist()))
 
 
-def build_grid(region: Region, tile_size_m: float = TILE_SIZE_M) -> TileGrid:
-    """Tile the region's bounding box with square tiles of ``tile_size_m``.
+def build_grid(region: Region) -> TileGrid:
+    """Tile the region's bounding box with square tiles ``TILE_SIZE_M`` on a side.
 
     Column and row counts are ceilings of the projected bbox extent over
     the tile size, so the grid always covers the bbox. A tile is active
     when its center lies inside the region.
     """
-    if tile_size_m <= 0:
-        raise ValueError(f"tile_size_m must be positive, got {tile_size_m}")
     south, west, north, east = region.bbox
     width_m, height_m = project(north, east, south, west)
-    n_cols = int(math.ceil(width_m / tile_size_m - _CEIL_EPS))
-    n_rows = int(math.ceil(height_m / tile_size_m - _CEIL_EPS))
+    n_cols = int(math.ceil(width_m / TILE_SIZE_M - _CEIL_EPS))
+    n_rows = int(math.ceil(height_m / TILE_SIZE_M - _CEIL_EPS))
     if n_cols < 1 or n_rows < 1:
         raise SnapGridError(f"region has degenerate extent {width_m} x {height_m} m")
 
     shape = (n_rows, n_cols)  # a bbox grid allocates no mask, whatever its size
     active = np.broadcast_to(True, shape) if region.polygon is None else np.empty(shape, dtype=bool)
-    grid = TileGrid(south, west, float(tile_size_m), n_rows, n_cols, active=active)
+    grid = TileGrid(south, west, n_rows, n_cols, active=active)
     try:
         check_point(*grid.centers(n_rows * n_cols - 1))
     except ValueError as exc:
@@ -265,7 +262,7 @@ def locate_points(lat: np.ndarray, lon: np.ndarray, grid: TileGrid) -> np.ndarra
     to the higher-index tile.
     """
     x, y = project(lat, lon, grid.origin_lat, grid.origin_lon)
-    col, row = np.floor(x / grid.tile_size_m), np.floor(y / grid.tile_size_m)
+    col, row = np.floor(x / TILE_SIZE_M), np.floor(y / TILE_SIZE_M)
     inside = (x >= 0) & (y >= 0) & (col < grid.n_cols) & (row < grid.n_rows)  # NaN is outside too
     row, col = np.where(inside, row, 0).astype(np.int64), np.where(inside, col, 0).astype(np.int64)
     return np.where(inside & grid.active[row, col], row * grid.n_cols + col, -1)  # ravel would copy a broadcast mask

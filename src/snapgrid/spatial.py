@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -194,24 +194,12 @@ def concentration_summary(comparisons: Sequence[FitComparison]) -> dict[str, flo
 
 
 def comparison_to_dict(comp: FitComparison) -> dict:
-    """JSON-friendly view of one city's fits with winner flags."""
-    return {
-        "city_id": comp.city_id,
-        "best_by_bic": comp.best_by_bic,
-        "best_by_loglik": comp.best_by_loglik,
-        "failures": dict(sorted(comp.failures.items())),
-        "fits": {
-            family: {
-                "params": {k: fit.params[k] for k in sorted(fit.params)},
-                "log_likelihood": fit.log_likelihood,
-                "bic": fit.bic,
-                "n": fit.n,
-                "wins_bic": family == comp.best_by_bic,
-                "wins_loglik": family == comp.best_by_loglik,
-            }
-            for family, fit in sorted(comp.fits.items())
-        },
-    }
+    """JSON-friendly view of one city's fits with winner flags; the JSON writer orders the keys."""
+    view = asdict(comp)
+    for family, fit in view["fits"].items():
+        fit["wins_bic"] = family == comp.best_by_bic
+        fit["wins_loglik"] = family == comp.best_by_loglik
+    return view
 
 
 def heatmap_export(

@@ -86,12 +86,14 @@ class SynthSpec:
     start_date: str = "2025-03-03"  # a Monday, local in every city
     n_days: int = 28
     duration_range: tuple[float, float] = (3.0, 10.0)
-    tile_size_m: float = TILE_SIZE_M
 
 
 # The default corpus size; `snapgrid synth` takes its defaults from here too.
 N_CITIES = 10
 N_RECORDS = 30_000
+# The rater sample: each city's first N_ANNOTATED records, every rater flipping each label with FLIP_PROB.
+N_ANNOTATED = 200
+FLIP_PROB = 0.1
 
 
 def default_spec(seed: int, n_cities: int = N_CITIES, n_records: int = N_RECORDS) -> SynthSpec:
@@ -112,9 +114,9 @@ def default_spec(seed: int, n_cities: int = N_CITIES, n_records: int = N_RECORDS
     return SynthSpec(seed=seed, cities=tuple(cities))
 
 
-def city_region(cfg: CitySynthConfig, tile_size_m: float = TILE_SIZE_M) -> Region:
+def city_region(cfg: CitySynthConfig) -> Region:
     """Bounding box spanning exactly the configured tile layout."""
-    north, east = unproject(cfg.n_cols * tile_size_m, cfg.n_rows * tile_size_m, cfg.origin_lat, cfg.origin_lon)
+    north, east = unproject(cfg.n_cols * TILE_SIZE_M, cfg.n_rows * TILE_SIZE_M, cfg.origin_lat, cfg.origin_lon)
     return Region.from_bbox(cfg.origin_lat, cfg.origin_lon, north, east)
 
 
@@ -164,7 +166,7 @@ def gen_corpus(spec: SynthSpec, city_index: int) -> tuple[SnapColumns, TileGrid]
     and the grid. A city draws the same records whichever others the spec holds."""
     cfg = spec.cities[city_index]
     rng = city_rng(spec.seed, city_index)
-    grid = build_grid(city_region(cfg, spec.tile_size_m), spec.tile_size_m)
+    grid = build_grid(city_region(cfg))
 
     n = cfg.n_records
     n_tiles = grid.n_rows * grid.n_cols
@@ -194,7 +196,7 @@ def gen_corpus(spec: SynthSpec, city_index: int) -> tuple[SnapColumns, TileGrid]
     deleted = rng.random(n) < cfg.deleted_fraction
 
     row, col = np.divmod(tile_flat, grid.n_cols)
-    lat, lon = unproject((col + frac_x) * spec.tile_size_m, (row + frac_y) * spec.tile_size_m,
+    lat, lon = unproject((col + frac_x) * TILE_SIZE_M, (row + frac_y) * TILE_SIZE_M,
                          grid.origin_lat, grid.origin_lon)
 
     base = datetime.combine(date.fromisoformat(spec.start_date), time(), get_zone(cfg.tz_id))  # local midnight
@@ -229,23 +231,20 @@ def gen_corpus(spec: SynthSpec, city_index: int) -> tuple[SnapColumns, TileGrid]
 def gen_annotations(
     ids: Sequence[str],
     labels: Sequence[Optional[str]],
-    flip_prob: float,
     seed: int,
 ) -> list[tuple[str, str, str]]:
     """Simulated rater judgments of items ``ids`` whose true labels are ``labels``: each of N_RATERS raters flips
-    the true label with flip_prob.
+    the true label with ``FLIP_PROB``. ValueError for an item with no true label.
 
     Returns long-format rows (item_id, rater_id, category).
     """
-    if not 0.0 <= flip_prob < 0.5:
-        raise ValueError(f"flip_prob {flip_prob} outside [0, 0.5)")
     rng = np.random.default_rng(seed)
     rows = []
     for item, label in zip(ids, labels, strict=True):
         if label is None:
             raise ValueError(f"record {item} has no true label to annotate")
         for r in range(N_RATERS):
-            flip = rng.random() < flip_prob
+            flip = rng.random() < FLIP_PROB
             if flip:
                 category = NON_DRIVING if label == DRIVING else DRIVING
             else:
@@ -353,7 +352,7 @@ def build_manifest(spec: SynthSpec, regression_sigma: float) -> dict:
         "seed": spec.seed,
         "start_date": spec.start_date,
         "n_days": spec.n_days,
-        "tile_size_m": spec.tile_size_m,
+        "tile_size_m": TILE_SIZE_M,
         "duration_range": list(spec.duration_range),
         "cities": {cfg.city_id: asdict(cfg) for cfg in spec.cities},
         "regression": {

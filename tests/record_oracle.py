@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from snapgrid import synth
-from snapgrid.geo import METERS_PER_DEG_LAT, build_grid
+from snapgrid.geo import METERS_PER_DEG_LAT, TILE_SIZE_M, build_grid
 from snapgrid.records import (
     DRIVING, LABELS, NON_DRIVING, SnapColumns, format_rfc3339, get_zone, parse_rfc3339,
 )
@@ -102,7 +102,7 @@ def assert_same_columns(got: SnapColumns, want: SnapColumns, unstored: bool = Fa
 def _gen_city(cfg, city_index, spec) -> list[Record]:
     """One city's records as synth's generator draws them: its arrays, then one record and its Beta draws at a time."""
     rng = synth.city_rng(spec.seed, city_index)
-    grid = build_grid(synth.city_region(cfg, spec.tile_size_m), spec.tile_size_m)
+    grid = build_grid(synth.city_region(cfg))
     origin_lat, origin_lon = grid.origin_lat, grid.origin_lon
 
     n = cfg.n_records
@@ -140,8 +140,8 @@ def _gen_city(cfg, city_index, spec) -> list[Record]:
     records = []
     for i in range(n):
         row, col = divmod(int(tile_flat[i]), grid.n_cols)
-        x = (col + frac_x[i]) * spec.tile_size_m
-        y = (row + frac_y[i]) * spec.tile_size_m
+        x = (col + frac_x[i]) * TILE_SIZE_M
+        y = (row + frac_y[i]) * TILE_SIZE_M
         dt = base + timedelta(
             days=int(days[i]), hours=int(hours[i]), minutes=int(minutes[i]), seconds=int(seconds[i])
         )

@@ -14,7 +14,7 @@ import pytest
 
 from snapgrid import annotation, regression, spatial, synth, temporal
 from snapgrid.cli import main as cli_main
-from snapgrid.geo import Region, build_grid, locate_points, project
+from snapgrid.geo import TILE_SIZE_M, Region, build_grid, locate_points, project
 from snapgrid.records import DRIVING, NON_DRIVING
 from snapgrid.voting import THRESHOLD_CHOICES, VotingRule, classify_scores
 
@@ -171,15 +171,13 @@ def test_04_kappa_and_adjudication(capsys):
         abs(annotation.fleiss_kappa(m) - expected) <= 1e-10 for m, expected in fixtures
     )
 
-    p = 0.1
+    p = synth.FLIP_PROB
     ids = [f"x-{i:06d}" for i in range(5_000)]
     labels = [DRIVING if i % 2 == 0 else NON_DRIVING for i in range(5_000)]
-    rows = synth.gen_annotations(ids, labels, flip_prob=p, seed=0)
+    rows = synth.gen_annotations(ids, labels, seed=0)
     adjudicated = {
         g.item_id: g.label
-        for g in annotation.adjudicate(
-            annotation.matrix_from_long(rows), positive_category=DRIVING
-        )
+        for g in annotation.adjudicate(annotation.matrix_from_long(rows))
     }
     err = sum(adjudicated[i] != label for i, label in zip(ids, labels)) / len(ids)
     analytic = 3 * p**2 * (1 - p) + p**3
@@ -297,15 +295,15 @@ def test_07_geometry_vs_brute_force(capsys):
     locate_mismatches = 0
     n_points = 10_000
     for ci, cfg in enumerate(spec.cities):
-        region = synth.city_region(cfg, spec.tile_size_m)
-        grid = build_grid(region, spec.tile_size_m)
+        region = synth.city_region(cfg)
+        grid = build_grid(region)
         rng = np.random.default_rng(1000 + ci)
         south, west, north, east = region.bbox
         dlat, dlon = north - south, east - west
         lats = rng.uniform(south - 0.1 * dlat, north + 0.1 * dlat, n_points)
         lons = rng.uniform(west - 0.1 * dlon, east + 0.1 * dlon, n_points)
         xs, ys = project(lats, lons, grid.origin_lat, grid.origin_lon)
-        s = grid.tile_size_m
+        s = TILE_SIZE_M
         expected = np.full(n_points, -1, dtype=int)
         claims = np.zeros(n_points, dtype=int)
         for r in range(grid.n_rows):
@@ -338,7 +336,7 @@ def test_07_geometry_vs_brute_force(capsys):
     }
     mask_mismatches = tiles_checked = 0
     for ring in rings.values():
-        grid = build_grid(Region.from_polygon(ring), km)
+        grid = build_grid(Region.from_polygon(ring))
         south, west = min(lat for lat, _lon in ring), min(lon for _lat, lon in ring)
         got_lats, got_lons = grid.centers()
         for r in range(grid.n_rows):

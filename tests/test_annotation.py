@@ -141,7 +141,7 @@ def test_annotations_csv_round_trip(tmp_path):
 
 def test_adjudicate_two_of_three():
     m = matrix([[3, 0], [2, 1], [1, 2], [0, 3]])
-    labels = adjudicate(m, positive_category="driving")
+    labels = adjudicate(m)
     assert [g.label for g in labels] == ["driving", "driving", "non_driving", "non_driving"]
     assert [g.support for g in labels] == [3, 2, 2, 3]
 
@@ -149,13 +149,13 @@ def test_adjudicate_two_of_three():
 def test_adjudicate_requires_binary_categories():
     m = matrix([[1, 1, 1]], categories=("a", "b", "c"))
     with pytest.raises(SnapGridError, match="^adjudication needs 2 categories, got 3$"):
-        adjudicate(m, positive_category="a")
+        adjudicate(m)
 
 
 def test_adjudicate_unknown_category():
-    m = matrix([[2, 1]])
-    with pytest.raises(ValueError):
-        adjudicate(m, positive_category="walking")
+    m = matrix([[2, 1]], categories=("non_driving", "walking"))  # no driving category
+    with pytest.raises(SnapGridError, match="^unknown category 'driving'$"):
+        adjudicate(m)
 
 
 def test_matrix_requires_constant_rater_count():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from snapgrid import cli
+from snapgrid import cli, records
 from snapgrid.cli import CLEANED, DEFAULT_CONFIG, STAGES, _commit, build_parser, load_config, main
 from snapgrid.errors import ConfigError
 from record_oracle import Record, columns, record
@@ -30,7 +30,6 @@ def pipeline_dir(tmp_path_factory):
             "--out-dir", str(out),
             "--cities", "3",
             "--records", "3000",
-            "--annotated", "150",
         ]
     )
     assert rc == 0
@@ -95,8 +94,7 @@ def test_ingest_stage(pipeline_dir):
 
 
 def test_ingest_drops_records_of_unknown_cities(tmp_path):
-    assert main(["synth", "--seed", "4", "--out-dir", str(tmp_path), "--cities", "2", "--records", "300",
-                 "--annotated", "10"]) == 0
+    assert main(["synth", "--seed", "4", "--out-dir", str(tmp_path), "--cities", "2", "--records", "300"]) == 0
     lines = (tmp_path / "snaps.jsonl").read_text().splitlines(keepends=True)
     strays = [json.loads(line) | {"id": f"zz-{i}", "city_id": "zz"} for i, line in enumerate(lines[:40])]
     with open(tmp_path / "snaps.jsonl", "a") as fh:
@@ -115,12 +113,12 @@ def test_ingest_drops_records_of_unknown_cities(tmp_path):
 
 def test_annotate_stage(pipeline_dir):
     info = read_json(pipeline_dir / "annotation.json")
-    assert info["n_items"] == 450
+    assert info["n_items"] == 600
     assert info["n_raters"] == 3
     assert 0.0 < info["fleiss_kappa"] <= 1.0
     labels = (pipeline_dir / "labels.csv").read_text().strip().split("\n")
     assert labels[0] == "item_id,label,support"
-    assert len(labels) == 451
+    assert len(labels) == 601
 
 
 def test_classify_stage(pipeline_dir):
@@ -339,7 +337,7 @@ def test_missing_required_flag_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--cities", "0"), ("--cities", "-1"), ("--records", "0"),
-                                         ("--records", "-5"), ("--annotated", "-1")])
+                                         ("--records", "-5")])
 def test_synth_size_below_its_least_exits_2_and_writes_nothing(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     assert main(["synth", "--seed", "1", "--out-dir", str(out), "--cities", "2", "--records", "20", flag, value]) == 2
@@ -348,11 +346,12 @@ def test_synth_size_below_its_least_exits_2_and_writes_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_synth_with_no_annotated_records_writes_an_empty_annotation_table(tmp_path):
-    assert main(["synth", "--seed", "1", "--out-dir", str(tmp_path), "--cities", "1", "--records", "5",
-                 "--annotated", "0"]) == 0
-    assert (tmp_path / "annotations.csv").read_text().splitlines() == ["item_id,rater_id,category"]
-    assert len((tmp_path / "snaps.jsonl").read_text().splitlines()) == 5
+def test_synth_sample_size_is_not_a_flag(tmp_path):
+    # every city's first synth.N_ANNOTATED records are rated; --annotated is an unknown argument
+    with pytest.raises(SystemExit) as exc_info:
+        main(["synth", "--seed", "1", "--out-dir", str(tmp_path), "--annotated", "5"])
+    assert exc_info.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -473,8 +472,7 @@ def test_ingest_of_mostly_corrupt_corpus_names_file_and_line(tmp_path, capsys):
 def two_city_inputs(tmp_path_factory):
     """A 2-city synth run: its config, annotations.csv and city_stats.csv."""
     out = tmp_path_factory.mktemp("inputs")
-    assert main(["synth", "--seed", "3", "--out-dir", str(out), "--cities", "2", "--records", "50",
-                 "--annotated", "10"]) == 0
+    assert main(["synth", "--seed", "3", "--out-dir", str(out), "--cities", "2", "--records", "50"]) == 0
     return out
 
 
@@ -675,7 +673,7 @@ def test_reader_with_bad_classify_json_exits_2(pipeline_dir, tmp_path, capsys, s
 
 
 def test_ids_crc32_in_chunks_is_the_crc_of_the_whole_list(pipeline_dir, monkeypatch):
-    cols = cli._load_cleaned(pipeline_dir)
+    cols = records.SnapColumns.load(pipeline_dir / "cleaned.npz")
     rows = cols.scored & (np.arange(len(cols)) % 3 != 1)  # gaps inside every chunk
     ids = [cols.ids[a:b].tobytes() for a, b in zip(cols.id_offsets[:-1].tolist(), cols.id_offsets[1:].tolist())]
     want = zlib.crc32(b"".join(b"%d:%b" % (len(i), i) for i, keep in zip(ids, rows.tolist()) if keep))
@@ -705,7 +703,7 @@ def _reingest_another_corpus(pipeline_dir, tmp_path, capsys) -> Path:
     run = tmp_path / "run"
     shutil.copytree(pipeline_dir, run)
     assert main(["synth", "--seed", "6", "--out-dir", str(tmp_path / "small"),
-                 "--cities", "3", "--records", "50", "--annotated", "10"]) == 0
+                 "--cities", "3", "--records", "50"]) == 0
     shutil.copy(tmp_path / "small" / "snaps.jsonl", run / "snaps.jsonl")
     assert main(["ingest", "--config", str(run / "pipeline.yaml")]) == 0
     capsys.readouterr()

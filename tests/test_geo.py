@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from snapgrid import geo
 from snapgrid.errors import SnapGridError
 from snapgrid.geo import (
     METERS_PER_DEG_LAT,
@@ -119,30 +120,33 @@ def test_bbox_constructor_rejects_strings_and_booleans():
 UNIT_SQUARE = ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0))  # (lat, lon) vertices
 
 
-def polygon_grid(ring, tile_deg: float):
-    """The grid of a polygon at the equator with tiles ``tile_deg`` degrees on a side, their centres exact."""
-    return build_grid(Region.from_polygon(ring), tile_deg * METERS_PER_DEG_LAT)
+def polygon_grid(monkeypatch, ring, tile_deg: float):
+    """The grid of a polygon at the equator with tiles ``tile_deg`` degrees on a side, their centres exact.
+
+    The tile size is patched for the rest of the test, since the grid's centres and ``locate_points`` read it."""
+    monkeypatch.setattr(geo, "TILE_SIZE_M", tile_deg * METERS_PER_DEG_LAT)
+    return build_grid(Region.from_polygon(ring))
 
 
-def test_point_in_polygon_interior_and_exterior():
-    grid = polygon_grid(UNIT_SQUARE, 0.5)
+def test_point_in_polygon_interior_and_exterior(monkeypatch):
+    grid = polygon_grid(monkeypatch, UNIT_SQUARE, 0.5)
     assert grid.active.tolist() == [[True, True], [True, True]]
     # inside, and north and south of the square, off the grid
     assert [tile_at(lat, 0.5, grid) for lat in (0.5, 1.5, -0.1)] == [3, -1, -1]
 
 
-def test_point_in_polygon_boundary_is_inside():
+def test_point_in_polygon_boundary_is_inside(monkeypatch):
     # the centres (0.5, 1.5) and (1.5, 0.5) lie on the hypotenuse
-    triangle = polygon_grid(((0.0, 0.0), (0.0, 2.0), (2.0, 0.0)), 1.0)
+    triangle = polygon_grid(monkeypatch, ((0.0, 0.0), (0.0, 2.0), (2.0, 0.0)), 1.0)
     assert triangle.active.tolist() == [[True, True], [True, False]]
     # the centre (1.5, 1.5) is a vertex, which the ray cast alone counts as outside
-    kite = polygon_grid(((0.0, 0.0), (0.0, 2.0), (1.5, 1.5), (2.0, 0.0)), 1.0)
+    kite = polygon_grid(monkeypatch, ((0.0, 0.0), (0.0, 2.0), (1.5, 1.5), (2.0, 0.0)), 1.0)
     assert kite.active.tolist() == [[True, True], [True, True]]
 
 
-def test_point_in_polygon_concave():
+def test_point_in_polygon_concave(monkeypatch):
     # L-shape: the notch at the top right is outside
-    ell = polygon_grid(((0.0, 0.0), (0.0, 2.0), (1.0, 2.0), (1.0, 1.0), (2.0, 1.0), (2.0, 0.0)), 1.0)
+    ell = polygon_grid(monkeypatch, ((0.0, 0.0), (0.0, 2.0), (1.0, 2.0), (1.0, 1.0), (2.0, 1.0), (2.0, 0.0)), 1.0)
     assert ell.active.tolist() == [[True, True], [True, False]]
     assert np.flatnonzero(ell.active).tolist() == [0, 1, 2]
 
@@ -158,7 +162,7 @@ def test_self_intersecting_ring_rejected():
 
 
 def test_build_grid_exact_multiple():
-    grid = build_grid(bbox_region(2000.0, 2000.0), tile_size_m=1000.0)
+    grid = build_grid(bbox_region(2000.0, 2000.0))
     assert (grid.n_rows, grid.n_cols) == (2, 2)
     assert grid.n_active == 4  # bbox regions activate everything
 
@@ -180,7 +184,7 @@ def test_a_bbox_grid_allocates_no_mask():
 
 
 def test_build_grid_partial_tile_rounds_up():
-    grid = build_grid(bbox_region(1000.0, 2500.0), tile_size_m=1000.0)
+    grid = build_grid(bbox_region(1000.0, 2500.0))
     assert (grid.n_rows, grid.n_cols) == (3, 1)
 
 
@@ -205,7 +209,7 @@ def triangle_region() -> Region:
 
 
 def test_triangle_active_mask():
-    grid = build_grid(triangle_region(), tile_size_m=1000.0)
+    grid = build_grid(triangle_region())
     assert (grid.n_rows, grid.n_cols) == (3, 3)
     expected = np.array(
         [
@@ -240,7 +244,7 @@ def crossing_number_oracle(lon: float, lat: float, ring) -> bool:
 
 def test_polygon_mask_matches_independent_ray_cast():
     region = triangle_region()
-    grid = build_grid(region, tile_size_m=1000.0)
+    grid = build_grid(region)
     lat, lon = grid.centers()
     for tile in range(grid.n_rows * grid.n_cols):
         expect = crossing_number_oracle(lon[tile], lat[tile], region.polygon)
@@ -252,20 +256,20 @@ def test_polygon_mask_matches_independent_ray_cast():
 
 
 def test_locate_examples():
-    grid = build_grid(bbox_region(2000.0, 2000.0), tile_size_m=1000.0)
+    grid = build_grid(bbox_region(2000.0, 2000.0))
     assert tile_at(*point_at(1500.0, 500.0, origin_of(grid)), grid) == 1  # row 0, col 1
     # origin corner belongs to tile (0, 0)
     assert tile_at(*origin_of(grid), grid) == 0
 
 
 def test_locate_tile_edge_goes_to_higher_index():
-    grid = build_grid(bbox_region(2000.0, 2000.0), tile_size_m=1000.0)
+    grid = build_grid(bbox_region(2000.0, 2000.0))
     assert tile_at(*point_at(1000.0, 0.0, origin_of(grid)), grid) == 1  # row 0, col 1
     assert tile_at(*point_at(0.0, 1000.0, origin_of(grid)), grid) == 2  # row 1, col 0
 
 
 def test_locate_outside_grid_is_none():
-    grid = build_grid(bbox_region(2000.0, 2000.0), tile_size_m=1000.0)
+    grid = build_grid(bbox_region(2000.0, 2000.0))
     assert tile_at(-0.001, 0.001, grid) == -1
     assert tile_at(0.001, -0.001, grid) == -1
     # the far north/east edges fall past the last row/column
@@ -274,7 +278,7 @@ def test_locate_outside_grid_is_none():
 
 
 def test_locate_inactive_tile_is_none():
-    grid = build_grid(triangle_region(), tile_size_m=1000.0)
+    grid = build_grid(triangle_region())
     lat, lon = grid.centers(np.array([8, 0]))  # tiles (2, 2) and (0, 0)
     assert not grid.active[2, 2]
     assert locate_points(lat, lon, grid).tolist() == [-1, 0]
@@ -283,7 +287,7 @@ def test_locate_inactive_tile_is_none():
 def brute_force_locate(lat: float, lon: float, grid) -> int:
     """Scan every tile's half-open projected bounds; -1 when no active tile matches."""
     x, y = project(lat, lon, *origin_of(grid))
-    s = grid.tile_size_m
+    s = geo.TILE_SIZE_M
     hits = []
     for row in range(grid.n_rows):
         for col in range(grid.n_cols):
@@ -296,7 +300,7 @@ def brute_force_locate(lat: float, lon: float, grid) -> int:
 
 
 def test_locate_matches_brute_force_scan():
-    grid = build_grid(triangle_region(), tile_size_m=1000.0)
+    grid = build_grid(triangle_region())
     rng = np.random.default_rng(11)
     d = 2500.0 / METERS_PER_DEG_LAT
     lats, lons = rng.uniform(-0.2 * d, 1.2 * d, (2000, 2)).T  # (lat, lon) pairs
@@ -304,13 +308,13 @@ def test_locate_matches_brute_force_scan():
 
 
 def test_locate_round_trips_tile_centers():
-    grid = build_grid(bbox_region(5000.0, 3000.0, origin=(40.7, -74.0)), 1000.0)
+    grid = build_grid(bbox_region(5000.0, 3000.0, origin=(40.7, -74.0)))
     tiles = np.flatnonzero(grid.active)
     assert locate_points(*grid.centers(tiles), grid).tolist() == tiles.tolist()
 
 
 def test_grid_csv_export(tmp_path):
-    grid = build_grid(bbox_region(2000.0, 1000.0), tile_size_m=1000.0)
+    grid = build_grid(bbox_region(2000.0, 1000.0))
     path = tmp_path / "grid.csv"
     grid.write_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -333,7 +337,7 @@ def test_locate_points_is_locate(offsets, region):
     # locate_points, which locate calls for one point, against a scan of every tile's bounds;
     # the triangle's inactive tiles locate nowhere; "north" has a cosine well below 1
     grid = build_grid({"bbox": bbox_region(3000.0, 3000.0), "triangle": triangle_region(),
-                       "north": bbox_region(3000.0, 3000.0, origin=(59.9, 10.7))}[region], 1000.0)
+                       "north": bbox_region(3000.0, 3000.0, origin=(59.9, 10.7))}[region])
     points = [point_at(x, y, origin_of(grid)) for x, y in offsets]
     points += [(grid.origin_lat, grid.origin_lon + d) for d in (0.0, 1e-9, -1e-9)]  # on the origin's row
     lats, lons = np.array(points).reshape(-1, 2).T
@@ -342,7 +346,7 @@ def test_locate_points_is_locate(offsets, region):
 
 def test_locate_points_on_exact_tile_edges():
     # at the equator whole kilometres project back exactly: every tile corner, the far edges included
-    grid = build_grid(bbox_region(3000.0, 3000.0), 1000.0)
+    grid = build_grid(bbox_region(3000.0, 3000.0))
     corners = [(1000.0 * i, 1000.0 * j) for i in range(4) for j in range(4)]
     points = [point_at(x, y, origin_of(grid)) for x, y in corners]
     assert [project(*p, *origin_of(grid)) for p in points] == corners
@@ -352,5 +356,5 @@ def test_locate_points_on_exact_tile_edges():
 
 
 def test_locate_points_of_nothing():
-    grid = build_grid(bbox_region(2000.0, 2000.0), 1000.0)
+    grid = build_grid(bbox_region(2000.0, 2000.0))
     assert locate_points(np.array([]), np.array([]), grid).tolist() == []

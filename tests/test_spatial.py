@@ -196,7 +196,7 @@ def test_comparison_to_dict_flags_winners():
 def grid_2x2():
     height = 2000.0 / 111_320.0
     region = Region.from_bbox(0.0, 0.0, height, height)
-    return build_grid(region, tile_size_m=1000.0)
+    return build_grid(region)
 
 
 def counts_at(grid, points_m):
@@ -239,7 +239,7 @@ def test_heatmap_export(tmp_path):
 def test_heatmap_export_rejects_misaligned_vectors():
     grid = grid_2x2()
     vec = counts_at(grid, [])
-    smaller = build_grid(Region.from_bbox(0.0, 0.0, 0.005, 0.005), 1000.0)  # 1x1
+    smaller = build_grid(Region.from_bbox(0.0, 0.0, 0.005, 0.005))  # 1x1
     other = counts_at(smaller, [])
     with pytest.raises(SnapGridError, match="^count vectors are not aligned with the grid's active tiles$"):
         heatmap_export(grid, vec, other, "/dev/null")

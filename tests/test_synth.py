@@ -91,7 +91,7 @@ def test_record_shape_and_bounds():
     assert len(cols) == 2000
     start = parse_rfc3339("2025-03-03T00:00:00+03:00")  # local midnight, UTC+3
     end = start + SMALL.n_days * 86400
-    south, west, north, east = city_region(SMALL.cities[0], SMALL.tile_size_m).bbox
+    south, west, north, east = city_region(SMALL.cities[0]).bbox
     assert cols.ids.tobytes().decode() == "".join(f"alpha-{i:06d}" for i in range(2000))
     assert cols.cities.tolist() == ["alpha"] and (cols.city == 0).all()
     assert ((start <= cols.ts) & (cols.ts < end)).all()
@@ -228,18 +228,18 @@ def test_columns_write_the_bytes_of_the_record_by_record_generator(tmp_path_fact
 SYNTH_FILES = ("manifest.json", "snaps.jsonl", "annotations.csv", "city_stats.csv", "pipeline.yaml")
 
 
-def _whole_corpus_files(out: Path, seed: int, n_cities: int, n_records: int, annotated: int) -> None:
+def _whole_corpus_files(out: Path, seed: int, n_cities: int, n_records: int) -> None:
     """The five synth files as the record-by-record generator gives them, the whole corpus at once: every record
-    through ``json.dumps``, and the annotations of each city's first ``annotated`` records."""
+    through ``json.dumps``, and the annotations of each city's first ``synth.N_ANNOTATED`` records."""
     spec = default_spec(seed, n_cities=n_cities, n_records=n_records)
     recs = record_oracle.gen_corpus(spec)
     out.mkdir()
     record_oracle.write_snaps(recs, out / "snaps.jsonl")
-    sample = [rec for k, rec in enumerate(recs) if k % n_records < annotated]
+    sample = [rec for k, rec in enumerate(recs) if k % n_records < synth.N_ANNOTATED]
     with open(out / "annotations.csv", "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(
             [("item_id", "rater_id", "category"),
-             *gen_annotations([rec.id for rec in sample], [rec.label for rec in sample], flip_prob=0.1, seed=seed)])
+             *gen_annotations([rec.id for rec in sample], [rec.label for rec in sample], seed=seed)])
     write_city_stats(gen_regression_cities(130, seed=seed, noise_sigma=0.1), out / "city_stats.csv")
     write_manifest(build_manifest(spec, regression_sigma=0.1), out / "manifest.json")
     pipeline = {"seed": seed, "snaps": "snaps.jsonl", "annotations": "annotations.csv", "city_stats": "city_stats.csv",
@@ -248,13 +248,12 @@ def _whole_corpus_files(out: Path, seed: int, n_cities: int, n_records: int, ann
     (out / "pipeline.yaml").write_text(yaml.safe_dump(pipeline, sort_keys=True))
 
 
-@pytest.mark.parametrize("n_cities, n_records, annotated", [(1, 300, 20), (3, 300, 20), (3, 1500, 5), (3, 50, 0),
-                                                            (3, 40, 100)])
-def test_synth_city_by_city_writes_the_files_of_the_whole_corpus(tmp_path, n_cities, n_records, annotated):
-    # 1500 records a city cross the writer's chunks; --annotated 100 of 40 records takes every record
-    args = ["--cities", str(n_cities), "--records", str(n_records), "--annotated", str(annotated)]
+@pytest.mark.parametrize("n_cities, n_records", [(1, 300), (3, 300), (3, 1500), (3, 50)])
+def test_synth_city_by_city_writes_the_files_of_the_whole_corpus(tmp_path, n_cities, n_records):
+    # 1500 records a city cross the writer's chunks; a sample of 200 from a city of 50 records takes every record
+    args = ["--cities", str(n_cities), "--records", str(n_records)]
     assert main(["synth", "--seed", "6", "--out-dir", str(tmp_path / "cli"), *args]) == 0
-    _whole_corpus_files(tmp_path / "whole", 6, n_cities, n_records, annotated)
+    _whole_corpus_files(tmp_path / "whole", 6, n_cities, n_records)
     got, want = ({name: (tmp_path / side / name).read_bytes() for name in SYNTH_FILES} for side in ("cli", "whole"))
     assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == sorted(SYNTH_FILES)
     assert [name for name in SYNTH_FILES if got[name] != want[name]] == []
@@ -264,15 +263,16 @@ def _synth_peak_bytes(out: Path, n_cities: int) -> int:
     """The peak of the memory that Python and numpy allocate during one in-process synth of ``n_cities`` x 2k."""
     tracemalloc.start()
     try:
-        # the annotated sample grows with the cities by design, so it is kept small here
-        assert main(["synth", "--seed", "2", "--out-dir", str(out), "--cities", str(n_cities), "--records", "2000",
-                     "--annotated", "5"]) == 0
+        assert main(["synth", "--seed", "2", "--out-dir", str(out), "--cities", str(n_cities),
+                     "--records", "2000"]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_synth_memory_is_one_city_not_the_corpus(tmp_path):
+def test_synth_memory_is_one_city_not_the_corpus(tmp_path, monkeypatch):
+    # the annotated sample grows with the cities by design, so it is kept small here
+    monkeypatch.setattr(synth, "N_ANNOTATED", 5)
     _synth_peak_bytes(tmp_path / "warm", 1)  # first-call caches out of the way
     few, many = (_synth_peak_bytes(tmp_path / str(n), n) for n in (3, 12))
     # holding every city's columns at once, 12 cities peaked at 2.1x of 3 (5.7 MB against 2.7 MB)
@@ -336,28 +336,25 @@ def sample_records(n) -> tuple[list[str], list[str]]:
     return [cols.ids[a:b].tobytes().decode() for a, b in zip(ends, ends[1:])], [LABELS[c] for c in cols.label.tolist()]
 
 
-def test_zero_flip_probability_is_unanimous():
+def test_zero_flip_probability_is_unanimous(monkeypatch):
+    monkeypatch.setattr(synth, "FLIP_PROB", 0.0)
     ids, labels = sample_records(50)
-    rows = gen_annotations(ids, labels, flip_prob=0.0, seed=0)
+    rows = gen_annotations(ids, labels, seed=0)
     matrix = matrix_from_long(rows)
     assert fleiss_kappa(matrix) == 1.0
 
 
-def test_flip_probability_bound():
+def test_annotating_a_record_without_a_label_raises():
     ids, labels = sample_records(5)
-    with pytest.raises(ValueError):
-        gen_annotations(ids, labels, flip_prob=0.5, seed=0)
-    with pytest.raises(ValueError):
-        gen_annotations(ids, labels, flip_prob=-0.1, seed=0)
     with pytest.raises(ValueError, match=f"^record {ids[2]} has no true label to annotate$"):
-        gen_annotations(ids, labels[:2] + [None] + labels[3:], flip_prob=0.1, seed=0)
+        gen_annotations(ids, labels[:2] + [None] + labels[3:], seed=0)
 
 
 def test_adjudication_recovers_truth_under_noise():
     ids, labels = sample_records(5000)
-    rows = gen_annotations(ids, labels, flip_prob=0.1, seed=0)
+    rows = gen_annotations(ids, labels, seed=0)
     matrix = matrix_from_long(rows)
-    adjudicated = {g.item_id: g.label for g in adjudicate(matrix, DRIVING)}
+    adjudicated = {g.item_id: g.label for g in adjudicate(matrix)}
     truth = dict(zip(ids, labels))
     agree = sum(1 for rid in truth if adjudicated[rid] == truth[rid])
     assert agree / len(truth) >= 0.97

@@ -170,9 +170,13 @@ def test_week_vectors_drop_silent_cities_with_warning():
 
 
 # Zones whose offset changes: DST in each hemisphere, a 30-minute DST step
-# (Lord Howe), a 15-minute base offset change (Kathmandu, 1986) and a
-# half-hour zone whose changes fell at 00:01 local (St John's).
-DST_ZONES = ("Europe/London", "America/New_York", "Australia/Lord_Howe", "Asia/Kathmandu", "America/St_Johns")
+# (Lord Howe), a 15-minute base offset change (Kathmandu, 1986), a
+# half-hour zone whose changes fell at 00:01 local (St John's) and a zone
+# whose offset held seconds until 1972, -0:43:08 and then -0:44:30 (Monrovia).
+DST_ZONES = ("Europe/London", "America/New_York", "Australia/Lord_Howe", "Asia/Kathmandu", "America/St_Johns",
+             "Africa/Monrovia")
+# synth's fixed offsets, UTC-5 and UTC+9: they never change, so their stamps are drawn anywhere in the scan
+FIXED_ZONES = ("Etc/GMT+5", "Etc/GMT-9")
 _SCAN_FROM = int(datetime(1900, 1, 1, tzinfo=timezone.utc).timestamp())
 _SCAN_TO = int(datetime(2040, 1, 1, tzinfo=timezone.utc).timestamp())
 
@@ -197,17 +201,28 @@ def transitions(tz_id: str) -> tuple[int, ...]:
     return tuple(found)
 
 
+def hour_start(t: int, tz_id: str) -> int:
+    """The UTC second at which the local hour holding ``t`` began (by the offset at ``t``)."""
+    local = datetime.fromtimestamp(t, ZoneInfo(tz_id))
+    return int(local.replace(minute=0, second=0).timestamp())
+
+
 @st.composite
-def near_transitions(draw):
-    """A zone and 1-40 UTC seconds, each within a minute of one of up to three of its transitions."""
-    tz_id = draw(st.sampled_from(DST_ZONES))
-    moments = draw(st.lists(st.sampled_from(transitions(tz_id)), min_size=1, max_size=3))
-    stamps = st.builds(int.__add__, st.sampled_from(moments), st.integers(-60, 60))
+def zone_and_stamps(draw):
+    """A zone and 1-40 UTC seconds: for a zone with transitions, each within a minute of one of up to three of
+    them or of the start of a local hour; for a fixed offset, anywhere in the scan."""
+    tz_id = draw(st.sampled_from(DST_ZONES + FIXED_ZONES))
+    if tz_id in FIXED_ZONES:
+        stamps = st.integers(_SCAN_FROM, _SCAN_TO - 1)
+    else:
+        hours = st.builds(hour_start, st.integers(_SCAN_FROM, _SCAN_TO - 1), st.just(tz_id))
+        moments = draw(st.lists(st.sampled_from(transitions(tz_id)) | hours, min_size=1, max_size=3))
+        stamps = st.builds(int.__add__, st.sampled_from(moments), st.integers(-60, 60))
     return tz_id, np.array(draw(st.lists(stamps, min_size=1, max_size=40)), dtype=np.int64)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(near_transitions(), min_size=1, max_size=3))
+@given(st.lists(zone_and_stamps(), min_size=1, max_size=3))
 def test_local_hours_match_zoneinfo_across_offset_changes(cities):
     ts_by_city = {f"c{i}": ts for i, (_tz, ts) in enumerate(cities)}
     tz_by_city = {f"c{i}": tz for i, (tz, _ts) in enumerate(cities)}

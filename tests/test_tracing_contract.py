@@ -80,7 +80,7 @@ COUNTERS = {
 def test_traced_stages_run(tmp_path):
     # 3 cities x 200 records: every stage exits 0, cluster's default k = 3 included
     run = tmp_path / "run"
-    synth_args = ["--seed", "3", "--out-dir", str(run), "--cities", "3", "--records", "200", "--annotated", "10"]
+    synth_args = ["--seed", "3", "--out-dir", str(run), "--cities", "3", "--records", "200"]
     for stage in STAGES:
         spans_path = tmp_path / f"{stage}.trace"
         done = subprocess.run(
