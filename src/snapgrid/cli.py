@@ -29,9 +29,21 @@ that cutoff and re-apply the rule through the same ``voting.classify_scores``.
 Exit status: 0 on success, 2 for usage/config errors and missing or
 mismatched intermediates, 1 for runtime failures; each prints a single
 diagnostic line on stderr.
+
+The program, ``python -m snapgrid.cli`` or the installed ``snapgrid``, is
+``run``: it keeps the garbage collector off the objects that start-up made
+(``gc.freeze``), so that neither the collections during a stage nor the one
+at interpreter exit walk every imported module again. ``main`` is the same
+stage without that, for callers that import the module, such as tests, whose
+objects must stay collectable.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # through the imports below: run() freezes what they leave, then turns the collector back on
 
 import argparse
 import csv
@@ -602,5 +614,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     return 0
 
 
+def run() -> None:
+    """The program: ``main`` with the command line, then exit with its status.
+
+    Every object that start-up made (the modules and what they hold) is moved out of the collector's reach before
+    ``main`` runs, and everything left is moved out after it, so that neither a collection during the stage nor the
+    one at interpreter exit walks them. A caller that imports the module calls ``main``, which leaves the collector
+    alone."""
+    gc.freeze()
+    gc.enable()
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

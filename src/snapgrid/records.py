@@ -3,7 +3,11 @@
 Records arrive as JSONL, one object per line with the keys ``id, ts_utc, lat,
 lon, city_id, duration_s, frame_scores, label, deleted``, which :func:`parse_snaps`
 checks and decodes straight into :class:`SnapColumns`, and which :func:`write_snaps`
-writes back in that order. Timestamps are stored
+writes back in that order. ``parse_snaps`` checks in bulk and explains per line:
+it decodes a chunk of lines into lists of plain values, checks the types, ranges,
+labels and timestamps of the whole chunk at once, and runs each line that a check
+flags through ``_fields``, the record-by-record check that words every failure.
+Timestamps are stored
 internally as UTC epoch seconds; wall-clock local time is computed on
 demand from an IANA timezone identifier, so there is a single temporal
 source of truth. Post timestamps are treated as creation time (creation
@@ -23,6 +27,7 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -68,7 +73,7 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape decodes a byte
 def _fields(line: str, codes: dict[str, int]) -> tuple[tuple, Optional[list[float]], str]:
     """One JSONL line, checked: (ts, lat, lon, city code in ``codes``, label code, deleted), scores, id.
 
-    The duration is checked, not returned: no stage reads one."""
+    The duration is checked, not returned: no stage reads one. The one source of parse failure messages."""
     if not line.isascii() and _NOT_UTF8.search(line):
         raise ValueError("line is not UTF-8")
     obj = json.loads(line)
@@ -99,6 +104,164 @@ def _fields(line: str, codes: dict[str, int]) -> tuple[tuple, Optional[list[floa
     return (ts, lat, lon, city, code, obj.get("deleted", False)), scores, obj["id"]
 
 
+_CHUNK_LINES = 2048  # lines that parse_snaps checks at a time: more hold more memory, fewer cost more calls
+# json.loads(line) is raw_decode(line) with JSON's whitespace allowed around the value; a line with some before it
+# is flagged, and _fields' verdict sends its chunk line by line
+_DECODER, _JSON_SPACE = json.JSONDecoder(), " \t\n\r"
+# a record's fields other than its frame scores, in the order _in_bulk keeps them; the last three are numbers
+_KEYS = ("id", "ts_utc", "city_id", "deleted", "label", "lat", "lon", "duration_s")
+_KINDS = ({str}, {str}, {str}, {bool}, {str, type(None)})  # the others' JSON types; a label of another type fails
+_ABSENT = object()  # of no JSON type: a required field's value when left out
+_DEFAULTS = (_ABSENT, _ABSENT, _ABSENT, False, None, _ABSENT, _ABSENT, 0.0)
+_STAND_IN = ("", "1970-01-01T00:00:00Z", "", False, None, 0, 0, 0)  # a flagged line's: passes every check, is dropped
+_REAL = set(_NUMBER[0])
+_LABEL_CODES = {None: -1, **{label: code for code, label in enumerate(LABELS)}}
+_SYNTH_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
+_DIGITS = _SYNTH_STAMP == ord("0")  # where synth's form has a digit
+_DTYPES = (np.int64, np.float64, np.float64, np.int32, np.int8, bool)  # of the per-record values _fields returns
+
+
+def _epoch_seconds(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each timestamp's UTC epoch seconds as :func:`parse_rfc3339` gives them, and whether it accepts the timestamp.
+
+    Synth's form, ``YYYY-MM-DDTHH:MM:SSZ`` in ASCII digits with a year from 0001, is parsed by numpy in one call,
+    which rejects the dates and times that ``datetime`` rejects; any other text goes to parse_rfc3339 on its own, and
+    so does all of synth's form when numpy rejects one of it."""
+    n, width = len(stamps), len(_SYNTH_STAMP)
+    seconds, parsed = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    sized = np.fromiter(map(len, stamps), dtype=np.int64, count=n) == width
+    # one byte per character, a "?" for any that is not ASCII
+    chars = np.frombuffer("".join(compress(stamps, sized)).encode("ascii", "replace"), dtype=np.uint8)
+    chars = chars.reshape(-1, width)
+    synth_form = ((chars[:, _DIGITS] - ord("0") < 10).all(axis=1)
+                  & (chars[:, ~_DIGITS] == _SYNTH_STAMP[~_DIGITS]).all(axis=1) & (chars[:, :4] != ord("0")).any(axis=1))
+    rows = np.flatnonzero(sized)[synth_form]
+    try:
+        text = chars[synth_form, :-1].view(f"S{width - 1}")[:, 0]  # without the Z, which numpy would warn about
+        seconds[rows] = np.array(text, dtype="datetime64[s]").view(np.int64)
+        parsed[rows] = True
+    except ValueError:  # a date or time out of range, to be found below
+        pass
+    for i in np.flatnonzero(~parsed).tolist():
+        try:
+            seconds[i], parsed[i] = parse_rfc3339(stamps[i]), True
+        except ValueError:
+            pass
+    return seconds, parsed
+
+
+def _typed(values: list, kinds: set, stand_in, bad: np.ndarray, owner: np.ndarray) -> list:
+    """``values`` with each one not of ``kinds`` replaced by ``stand_in``, and its line, ``owner[i]`` for value ``i``,
+    flagged in ``bad``."""
+    if set(map(type, values)) <= kinds:
+        return values
+    wrong = [type(v) not in kinds for v in values]
+    bad[owner[wrong]] = True
+    return [stand_in if w else v for v, w in zip(values, wrong)]
+
+
+def _floats(values: list, bad: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """``values`` as float64, each one that is not an int or a float read as 0 and its line flagged, as by _typed.
+
+    ``array("d")`` takes ints, floats and bools, and raises OverflowError for an int too large for a float, as
+    ``float`` does. It reads a bool as 0.0 or 1.0, so only the values equal to those have their type looked at."""
+    try:
+        floats = np.frombuffer(array("d", values))
+    except TypeError:  # a string, a list, a null or a missing field among them
+        values = _typed(values, _REAL, 0, bad, owner)
+        floats = np.frombuffer(array("d", values))
+    maybe_bools = np.flatnonzero((floats == 0) | (floats == 1)).tolist()
+    bad[owner[[i for i in maybe_bools if type(values[i]) is bool]]] = True
+    return floats
+
+
+def _encoded(ids: list[str]) -> tuple[bytes, np.ndarray]:
+    """The ids' UTF-8 bytes end to end, a lone surrogate kept, and the length in bytes of each."""
+    text = "".join(ids)
+    data = text.encode(*_UTF8)
+    sizes = map(len, ids) if len(data) == len(text) else (len(i.encode(*_UTF8)) for i in ids)  # ASCII: 1 byte each
+    return data, np.fromiter(sizes, dtype=np.int64, count=len(ids))
+
+
+def _in_bulk(chunk: list[str], first: int, codes: dict[str, int]) -> Optional[tuple]:
+    """What :func:`_line_by_line` gives for ``chunk``, whose first line is line ``first``, checked on columns; or None.
+
+    Per line, only what a column cannot show is tested: a JSON object on a UTF-8 line, its frame scores a list or
+    none. Per chunk, the types of every field and score, then ranges, labels and timestamps, in numpy. A line that
+    any check flags gets its message from :func:`_fields`. None when a conversion raises (an int too large for a
+    float) or ``_fields`` accepts a flagged line: the chunk is then checked line by line."""
+    decode, rows, frames, n_frames, flagged = _DECODER.raw_decode, [], [], [], []  # rows: each line's _KEYS fields
+    for line in chunk:
+        try:
+            obj, end = decode(line)
+        except Exception:  # a blank line too, which is no failure
+            obj = None
+        if (type(obj) is dict and (end == len(line) or not line[end:].strip(_JSON_SPACE))
+                and (line.isascii() or not _NOT_UTF8.search(line))):
+            scores = obj.pop("frame_scores", None)
+            if scores is None or type(scores) is list:
+                rows += map(obj.pop, _KEYS, _DEFAULTS)  # another key is left in obj, as _fields ignores it
+                frames += scores or ()
+                n_frames.append(-1 if scores is None else len(scores))
+                continue
+        flagged.append(len(n_frames))
+        rows += _STAND_IN
+        n_frames.append(-1)
+    n, n_frames = len(chunk), np.array(n_frames, dtype=np.int64)
+    bad, sizes, lines = np.zeros(n, dtype=bool), np.maximum(n_frames, 0), np.arange(n)
+    bad[flagged], owner = True, np.repeat(lines, sizes)  # owner: the line of each frame score
+    fields = [rows[k::len(_KEYS)] for k in range(len(_KEYS))]
+    ids, stamps, cities, deleted, labels = map(_typed, fields, _KINDS, _STAND_IN, repeat(bad), repeat(lines))
+    try:
+        lat, lon, duration = (_floats(values, bad, lines) for values in fields[len(_KINDS):])
+        scores = _floats(frames, bad, owner)
+    except OverflowError:  # an int too large for a float
+        return None
+    bad |= ~((-90 <= lat) & (lat <= 90) & (-180 <= lon) & (lon <= 180) & (0 <= duration) & (duration < np.inf))
+    bad |= n_frames == 0
+    bad[owner[~((0 <= scores) & (scores <= 1))]] = True  # NaN too
+    label = np.fromiter(map(_LABEL_CODES.get, labels, repeat(-2)), dtype=np.int8, count=n)
+    ts, parsed = _epoch_seconds(stamps)
+    bad |= (label == -2) | ~parsed
+    failures = []
+    for i in np.flatnonzero(bad).tolist():
+        if chunk[i].strip():
+            try:
+                _fields(chunk[i], codes)
+            except Exception as exc:
+                failures.append(ParseFailure(first + i, str(exc)))
+            else:
+                return None
+    good = ~bad
+    kept = list(compress(cities, good))
+    for city in dict.fromkeys(kept):
+        codes.setdefault(city, len(codes))
+    city = np.fromiter(map(codes.__getitem__, kept), dtype=np.int32, count=len(kept))
+    return (ts[good], lat[good], lon[good], city, label[good], np.array(deleted)[good], scores[good[owner]],
+            sizes[good], *_encoded(list(compress(ids, good))), failures)
+
+
+def _line_by_line(chunk: list[str], first: int, codes: dict[str, int]) -> tuple:
+    """``chunk``'s records, as :func:`_fields` checks each line: ts, lat, lon, city code in ``codes``, label code and
+    deleted, each a column; the frame scores end to end and the count of each record's; its ids' UTF-8 bytes end to
+    end and the length of each; and a failure for each other line that is not blank, numbered from ``first``."""
+    rows, frames, n_frames, ids, failures = [], [], [], [], []
+    for line_number, line in enumerate(chunk, first):
+        if not line.strip():
+            continue
+        try:
+            values, scores, id_ = _fields(line, codes)
+        except Exception as exc:
+            failures.append(ParseFailure(line_number, str(exc)))
+            continue
+        rows.append(values)
+        frames += scores or ()
+        n_frames.append(len(scores or ()))
+        ids.append(id_)
+    columns = (np.array([row[k] for row in rows], dtype=dtype) for k, dtype in enumerate(_DTYPES))
+    return (*columns, np.array(frames, dtype=np.float64), np.array(n_frames, dtype=np.int64), *_encoded(ids), failures)
+
+
 def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns", list[ParseFailure]]:
     """Decode JSONL records from a path or an iterable of lines straight into columns.
 
@@ -106,6 +269,9 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns",
     holds each city id as parsed (see :func:`filter_active`); each other line, one that is not UTF-8 too, is a
     failure with its 1-based line number. Raises :class:`SnapGridError` naming the file (when ``source`` is a
     path) and the first bad line when failures outnumber successes.
+
+    The lines are checked ``_CHUNK_LINES`` at a time, in bulk (:func:`_in_bulk`); a flagged line is checked again
+    on its own by :func:`_fields`, the one source of failure messages.
     """
     named = isinstance(source, (str, Path))
     per_record = ts, lat, lon, city, label, deleted = tuple(map(array, "qddibb"))  # int64, float64, float64, int32...
@@ -113,20 +279,17 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns",
     codes: dict[str, int] = {}  # city id -> its code, in order of first appearance
     failures: list[ParseFailure] = []
     with open(source, newline="", encoding="utf-8", errors="surrogateescape") if named else nullcontext(source) as lines:
-        for line_number, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                values, frames, id_ = _fields(line, codes)
-            except Exception as exc:
-                failures.append(ParseFailure(line_number, str(exc)))
-                continue
-            for column, value in zip(per_record, values):
-                column.append(value)
-            scores.extend(frames or ())
-            score_ends.append(len(scores))
-            ids += id_.encode(*_UTF8)
-            id_ends.append(len(ids))
+        lines, first = iter(lines), 1
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            *values, frames, counts, id_bytes, sizes, bad = (_in_bulk(chunk, first, codes)
+                                                               or _line_by_line(chunk, first, codes))
+            for column, value in zip((*per_record, scores), (*values, frames)):
+                column.frombytes(value.tobytes())
+            ids += id_bytes
+            for ends, value in ((score_ends, counts), (id_ends, sizes)):
+                ends.frombytes((ends[-1] + np.cumsum(value)).tobytes())
+            failures += bad
+            first += len(chunk)
     if len(failures) > len(ts):
         raise SnapGridError(f"{f'{source}: ' if named else ''}{len(failures)} of {len(failures) + len(ts)} lines "
                             f"failed to parse; first at line {failures[0].line_number}: {failures[0].message}")

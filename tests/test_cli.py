@@ -1,6 +1,7 @@
 """Pipeline driver: config handling, stage outputs, exit codes, idempotence."""
 
 import csv
+import gc
 import json
 import os
 import shutil
@@ -196,15 +197,20 @@ def _stage_argv(stage: str, out: Path) -> list[str]:
     return [stage, "--config", str(out / "pipeline.yaml")]
 
 
+def _program(argv: list[str], **env) -> dict:
+    """``subprocess`` arguments that run the program, ``python -B -m snapgrid.cli``, with ``argv``; ``env`` updates the
+    environment, in which PYTHONPATH finds this package first."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(args=[sys.executable, "-B", "-m", "snapgrid.cli", *argv], env={**os.environ, **env})
+
+
 def test_stages_do_not_depend_on_the_hash_seed(tmp_path):
     # one process per stage under PYTHONHASHSEED 0 and 1: an output that follows the str hash order differs
     # between processes, which an in-process run cannot see; the two pipelines run side by side
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     first, second = tmp_path / "0", tmp_path / "1"
     for stage in STAGES:
-        procs = [subprocess.Popen([sys.executable, "-B", "-m", "snapgrid.cli", *_stage_argv(stage, out)],
-                                  env=dict(os.environ, PYTHONHASHSEED=out.name, PYTHONPATH=path),
+        procs = [subprocess.Popen(**_program(_stage_argv(stage, out), PYTHONHASHSEED=out.name),
                                   stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
                  for out in (first, second)]
         errors = [proc.communicate()[1] for proc in procs]
@@ -215,6 +221,38 @@ def test_stages_do_not_depend_on_the_hash_seed(tmp_path):
     with np.load(first / CLEANED) as one, np.load(second / CLEANED) as other:  # the zip stores write times
         assert one.files == other.files and [k for k in one.files if not np.array_equal(one[k], other[k])] == []
     assert [n for n in names if n != CLEANED and (first / n).read_bytes() != (second / n).read_bytes()] == []
+
+
+@pytest.mark.parametrize("outcome", [0, 1, 2, SystemExit(2)], ids=["ok", "failed", "usage", "argparse"])
+def test_run_freezes_the_collector_before_and_after_main(monkeypatch, outcome):
+    calls = []
+
+    def stage():
+        calls.append(("main", gc.isenabled()))
+        if isinstance(outcome, SystemExit):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cli, "main", stage)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(("freeze", None)))
+    gc.disable()  # as under ``python -m snapgrid.cli``, through the imports
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+    finally:
+        gc.enable()
+    assert calls == [("freeze", None), ("main", True), ("freeze", None)]
+    assert exited.value.code == (outcome.code if isinstance(outcome, SystemExit) else outcome)
+
+
+def test_the_program_fails_as_main_does(pipeline_dir, tmp_path, capsys):
+    # a stage whose input is missing, run in-process and as the program: the same status and stderr line
+    argv = ["classify", "--config", str(pipeline_dir / "pipeline.yaml"), "--out-dir", str(tmp_path)]
+    status, err = main(argv), capsys.readouterr().err
+    proc = subprocess.run(**_program(argv), capture_output=True, text=True)
+    assert (status, err.count("\n")) == (2, 1) and "cleaned.npz not found" in err
+    assert (proc.returncode, proc.stderr, proc.stdout) == (status, err, "")
+    assert list(tmp_path.iterdir()) == []  # no temp file, no output
 
 
 def test_no_temp_files_left_after_pipeline(pipeline_dir):

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import record_oracle
 from record_oracle import Record, assert_same_columns, columns, record
+from snapgrid import records
 from snapgrid.errors import ConfigError, SnapGridError
 from snapgrid.records import (
     SnapColumns,
@@ -51,6 +52,42 @@ def test_rfc3339_parse_and_format():
 def test_rfc3339_round_trip():
     for ts in (0, 1554076800, 1700000000):
         assert parse_rfc3339(format_rfc3339(ts)) == ts
+
+
+# Synth's form with any number in each field, so that out-of-range dates and times are drawn too, and that form with
+# one character replaced: a digit of another script, a separator or a sign parse_rfc3339 may or may not accept.
+_SYNTH_FORM = st.builds(
+    "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z".format,
+    st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32), st.integers(0, 25), st.integers(0, 61),
+    st.integers(0, 61),
+)
+_STAMP = _SYNTH_FORM | st.tuples(_SYNTH_FORM, st.integers(0, 19), st.sampled_from("0 9tTz+-:.\u0661\uff10\x00")).map(
+    lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:]
+) | st.sampled_from(["2019-04-01T03:00:00+03:00", "2019-04-01T00:00:00", "2019-04-01T00:00:00.5Z", "2019-04-01"])
+
+
+@settings(max_examples=300, deadline=None)
+@example(["+019-04-01T00:00:00Z"])
+@example(["2019-04-01t00:00:00Z", "2019-04-01T00:00:00Z"])
+@example(["2019-04-01 00:00:00Z"])
+@example(["2019-02-29T00:00:00Z", "2020-02-29T00:00:00Z"])
+@example(["2019-04-01T00:00:60Z"])
+@example(["2019-04-01T24:00:00Z"])
+@example(["0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z"])
+@given(st.lists(_STAMP, min_size=1, max_size=6))
+def test_timestamps_checked_in_bulk_are_parse_rfc3339s(stamps):
+    # the bulk path's epoch seconds, and its failures' messages, are parse_rfc3339's, whatever the chunk's other stamps
+    stamps = stamps + ["2019-04-01T00:00:00Z"] * len(stamps)  # enough good lines that failures never outnumber them
+    parsed, failures = parse_snaps([json.dumps({"id": "a", "ts_utc": stamp, "lat": 0, "lon": 0, "city_id": "x"})
+                                    for stamp in stamps])
+    want_ts, want_failures = [], []
+    for number, stamp in enumerate(stamps, 1):
+        try:
+            want_ts.append(parse_rfc3339(stamp))
+        except ValueError as exc:
+            want_failures.append((number, str(exc)))
+    assert [(f.line_number, f.message) for f in failures] == want_failures
+    assert parsed.ts.tolist() == want_ts
 
 
 def test_to_local_time_fixed_offset():
@@ -241,6 +278,61 @@ def test_record_validation():
         (3, "frame score 1.5 outside [0, 1]"),
         (4, "frame_scores, when present, must be nonempty"),
     ]
+
+
+_GOOD = {"id": "a", "ts_utc": "2019-04-01T00:00:00Z", "lat": 1.5, "lon": -2, "city_id": "x", "duration_s": 3,
+         "frame_scores": [0.25, 1, 0], "label": "driving"}
+# one line of each kind that fails, and of the kinds that a stricter check could wrongly fail; each goes into a chunk
+# of its own and at each place in a chunk
+_LINES = [
+    *(json.dumps({**_GOOD, key: value}) for key, value in [
+        ("id", 1), ("ts_utc", 1554076800), ("city_id", None), ("lat", True), ("lon", "1"), ("duration_s", False),
+        ("deleted", "false"), ("deleted", 0), ("frame_scores", "x"), ("frame_scores", [0.5, True]),
+        ("frame_scores", [None]), ("label", 1), ("label", ["driving"]), ("label", "walking"), ("lat", math.nan),
+        ("duration_s", math.nan), ("frame_scores", [math.nan]), ("lat", 10**400), ("duration_s", -10**400),
+        ("frame_scores", [0.5, 10**400]), ("lat", 90.5), ("lon", -180.5), ("lat", math.inf), ("duration_s", -1),
+        ("duration_s", math.inf), ("frame_scores", [1.5]), ("frame_scores", [-0.0, -1e-300]), ("frame_scores", []),
+        ("ts_utc", "2019-02-29T00:00:00Z"), ("ts_utc", "2019-04-01T03:00:00+03:00"), ("lat", 10**20),
+        ("frame_scores", None), ("label", None), ("deleted", True), ("extra", [1, {"a": 2}]), ("city_id", "z\u00fc"),
+    ]),
+    *(json.dumps({key: value for key, value in _GOOD.items() if key != gone}) for gone in _GOOD),
+    json.dumps(_GOOD, ensure_ascii=False).replace('"x"', '"\u00fc"'), json.dumps(_GOOD) + " x", " " + json.dumps(_GOOD),
+    json.dumps(_GOOD) + " \t", "[1]", "nope", "", "  ", "\ufeff" + json.dumps(_GOOD), "\udcff" + json.dumps(_GOOD),
+    json.dumps(_GOOD).replace('"a"', '"a\udcff"'),  # a byte that is not UTF-8 inside a string
+]
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 3, 4096])
+def test_bulk_checks_fail_what_fields_fails_across_chunks(tmp_path, monkeypatch, chunk_lines):
+    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+    good = json.dumps(_GOOD)
+    texts = [text for i, line in enumerate(_LINES) for text in [good] * (i % 4) + [line]] + [good] * len(_LINES)
+    path = tmp_path / "snaps.jsonl"
+    path.write_bytes("".join(text + "\n" for text in texts).encode("utf-8", "surrogateescape"))
+    parsed, failures = parse_snaps(path)
+    want_failures, kept = [], []
+    for number, text in enumerate(texts, 1):
+        if text.strip():
+            try:
+                records._fields(text, {})
+            except Exception as exc:
+                want_failures.append((number, str(exc)))
+            else:
+                kept.append(record(json.loads(text)))
+    assert [(f.line_number, f.message) for f in failures] == want_failures
+    assert len(want_failures) > len(_LINES) / 2
+    assert_same_columns(parsed, columns(kept), unstored=True)
+
+
+def test_lines_at_the_edges_of_every_check_stay_in_bulk():
+    # a bulk check stricter than _fields would send its chunk line by line: the same result, at _fields' speed
+    edges = [("lat", -90), ("lat", 90.0), ("lon", -180), ("lon", 180.0), ("duration_s", 0), ("duration_s", 1e308),
+             ("frame_scores", [0, 1, 0.0, 1.0, -0.0]), ("label", "non_driving"), ("deleted", True), ("extra", None),
+             ("city_id", "\u00fc\ud800"), ("ts_utc", "0001-01-01T00:00:00Z"), ("ts_utc", "9999-12-31T23:59:59Z"),
+             ("ts_utc", "2020-02-29T23:59:59Z"), ("lat", 10**20 - 10**20)]
+    lines = [json.dumps({**_GOOD, key: value}, ensure_ascii=key != "city_id") + "\r\n" for key, value in edges]
+    checked = records._in_bulk(lines, 1, {})
+    assert checked is not None and checked[-1] == [] and len(checked[0]) == len(edges)
 
 
 # ---------------------------------------------------------------------------
