@@ -548,6 +548,8 @@ def cmd_report(args, cfg, out_dir: Path) -> tuple[dict, str]:
                 f"re-run {_producer('classify.json')} and the stages after it"
             )
     present = sum(part is not None for part in parts.values())
+    if not present:
+        raise ConfigError(f"{out_dir} holds no stage output; run the {_producer('ingest.json')} stage first")
     return (
         {"report.json": {"seed": cfg["seed"], "cities": sorted(cfg["cities"]), **parts}},
         f"report: merged {present} sections -> {out_dir / 'report.json'}",

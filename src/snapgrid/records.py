@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
@@ -70,10 +70,10 @@ _FIELD_TYPES = {"id": _STR, "ts_utc": _STR, "city_id": _STR, "deleted": ((bool,)
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape decodes a byte that is not UTF-8 to
 
 
-def _fields(line: str, codes: dict[str, int]) -> tuple[tuple, Optional[list[float]], str]:
-    """One JSONL line, checked: (ts, lat, lon, city code in ``codes``, label code, deleted), scores, id.
+def _fields(line: str) -> None:
+    """Check one JSONL line as a record: raise for its first fault, or return if it has none.
 
-    The duration is checked, not returned: no stage reads one. The one source of parse failure messages."""
+    The one source of parse failure messages, and the reference that the checks in bulk are tested against."""
     if not line.isascii() and _NOT_UTF8.search(line):
         raise ValueError("line is not UTF-8")
     obj = json.loads(line)
@@ -87,9 +87,9 @@ def _fields(line: str, codes: dict[str, int]) -> tuple[tuple, Optional[list[floa
     for key in ("id", "ts_utc", "lat", "lon", "city_id"):
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
-    ts, (lat, lon), label = parse_rfc3339(obj["ts_utc"]), check_point(obj["lat"], obj["lon"]), obj.get("label")
-    # the scores as a list, not a tuple: a tuple freed here would stay cached in CPython's tuple free lists
-    duration_s, scores = float(obj.get("duration_s", 0.0)), obj.get("frame_scores")
+    parse_rfc3339(obj["ts_utc"])
+    check_point(obj["lat"], obj["lon"])
+    duration_s, scores, label = float(obj.get("duration_s", 0.0)), obj.get("frame_scores"), obj.get("label")
     scores = None if scores is None else list(map(float, scores))
     if not 0 <= duration_s < math.inf:  # NaN too, which JSON cannot carry
         raise ValueError(f"duration_s must be finite and nonnegative, got {duration_s}")
@@ -100,13 +100,11 @@ def _fields(line: str, codes: dict[str, int]) -> tuple[tuple, Optional[list[floa
     for s in scores or ():
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"frame score {s} outside [0, 1]")
-    city, code = codes.setdefault(obj["city_id"], len(codes)), -1 if label is None else LABELS.index(label)
-    return (ts, lat, lon, city, code, obj.get("deleted", False)), scores, obj["id"]
 
 
 _CHUNK_LINES = 2048  # lines that parse_snaps checks at a time: more hold more memory, fewer cost more calls
-# json.loads(line) is raw_decode(line) with JSON's whitespace allowed around the value; a line with some before it
-# is flagged, and _fields' verdict sends its chunk line by line
+# json.loads(line) is raw_decode(line) with JSON's whitespace allowed around the value; a line that raw_decode
+# rejects is decoded again from its first character that is not JSON whitespace, as json.loads would
 _DECODER, _JSON_SPACE = json.JSONDecoder(), " \t\n\r"
 # a record's fields other than its frame scores, in the order _in_bulk keeps them; the last three are numbers
 _KEYS = ("id", "ts_utc", "city_id", "deleted", "label", "lat", "lon", "duration_s")
@@ -115,10 +113,10 @@ _ABSENT = object()  # of no JSON type: a required field's value when left out
 _DEFAULTS = (_ABSENT, _ABSENT, _ABSENT, False, None, _ABSENT, _ABSENT, 0.0)
 _STAND_IN = ("", "1970-01-01T00:00:00Z", "", False, None, 0, 0, 0)  # a flagged line's: passes every check, is dropped
 _REAL = set(_NUMBER[0])
+_FLOAT_END = 2**1024 - 2**970  # the least int that float() refuses: it rounds up (ties to even) past the largest float
 _LABEL_CODES = {None: -1, **{label: code for code, label in enumerate(LABELS)}}
 _SYNTH_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
 _DIGITS = _SYNTH_STAMP == ord("0")  # where synth's form has a digit
-_DTYPES = (np.int64, np.float64, np.float64, np.int32, np.int8, bool)  # of the per-record values _fields returns
 
 
 def _epoch_seconds(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -161,14 +159,15 @@ def _typed(values: list, kinds: set, stand_in, bad: np.ndarray, owner: np.ndarra
 
 
 def _floats(values: list, bad: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """``values`` as float64, each one that is not an int or a float read as 0 and its line flagged, as by _typed.
+    """``values`` as float64, each one not an int or a float, or too large for a float, read as 0 and its line flagged.
 
     ``array("d")`` takes ints, floats and bools, and raises OverflowError for an int too large for a float, as
     ``float`` does. It reads a bool as 0.0 or 1.0, so only the values equal to those have their type looked at."""
     try:
         floats = np.frombuffer(array("d", values))
-    except TypeError:  # a string, a list, a null or a missing field among them
-        values = _typed(values, _REAL, 0, bad, owner)
+    except (TypeError, OverflowError):  # a string, a list, a null, a missing field or an int too large among them
+        fits = [v if type(v) is not int or -_FLOAT_END < v < _FLOAT_END else None for v in values]  # None: too large
+        values = _typed(fits, _REAL, 0, bad, owner)
         floats = np.frombuffer(array("d", values))
     maybe_bools = np.flatnonzero((floats == 0) | (floats == 1)).tolist()
     bad[owner[[i for i in maybe_bools if type(values[i]) is bool]]] = True
@@ -183,19 +182,23 @@ def _encoded(ids: list[str]) -> tuple[bytes, np.ndarray]:
     return data, np.fromiter(sizes, dtype=np.int64, count=len(ids))
 
 
-def _in_bulk(chunk: list[str], first: int, codes: dict[str, int]) -> Optional[tuple]:
-    """What :func:`_line_by_line` gives for ``chunk``, whose first line is line ``first``, checked on columns; or None.
+def _in_bulk(chunk: list[str], first: int, codes: dict[str, int]) -> tuple:
+    """``chunk``'s records, its first line numbered ``first``: ts, lat, lon, city code in ``codes``, label code and
+    deleted, each a column; the frame scores and the ids' UTF-8 bytes, each end to end with each record's length;
+    and a failure for each other line that is not blank.
 
     Per line, only what a column cannot show is tested: a JSON object on a UTF-8 line, its frame scores a list or
     none. Per chunk, the types of every field and score, then ranges, labels and timestamps, in numpy. A line that
-    any check flags gets its message from :func:`_fields`. None when a conversion raises (an int too large for a
-    float) or ``_fields`` accepts a flagged line: the chunk is then checked line by line."""
+    any check flags gets its message from :func:`_fields`."""
     decode, rows, frames, n_frames, flagged = _DECODER.raw_decode, [], [], [], []  # rows: each line's _KEYS fields
     for line in chunk:
         try:
             obj, end = decode(line)
-        except Exception:  # a blank line too, which is no failure
-            obj = None
+        except Exception:
+            try:
+                obj, end = decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+            except Exception:  # a blank line too, which is no failure
+                obj = None
         if (type(obj) is dict and (end == len(line) or not line[end:].strip(_JSON_SPACE))
                 and (line.isascii() or not _NOT_UTF8.search(line))):
             scores = obj.pop("frame_scores", None)
@@ -212,11 +215,8 @@ def _in_bulk(chunk: list[str], first: int, codes: dict[str, int]) -> Optional[tu
     bad[flagged], owner = True, np.repeat(lines, sizes)  # owner: the line of each frame score
     fields = [rows[k::len(_KEYS)] for k in range(len(_KEYS))]
     ids, stamps, cities, deleted, labels = map(_typed, fields, _KINDS, _STAND_IN, repeat(bad), repeat(lines))
-    try:
-        lat, lon, duration = (_floats(values, bad, lines) for values in fields[len(_KINDS):])
-        scores = _floats(frames, bad, owner)
-    except OverflowError:  # an int too large for a float
-        return None
+    lat, lon, duration = (_floats(values, bad, lines) for values in fields[len(_KINDS):])
+    scores = _floats(frames, bad, owner)
     bad |= ~((-90 <= lat) & (lat <= 90) & (-180 <= lon) & (lon <= 180) & (0 <= duration) & (duration < np.inf))
     bad |= n_frames == 0
     bad[owner[~((0 <= scores) & (scores <= 1))]] = True  # NaN too
@@ -227,11 +227,11 @@ def _in_bulk(chunk: list[str], first: int, codes: dict[str, int]) -> Optional[tu
     for i in np.flatnonzero(bad).tolist():
         if chunk[i].strip():
             try:
-                _fields(chunk[i], codes)
+                _fields(chunk[i])
             except Exception as exc:
                 failures.append(ParseFailure(first + i, str(exc)))
             else:
-                return None
+                raise SnapGridError(f"line {first + i}: the bulk checks reject what _fields accepts, a program fault")
     good = ~bad
     kept = list(compress(cities, good))
     for city in dict.fromkeys(kept):
@@ -239,27 +239,6 @@ def _in_bulk(chunk: list[str], first: int, codes: dict[str, int]) -> Optional[tu
     city = np.fromiter(map(codes.__getitem__, kept), dtype=np.int32, count=len(kept))
     return (ts[good], lat[good], lon[good], city, label[good], np.array(deleted)[good], scores[good[owner]],
             sizes[good], *_encoded(list(compress(ids, good))), failures)
-
-
-def _line_by_line(chunk: list[str], first: int, codes: dict[str, int]) -> tuple:
-    """``chunk``'s records, as :func:`_fields` checks each line: ts, lat, lon, city code in ``codes``, label code and
-    deleted, each a column; the frame scores end to end and the count of each record's; its ids' UTF-8 bytes end to
-    end and the length of each; and a failure for each other line that is not blank, numbered from ``first``."""
-    rows, frames, n_frames, ids, failures = [], [], [], [], []
-    for line_number, line in enumerate(chunk, first):
-        if not line.strip():
-            continue
-        try:
-            values, scores, id_ = _fields(line, codes)
-        except Exception as exc:
-            failures.append(ParseFailure(line_number, str(exc)))
-            continue
-        rows.append(values)
-        frames += scores or ()
-        n_frames.append(len(scores or ()))
-        ids.append(id_)
-    columns = (np.array([row[k] for row in rows], dtype=dtype) for k, dtype in enumerate(_DTYPES))
-    return (*columns, np.array(frames, dtype=np.float64), np.array(n_frames, dtype=np.int64), *_encoded(ids), failures)
 
 
 def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns", list[ParseFailure]]:
@@ -281,8 +260,7 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns",
     with open(source, newline="", encoding="utf-8", errors="surrogateescape") if named else nullcontext(source) as lines:
         lines, first = iter(lines), 1
         while chunk := list(islice(lines, _CHUNK_LINES)):
-            *values, frames, counts, id_bytes, sizes, bad = (_in_bulk(chunk, first, codes)
-                                                               or _line_by_line(chunk, first, codes))
+            *values, frames, counts, id_bytes, sizes, bad = _in_bulk(chunk, first, codes)
             for column, value in zip((*per_record, scores), (*values, frames)):
                 column.frombytes(value.tobytes())
             ids += id_bytes

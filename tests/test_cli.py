@@ -506,6 +506,28 @@ def test_ingest_of_mostly_corrupt_corpus_names_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "cleaned.npz").exists()
 
 
+def test_ingest_stops_on_a_line_the_bulk_checks_reject_and_fields_accepts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(records, "_fields", lambda line: None)  # a per-line check that accepts every line
+    good = {"id": "a-0", "ts_utc": "2025-03-03T12:00:00Z", "lat": 0.0, "lon": 0.0, "city_id": "a"}
+    (tmp_path / "snaps.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in [good, {**good, "lat": 91}, good]))
+    path = tmp_path / "c.yaml"
+    path.write_text("snaps: snaps.jsonl\n" + _CITY)
+    assert main(["ingest", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("snapgrid ingest: line 2: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "snaps.jsonl"]
+
+
+def test_report_with_no_stage_output_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    path.write_text(_CITY)
+    assert main(["report", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"snapgrid report: {tmp_path} ")
+    assert "run the ingest stage first" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
+
+
 @pytest.fixture(scope="module")
 def two_city_inputs(tmp_path_factory):
     """A 2-city synth run: its config, annotations.csv and city_stats.csv."""

@@ -222,7 +222,8 @@ _FIELDS = {  # field: (valid values, wrong values, may be left out)
 
 @st.composite
 def _snap_line(draw) -> tuple[str, bool]:
-    """A JSONL line and whether one of its fields is wrongly typed; or a blank line."""
+    """A JSONL line, maybe with JSON whitespace before it, and whether one of its fields is wrongly typed; or a blank
+    line."""
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from(["", "  ", "\t"])), False
     bad = draw(st.sampled_from([None, *_FIELDS]))
@@ -232,7 +233,7 @@ def _snap_line(draw) -> tuple[str, bool]:
             obj[field] = draw(wrong)
         elif not optional or draw(st.booleans()):
             obj[field] = draw(valid)
-    return json.dumps(obj), bad is not None
+    return draw(st.text(" \t\n\r", max_size=2)) + json.dumps(obj), bad is not None
 
 
 @settings(max_examples=150, deadline=None)
@@ -293,6 +294,7 @@ _LINES = [
         ("frame_scores", [0.5, 10**400]), ("lat", 90.5), ("lon", -180.5), ("lat", math.inf), ("duration_s", -1),
         ("duration_s", math.inf), ("frame_scores", [1.5]), ("frame_scores", [-0.0, -1e-300]), ("frame_scores", []),
         ("ts_utc", "2019-02-29T00:00:00Z"), ("ts_utc", "2019-04-01T03:00:00+03:00"), ("lat", 10**20),
+        ("duration_s", 2**1024 - 2**970),  # the least int that float() refuses
         ("frame_scores", None), ("label", None), ("deleted", True), ("extra", [1, {"a": 2}]), ("city_id", "z\u00fc"),
     ]),
     *(json.dumps({key: value for key, value in _GOOD.items() if key != gone}) for gone in _GOOD),
@@ -302,6 +304,13 @@ _LINES = [
 ]
 
 
+def _fields_calls(monkeypatch) -> list[str]:
+    """The lines that records._fields checks from now on, in order; it still checks them."""
+    calls, fields = [], records._fields
+    monkeypatch.setattr(records, "_fields", lambda line: calls.append(line) or fields(line))
+    return calls
+
+
 @pytest.mark.parametrize("chunk_lines", [1, 3, 4096])
 def test_bulk_checks_fail_what_fields_fails_across_chunks(tmp_path, monkeypatch, chunk_lines):
     monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
@@ -309,30 +318,36 @@ def test_bulk_checks_fail_what_fields_fails_across_chunks(tmp_path, monkeypatch,
     texts = [text for i, line in enumerate(_LINES) for text in [good] * (i % 4) + [line]] + [good] * len(_LINES)
     path = tmp_path / "snaps.jsonl"
     path.write_bytes("".join(text + "\n" for text in texts).encode("utf-8", "surrogateescape"))
-    parsed, failures = parse_snaps(path)
-    want_failures, kept = [], []
+    want_failures, failing, kept = [], [], []
     for number, text in enumerate(texts, 1):
         if text.strip():
             try:
-                records._fields(text, {})
+                records._fields(text)
             except Exception as exc:
                 want_failures.append((number, str(exc)))
+                failing.append(text + "\n")
             else:
                 kept.append(record(json.loads(text)))
+    calls = _fields_calls(monkeypatch)
+    parsed, failures = parse_snaps(path)
     assert [(f.line_number, f.message) for f in failures] == want_failures
+    # _fields words each failure once and sees no kept line: every chunk is checked in bulk
+    assert calls == failing
     assert len(want_failures) > len(_LINES) / 2
     assert_same_columns(parsed, columns(kept), unstored=True)
 
 
-def test_lines_at_the_edges_of_every_check_stay_in_bulk():
-    # a bulk check stricter than _fields would send its chunk line by line: the same result, at _fields' speed
+def test_lines_at_the_edges_of_every_check_stay_in_bulk(monkeypatch):
+    # a bulk check stricter than _fields would run a line that _fields accepts through it, a program fault
     edges = [("lat", -90), ("lat", 90.0), ("lon", -180), ("lon", 180.0), ("duration_s", 0), ("duration_s", 1e308),
              ("frame_scores", [0, 1, 0.0, 1.0, -0.0]), ("label", "non_driving"), ("deleted", True), ("extra", None),
              ("city_id", "\u00fc\ud800"), ("ts_utc", "0001-01-01T00:00:00Z"), ("ts_utc", "9999-12-31T23:59:59Z"),
-             ("ts_utc", "2020-02-29T23:59:59Z"), ("lat", 10**20 - 10**20)]
+             ("ts_utc", "2020-02-29T23:59:59Z"), ("lat", 10**20 - 10**20), ("duration_s", 2**1024 - 2**970 - 1)]
     lines = [json.dumps({**_GOOD, key: value}, ensure_ascii=key != "city_id") + "\r\n" for key, value in edges]
+    lines += [space + json.dumps(_GOOD) for space in (" ", "\t", "\r", "\n", " \t\r\n ")]  # what json.loads skips
+    calls = _fields_calls(monkeypatch)
     checked = records._in_bulk(lines, 1, {})
-    assert checked is not None and checked[-1] == [] and len(checked[0]) == len(edges)
+    assert calls == [] and checked[-1] == [] and len(checked[0]) == len(lines)
 
 
 # ---------------------------------------------------------------------------
