@@ -1,9 +1,10 @@
 """When do driving posts happen? Hourly profiles, night uplift, city clusters.
 
 Builds local-time hourly profiles for a batch of synthetic cities, measures
-the posting-rate excess inside the 18:00-01:59 night window, then clusters
-planted hour-of-week shapes with the from-scratch k-means and checks the
-silhouette across k.
+the posting-rate excess inside the night window (the constant
+``temporal.NIGHT``, 18:00-01:59), then clusters hour-of-week shapes planted
+around ``temporal.N_CLUSTERS`` archetypes with the from-scratch k-means and
+checks the silhouette across k.
 
 Run: python demos/temporal_patterns.py [--seed N]
 """
@@ -15,7 +16,7 @@ import numpy as np
 from snapgrid import synth
 from snapgrid.records import DRIVING, LABELS
 from snapgrid.temporal import (
-    NightWindow,
+    N_CLUSTERS,
     embed_2d,
     hourly_profile,
     kmeans,
@@ -37,7 +38,6 @@ def main():
     args = parser.parse_args()
 
     spec = synth.default_spec(args.seed, n_cities=4, n_records=12_000)
-    window = NightWindow(start_hour=18, end_hour=2)
 
     print("hour-of-day profile of driving posts (local time, 00..23)")
     profiles = {}
@@ -46,7 +46,7 @@ def main():
         driving = city.ts[(city.label == LABELS.index(DRIVING)) & ~city.deleted]
         profile = hourly_profile(driving, cfg.tz_id)
         profiles[cfg.city_id] = profile
-        uplift = night_uplift(profile, window, cfg.city_id)
+        uplift = night_uplift(profile, cfg.city_id)
         print(f"  {cfg.city_id} ({cfg.tz_id:>9}): {sparkline(profile)}  night +{uplift:.0f}%")
 
     ids = list(profiles)
@@ -54,16 +54,16 @@ def main():
     print(f"\nPearson r between {ids[0]} and {ids[1]} profiles: {r:.3f}")
     print("(the generator plants the same 75% night uplift everywhere, so profiles agree)")
 
-    # Hour-of-week shapes around three planted archetypes.
-    X, truth = synth.gen_planted_week_vectors(n_cities=30, k=3, seed=args.seed)
+    # Hour-of-week shapes around N_CLUSTERS planted archetypes, the k the cluster stage fits.
+    X, truth = synth.gen_planted_week_vectors(n_cities=30, k=N_CLUSTERS, seed=args.seed)
     print(f"\nclustering {X.shape[0]} cities on {X.shape[1]}-dim week vectors")
     for k in (2, 3, 4, 5):
         result = kmeans(X, k, seed=args.seed)
         score = silhouette(X, result.labels)
-        marker = "  <- planted k" if k == 3 else ""
+        marker = "  <- planted k" if k == N_CLUSTERS else ""
         print(f"  k={k}: inertia {result.inertia:.4f}, silhouette {score:.3f}{marker}")
 
-    best = kmeans(X, 3, seed=args.seed)
+    best = kmeans(X, N_CLUSTERS, seed=args.seed)
     agreement = (best.labels[:, None] == best.labels[None, :]) == (
         truth[:, None] == truth[None, :]
     )

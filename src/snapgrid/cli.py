@@ -5,11 +5,12 @@ function, help line and the files it hands on to later stages. The
 parser, the stage that error messages tell the user to (re-)run, and the
 parts that ``report`` merges all come from that table.
 
-The YAML config holds only what differs between runs: ``seed``,
-``night_window``, ``clustering.k``, ``cities`` and three input paths, each
-checked once by ``load_config`` against the ``CHECKS`` table. The vote is
-classify's ``--rule``/``--threshold``; the frame cutoff and the tile size
-are the constants ``voting.FRAME_CUTOFF`` and ``geo.TILE_SIZE_M``. A stage
+The YAML config holds only the run's inputs: ``seed``, ``cities`` and three
+input paths, each checked once by ``load_config`` against the ``CHECKS``
+table. The vote is classify's ``--rule``/``--threshold``; the frame cutoff,
+the tile size, the night window and the cluster count are the constants
+``voting.FRAME_CUTOFF``, ``geo.TILE_SIZE_M``, ``temporal.NIGHT`` and
+``temporal.N_CLUSTERS``. A stage
 writes no file: it returns its outputs, ``{file name: content}``, and a
 summary, and ``main`` commits the outputs all or nothing, so a failed
 stage leaves the previous artifacts as they were. A re-run reproduces
@@ -64,12 +65,7 @@ from . import annotation, geo, records, regression, spatial, synth, temporal, vo
 from .errors import ConfigError, SnapGridError
 from .geo import Region, build_grid, locate_points
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "night_window": asdict(temporal.NightWindow()),
-    "clustering": {"k": 3},
-    "cities": {},
-}
+DEFAULT_CONFIG = {"seed": 0, "cities": {}}
 # input paths, resolved against the config file's directory
 PATH_KEYS = ("snaps", "annotations", "city_stats")
 
@@ -83,11 +79,6 @@ def _is_int(value) -> bool:
 # raises TypeError or ValueError). A key that no entry names is unknown.
 CHECKS = {
     "seed": ("an int", _is_int),
-    "night_window": ("a mapping of two different hours", lambda v: type(v) is dict and temporal.NightWindow(**v)),
-    "night_window.start_hour": ("an int", _is_int),
-    "night_window.end_hour": ("an int", _is_int),
-    "clustering": ("a mapping", lambda v: type(v) is dict),
-    "clustering.k": ("an int of at least 1", lambda v: _is_int(v) and v >= 1),
     # a city id ending in NUL would lose it in cleaned.npz's string table
     "cities": ("a mapping of ids without NUL", lambda v: type(v) is dict and not any("\0" in c for c in v)),
     "cities.*": ("a mapping of a bbox and a tz", lambda v: type(v) is dict and v.keys() == {"bbox", "tz"}),
@@ -162,10 +153,7 @@ def load_config(path: Optional[str]) -> dict:
         loaded = {}
     if not isinstance(loaded, dict):
         raise ConfigError(f"config root must be a mapping, got {type(loaded).__name__}")
-    cfg = dict(DEFAULT_CONFIG)
-    for key, value in loaded.items():
-        default = DEFAULT_CONFIG.get(key)
-        cfg[key] = {**default, **value} if isinstance(default, dict) and isinstance(value, dict) else value
+    cfg = {**DEFAULT_CONFIG, **loaded}
     _check_settings(cfg)
     return dict(cfg, _dir=p.parent.resolve())
 
@@ -197,7 +185,10 @@ def _check_settings(value, name: str = "", pattern: str = "") -> None:
 def _config_path(cfg: dict, key: str) -> Path:
     if key not in cfg:
         raise ConfigError(f"config is missing required key {key!r}")
-    return (cfg["_dir"] / cfg[key]).resolve()
+    path = (cfg["_dir"] / cfg[key]).resolve()
+    if not path.exists():
+        raise ConfigError(f"{path} not found; check the config key {key!r}")
+    return path
 
 
 def _city_regions(cfg: dict) -> dict[str, tuple[Region, str]]:
@@ -306,7 +297,6 @@ def cmd_synth(args, _cfg, out_dir: Path) -> tuple[dict, str]:
         "snaps": "snaps.jsonl",
         "annotations": "annotations.csv",
         "city_stats": "city_stats.csv",
-        **{key: DEFAULT_CONFIG[key] for key in ("night_window", "clustering")},
         "cities": {
             c.city_id: {
                 "tz": c.tz_id,
@@ -445,7 +435,6 @@ def cmd_spatial(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 def cmd_temporal(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
-    window = temporal.NightWindow(**cfg["night_window"])
     cols, _scored, driving = _load_classified(out_dir)
 
     per_city = {}
@@ -455,9 +444,9 @@ def cmd_temporal(args, cfg, out_dir: Path) -> tuple[dict, str]:
         pooled += profile
         per_city[city_id] = {
             "profile": profile.tolist(),
-            "night_uplift_pct": temporal.night_uplift(profile, window, city_id),
+            "night_uplift_pct": temporal.night_uplift(profile, city_id),
         }
-    uplift = temporal.night_uplift(pooled, window, "_pooled")
+    uplift = temporal.night_uplift(pooled, "_pooled")
     correlations = {
         city_id: temporal.pearson(per_city[city_id]["profile"], pooled)
         for city_id in per_city
@@ -469,7 +458,7 @@ def cmd_temporal(args, cfg, out_dir: Path) -> tuple[dict, str]:
             "night_uplift_pct": uplift,
         },
         "correlation_with_pooled": correlations,
-        "night_window": asdict(window),
+        "night_window": {"start_hour": temporal.NIGHT_START, "end_hour": temporal.NIGHT_END},
     }
     return (
         {"temporal.json": report},
@@ -479,16 +468,19 @@ def cmd_temporal(args, cfg, out_dir: Path) -> tuple[dict, str]:
 
 def cmd_cluster(args, cfg, out_dir: Path) -> tuple[dict, str]:
     regions = _city_regions(cfg)
-    k, seed = cfg["clustering"]["k"], cfg["seed"]
+    seed = cfg["seed"]
     cols, _scored, driving = _load_classified(out_dir)
 
     tz_map = {c: tz for c, (_region, tz) in regions.items()}
     ts_by_city = {c: cols.ts[rows] for c, rows in _city_rows(cols, regions, driving).items()}
     X, kept = temporal.week_vectors(ts_by_city, tz_map)
+    if len(kept) < 2:
+        raise SnapGridError(f"clustering needs at least 2 cities with driving activity, got {len(kept)}")
+    k = min(temporal.N_CLUSTERS, len(kept))
 
     result = temporal.kmeans(X, k, seed=seed)
-    # silhouette needs 2 <= k < n; report null when the metric is undefined
-    sil = temporal.silhouette(X, result.labels) if 2 <= k < X.shape[0] else None
+    # silhouette needs k < n; report null when the metric is undefined
+    sil = temporal.silhouette(X, result.labels) if k < len(kept) else None
     k_range = [kk for kk in range(2, 7) if kk <= len(kept)]
     elbow = temporal.elbow_curve(X, k_range, seed=seed)
     coords = temporal.embed_2d(X)

@@ -28,7 +28,7 @@ from .annotation import N_RATERS
 from .geo import TILE_SIZE_M, Region, TileGrid, build_grid, unproject
 from .records import DRIVING, LABELS, NON_DRIVING, SnapColumns, get_zone
 from .regression import DESIGN_TERMS, CityStats
-from .temporal import HOURS_PER_WEEK, NightWindow
+from .temporal import HOURS_PER_WEEK, NIGHT
 
 # Coefficients planted for regression recovery, aligned with DESIGN_TERMS.
 # The intercept sits high enough that ln(driving+1) stays positive across
@@ -156,8 +156,8 @@ def _largest_remainder(raw: np.ndarray, total: int) -> np.ndarray:
 
 
 def _hour_weights(factor: float) -> np.ndarray:
-    """Hour-of-day weights: hours in the default night window weigh ``factor``."""
-    w = np.array([factor if NightWindow().contains(h) else 1.0 for h in range(24)])
+    """Hour-of-day weights: hours of ``NIGHT`` weigh ``factor``."""
+    w = np.where(NIGHT, factor, 1.0)
     return w / w.sum()
 
 

@@ -3,11 +3,14 @@
 All bucketing happens in each city's own IANA timezone, so "18:00" means
 evening in that city regardless of where it sits on the globe. Local time
 is taken in one place, ``_hours_of_week``; the hourly profile and the week
-vectors both count its hours of the week. Weekly activity vectors (168
-hour-of-week fractions, Monday 00:00 first) feed a small from-scratch
-k-means so cities with similar rhythms group together; silhouette scores
-and an elbow curve guide the choice of k, and a 2-D PCA projection
-provides eyes on the result.
+vectors both count its hours of the week. The night is the constant
+window ``NIGHT`` (18:00-01:59 local), over which the night uplift is
+measured. Weekly activity vectors (168 hour-of-week fractions, Monday
+00:00 first) feed a small from-scratch k-means so cities with similar
+rhythms group together; the cluster stage fits ``N_CLUSTERS`` clusters,
+silhouette scores and an elbow curve judge that choice, and a 2-D PCA
+projection provides eyes on the result. Neither the window nor k is a
+setting.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from .errors import SnapGridError
 from .records import to_local_time
 
 HOURS_PER_WEEK = 168
+NIGHT_START, NIGHT_END = 18, 2  # local hours; the end is exclusive
+NIGHT = (np.arange(24) - NIGHT_START) % 24 < (NIGHT_END - NIGHT_START) % 24  # by hour of the day, across midnight
+N_CLUSTERS = 3  # cluster's k, or the number of cities with driving activity when fewer
 
 
 def _hours_of_week(ts: np.ndarray, tz_id: str) -> np.ndarray:
@@ -35,36 +41,14 @@ def hourly_profile(ts: np.ndarray, tz_id: str) -> np.ndarray:
     return np.bincount(_hours_of_week(ts, tz_id) % 24, minlength=24)
 
 
-@dataclass(frozen=True)
-class NightWindow:
-    """Local-time window for "night", wrapping midnight by default (18:00-01:59)."""
-
-    start_hour: int = 18
-    end_hour: int = 2  # exclusive
-
-    def __post_init__(self):
-        for name in ("start_hour", "end_hour"):
-            h = getattr(self, name)
-            if type(h) is not int or not 0 <= h <= 23:  # 18.5 would drop hour 18; a bool is not an hour
-                raise ValueError(f"{name} must be an int in 0..23, got {h!r}")
-        if self.start_hour == self.end_hour:
-            raise ValueError(f"start_hour == end_hour == {self.start_hour} would cover the whole day")
-
-    def contains(self, hour: int) -> bool:
-        if self.start_hour < self.end_hour:
-            return self.start_hour <= hour < self.end_hour
-        return hour >= self.start_hour or hour < self.end_hour
-
-
-def night_uplift(counts: np.ndarray, window: NightWindow, city_id: str) -> float:
-    """Percent excess of mean in-window over mean out-of-window hourly ``counts`` of city ``city_id``.
+def night_uplift(counts: np.ndarray, city_id: str) -> float:
+    """Percent excess of mean ``NIGHT`` over mean day hourly ``counts`` of city ``city_id``.
 
     100.0 means night hours average twice the day hours. Undefined (raises)
-    when the out-of-window mean is zero.
+    when the day mean is zero.
     """
-    inside = np.array([window.contains(h) for h in range(24)])
-    mean_in = float(counts[inside].mean())
-    mean_out = float(counts[~inside].mean())
+    mean_in = float(counts[NIGHT].mean())
+    mean_out = float(counts[~NIGHT].mean())
     if mean_out == 0:
         raise SnapGridError(f"city {city_id}: no activity outside the window; uplift undefined")
     return (mean_in / mean_out - 1.0) * 100.0

@@ -35,7 +35,6 @@ def pipeline_dir(tmp_path_factory):
     )
     assert rc == 0
     config = str(out / "pipeline.yaml")
-    _set_k(out / "pipeline.yaml", 2)
     stages = [
         ["grid", "--config", config],
         ["ingest", "--config", config],
@@ -51,13 +50,6 @@ def pipeline_dir(tmp_path_factory):
     for argv in stages:
         assert main(argv) == 0, argv[0]
     return out
-
-
-def _set_k(config: Path, k: int) -> None:
-    """Set ``clustering.k`` in the YAML config at ``config``."""
-    cfg = yaml.safe_load(config.read_text())
-    cfg["clustering"]["k"] = k
-    config.write_text(yaml.safe_dump(cfg, sort_keys=True))
 
 
 def read_json(path):
@@ -159,10 +151,44 @@ def test_temporal_stage(pipeline_dir):
 
 def test_cluster_stage(pipeline_dir):
     info = read_json(pipeline_dir / "cluster.json")
-    assert info["k"] == 2
+    assert info["k"] == 3
     assert set(info["labels"]) == {"city00", "city01", "city02"}
-    assert -1.0 <= info["silhouette"] <= 1.0
+    assert info["silhouette"] is None  # undefined at k == n
     assert set(info["embedding"]) == {"city00", "city01", "city02"}
+
+
+def _cluster(out: Path, n_cities: int) -> int:
+    """Exit status of ``cluster`` after synth of ``n_cities`` cities of 500 records into ``out``, ingest and
+    classify."""
+    assert main(["synth", "--seed", "2", "--out-dir", str(out), "--cities", str(n_cities), "--records", "500"]) == 0
+    config = str(out / "pipeline.yaml")
+    for stage in ("ingest", "classify"):
+        assert main([stage, "--config", config]) == 0, stage
+    return main(["cluster", "--config", config])
+
+
+def test_cluster_with_k_equal_to_city_count(tmp_path):
+    # two cities take k = 2, not temporal.N_CLUSTERS; silhouette is undefined at k == n, and the report has the part
+    assert _cluster(tmp_path, 2) == 0
+    info = read_json(tmp_path / "cluster.json")
+    assert info["k"] == 2 and info["cities"] == ["city00", "city01"]
+    assert info["silhouette"] is None
+    assert main(["report", "--config", str(tmp_path / "pipeline.yaml")]) == 0
+    assert read_json(tmp_path / "report.json")["cluster"] == info
+
+
+def test_cluster_of_more_cities_than_clusters_scores_silhouette(tmp_path):
+    assert _cluster(tmp_path, 4) == 0
+    info = read_json(tmp_path / "cluster.json")
+    assert info["k"] == 3 and len(info["cities"]) == 4
+    assert -1.0 <= info["silhouette"] <= 1.0
+
+
+def test_cluster_of_one_city_exits_1(tmp_path, capsys):
+    assert _cluster(tmp_path, 1) == 1
+    err = capsys.readouterr().err
+    assert err == "snapgrid cluster: clustering needs at least 2 cities with driving activity, got 1\n"
+    assert not (tmp_path / "cluster.json").exists()
 
 
 def test_regress_stage(pipeline_dir):
@@ -327,20 +353,14 @@ def test_ingest_failing_after_its_column_write_keeps_previous_artifacts(pipeline
 
 
 def test_load_config_defaults():
-    cfg = load_config(None)
-    assert len(DEFAULT_CONFIG) == 4
-    for key in DEFAULT_CONFIG:
-        assert key in cfg
-    assert cfg["night_window"] == {"start_hour": 18, "end_hour": 2}
+    assert load_config(None) == {"seed": 0, "cities": {}, "_dir": Path.cwd()}
 
 
-def test_load_config_merges_nested_sections(tmp_path):
-    path = tmp_path / "c.yaml"
-    path.write_text("seed: 9\nnight_window:\n  start_hour: 20\n")
-    cfg = load_config(str(path))
-    assert cfg["seed"] == 9
-    assert cfg["night_window"] == {"start_hour": 20, "end_hour": 2}  # default end preserved
-    assert cfg["_dir"] == tmp_path.resolve()
+def test_synth_config_holds_every_setting_and_no_other(pipeline_dir):
+    # a setting that leaves CHECKS must leave synth's pipeline.yaml too
+    settings = {key for key in cli.CHECKS if "." not in key}
+    assert set(yaml.safe_load((pipeline_dir / "pipeline.yaml").read_text())) == settings
+    assert set(DEFAULT_CONFIG) <= settings
 
 
 def test_load_config_missing_file():
@@ -408,36 +428,37 @@ def test_stage_out_of_order_exits_2(tmp_path, capsys, stage):
 
 
 _CITY = "cities:\n  a:\n    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
+_NIGHT_WINDOW, _CLUSTERING = "unknown config key 'night_window'", "unknown config key 'clustering'"
 
 
-# The vote, its frame cutoff and the tile size are not settings: an old config
-# that still sets them is rejected for an unknown key.
+# The vote, its frame cutoff, the tile size, the night window and k are not
+# settings: an old config that still sets them is rejected for an unknown key.
 @pytest.mark.parametrize(
     "stage, setting, named",
     [
         ("classify", "voting: null\n", "voting"),
         ("classify", "voting:\n  cutoff: abc\n", "'voting'"),
-        ("temporal", "night_window:\n  start: 18\n", "night_window"),
-        ("temporal", "night_window:\n  end_hour: 24\n", "night_window"),
+        ("temporal", "night_window:\n  start: 18\n", _NIGHT_WINDOW),
+        ("temporal", "night_window:\n  end_hour: 24\n", _NIGHT_WINDOW),
         ("grid", "tile_size_m: abc\n", "tile_size_m"),
         ("spatial", "tile_size_m: 0\n", "tile_size_m"),
         ("grid", "tile_size_m: -5\n", "tile_size_m"),
-        ("cluster", "clustering:\n  k: abc\n", "clustering"),
+        ("cluster", "clustering:\n  k: abc\n", _CLUSTERING),
         ("report", "cities: null\n", "cities"),
         ("classify", "voting:\n  rule: majority\n  rul: single\n", "'voting'"),
         ("grid", "tile_size: 500\n", "'tile_size'"),
-        ("cluster", "clustering:\n  n_clusters: 2\n", "'n_clusters'"),
+        ("cluster", "clustering:\n  n_clusters: 2\n", _CLUSTERING),
         ("classify", "voting:\n  cutoff: 1.5\n", "'voting'"),
         ("classify", "voting:\n  cutoff: 1.0\n", "'voting'"),
         ("classify", "voting:\n  cutoff: .nan\n", "'voting'"),
         ("classify", "voting:\n  cutoff: .inf\n", "'voting'"),
         ("classify", "voting:\n  cutoff: -3\n", "'voting'"),
-        ("cluster", "clustering:\n  k: 0\n", "clustering.k"),
-        ("cluster", "clustering:\n  k: -2\n", "clustering.k"),
-        ("temporal", "night_window:\n  start_hour: 2\n  end_hour: 2\n", "night_window"),
+        ("cluster", "clustering:\n  k: 0\n", _CLUSTERING),
+        ("cluster", "clustering:\n  k: -2\n", _CLUSTERING),
+        ("temporal", "night_window:\n  start_hour: 2\n  end_hour: 2\n", _NIGHT_WINDOW),
         # YAML's true and false are not numbers, though Python reads them as 1 and 0
-        ("cluster", "clustering:\n  k: true\n", "clustering.k"),
-        ("temporal", "night_window:\n  start_hour: true\n", "night_window.start_hour"),
+        ("cluster", "clustering:\n  k: true\n", _CLUSTERING),
+        ("temporal", "night_window:\n  start_hour: true\n", _NIGHT_WINDOW),
         ("cluster", "seed: true\n", "seed"),
         ("grid", "tile_size_m: true\n", "tile_size_m"),
         ("classify", "voting:\n  cutoff: false\n", "'voting'"),
@@ -467,9 +488,9 @@ _BBOX = "    tz: UTC\n    bbox: [0.0, 0.0, 0.01, 0.01]\n"
 @pytest.mark.parametrize(
     "setting, named",
     [
-        ("clustering:\n  k: 2.7\n", "clustering.k"),
+        ("clustering:\n  k: 2.7\n", _CLUSTERING),
         ("seed: 1.9\n", "seed"),
-        ("night_window:\n  start_hour: 18.5\n", "night_window.start_hour"),
+        ("night_window:\n  start_hour: 18.5\n", _NIGHT_WINDOW),
         ("cities:\n  false:\n" + _BBOX, "cities.false"),
         ("cities:\n  123:\n" + _BBOX, "cities.123"),
         ("cities:\n  a:\n    tz: Mars/Base\n    bbox: [0.0, 0.0, 0.01, 0.01]\n", "cities.a.tz"),
@@ -534,6 +555,16 @@ def two_city_inputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("inputs")
     assert main(["synth", "--seed", "3", "--out-dir", str(out), "--cities", "2", "--records", "50"]) == 0
     return out
+
+
+@pytest.mark.parametrize("stage, key", [("ingest", "snaps"), ("annotate", "annotations"), ("regress", "city_stats")])
+def test_missing_input_file_exits_2_naming_path_and_key(two_city_inputs, tmp_path, capsys, stage, key):
+    shutil.copy(two_city_inputs / "pipeline.yaml", tmp_path)  # without the inputs it names
+    name = yaml.safe_load((tmp_path / "pipeline.yaml").read_text())[key]
+    assert main([stage, "--config", str(tmp_path / "pipeline.yaml")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"snapgrid {stage}: {tmp_path.resolve() / name} not found; check the config key {key!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["pipeline.yaml"]
 
 
 def _cell(rows, row, column, value):
@@ -897,17 +928,6 @@ def test_extent_with_no_driving_labels(tmp_path):
     info = read_json(tmp_path / "extent.json")
     assert info["overall"] == 0.0
     assert info["per_city"] == {"a": 0.0}
-
-
-def test_cluster_with_k_equal_to_city_count(pipeline_dir, tmp_path):
-    # silhouette is undefined at k == n; the stage should still succeed
-    for name in ("pipeline.yaml", "cleaned.npz", "classify.json"):
-        shutil.copy(pipeline_dir / name, tmp_path / name)
-    _set_k(tmp_path / "pipeline.yaml", 3)
-    assert main(["cluster", "--config", str(tmp_path / "pipeline.yaml")]) == 0
-    info = read_json(tmp_path / "cluster.json")
-    assert info["k"] == 3
-    assert info["silhouette"] is None
 
 
 def test_spatial_error_names_the_city(tmp_path, capsys):

@@ -243,7 +243,6 @@ def _whole_corpus_files(out: Path, seed: int, n_cities: int, n_records: int) -> 
     write_city_stats(gen_regression_cities(130, seed=seed, noise_sigma=0.1), out / "city_stats.csv")
     write_manifest(build_manifest(spec, regression_sigma=0.1), out / "manifest.json")
     pipeline = {"seed": seed, "snaps": "snaps.jsonl", "annotations": "annotations.csv", "city_stats": "city_stats.csv",
-                "night_window": {"start_hour": 18, "end_hour": 2}, "clustering": {"k": 3},
                 "cities": {c.city_id: {"tz": c.tz_id, "bbox": list(city_region(c).bbox)} for c in spec.cities}}
     (out / "pipeline.yaml").write_text(yaml.safe_dump(pipeline, sort_keys=True))
 

@@ -13,7 +13,7 @@ from snapgrid.errors import SnapGridError
 from snapgrid.records import parse_rfc3339
 from snapgrid.temporal import (
     HOURS_PER_WEEK,
-    NightWindow,
+    NIGHT,
     elbow_curve,
     embed_2d,
     hourly_profile,
@@ -51,52 +51,34 @@ def test_hourly_profile_uses_local_clock():
 
 
 def test_night_window_wraps_midnight():
-    window = NightWindow()  # 18:00 through 01:59
-    assert [h for h in range(24) if window.contains(h)] == [0, 1, 18, 19, 20, 21, 22, 23]
-    assert window.contains(18) and window.contains(1)
-    assert not window.contains(2) and not window.contains(17)
-
-
-def test_night_window_plain_interval():
-    window = NightWindow(start_hour=9, end_hour=12)
-    assert [h for h in range(24) if window.contains(h)] == [9, 10, 11]
-
-
-@pytest.mark.parametrize(
-    "hours", [(18.5, 2), (True, 2), (18, "2"), (18, 24), (-1, 2)], ids=["fraction", "bool", "text", "24", "negative"]
-)
-def test_night_window_hours_are_ints_of_the_day(hours):
-    # NightWindow(18.5, 2) would leave hour 18 out of the night; a bool is not an hour
-    with pytest.raises(ValueError, match="_hour must be an int in 0..23"):
-        NightWindow(*hours)
+    # 18:00 through 01:59
+    assert NIGHT.shape == (24,)
+    assert np.flatnonzero(NIGHT).tolist() == [0, 1, 18, 19, 20, 21, 22, 23]
 
 
 def test_night_uplift_flat_profile_is_zero():
-    assert night_uplift(np.full(24, 7, dtype=np.int64), NightWindow(), "x") == pytest.approx(0.0)
+    assert night_uplift(np.full(24, 7, dtype=np.int64), "x") == pytest.approx(0.0)
 
 
 def test_night_uplift_doubled_nights():
     counts = np.full(24, 10, dtype=np.int64)
-    counts[[0, 1, 18, 19, 20, 21, 22, 23]] = 20  # the default window's hours
-    assert night_uplift(counts, NightWindow(), "x") == pytest.approx(100.0)
+    counts[NIGHT] = 20
+    assert night_uplift(counts, "x") == pytest.approx(100.0)
 
 
 def test_night_uplift_scale_invariant():
     rng = np.random.default_rng(0)
     counts = rng.integers(1, 50, size=24)
-    base = night_uplift(counts, NightWindow(), "x")
-    scaled = night_uplift(counts * 13, NightWindow(), "x")
+    base = night_uplift(counts, "x")
+    scaled = night_uplift(counts * 13, "x")
     assert scaled == pytest.approx(base, abs=1e-9)
 
 
 def test_night_uplift_undefined_cases():
     quiet_days = np.zeros(24, dtype=np.int64)
-    quiet_days[[0, 1, 18, 19, 20, 21, 22, 23]] = 5
+    quiet_days[NIGHT] = 5
     with pytest.raises(SnapGridError, match="^city x: no activity outside the window; uplift undefined$"):
-        night_uplift(quiet_days, NightWindow(), "x")
-    with pytest.raises(ValueError, match="whole day"):
-        # start == end would wrap to cover the whole day, leaving no hours outside
-        NightWindow(0, 0)
+        night_uplift(quiet_days, "x")
 
 
 # ---------------------------------------------------------------------------
