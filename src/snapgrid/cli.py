@@ -21,7 +21,8 @@ holds one city's columns, not the whole corpus, and a city that fails
 still leaves no file changed.
 
 ``cleaned.npz`` (from ingest, the one stage that decodes JSONL, straight into
-columns) is the one record-level intermediate: ``records.SnapColumns``, loaded
+columns, in two processes on two cores: ``records.parse_snaps`` splits the
+file) is the one record-level intermediate: ``records.SnapColumns``, loaded
 whole by every later stage. classify stores no per-record label: ``classify.json``
 records the voting rule it applied, the cutoff ``voting.FRAME_CUTOFF`` and a
 CRC-32 of the scored records' ids, and the stages after it check that CRC and
@@ -222,15 +223,24 @@ def _json_object(path: Path) -> dict:
 
 
 def _ids_crc32(cols: records.SnapColumns, rows: np.ndarray) -> int:
-    """CRC-32 of the ids where ``rows`` is true, in order; each is length-prefixed, so no two lists share bytes.
-    ``zlib.crc32`` runs over ``_CRC_CHUNK`` records at a time, so that no Python list spans the corpus."""
+    """CRC-32 of the ids where ``rows`` is true, in order; each is length-prefixed, ``b"%d:%b"``, so no two lists
+    share bytes. The prefixed ids are laid out in numpy, ``_CRC_CHUNK`` records at a time: each distinct length's
+    prefix is written to the records of that length, and the id bytes are moved by each record's shift."""
     crc, picked = 0, np.flatnonzero(rows)
     for first in range(0, len(picked), _CRC_CHUNK):
         i = picked[first:first + _CRC_CHUNK]
-        at = cols.id_offsets[i[0]]
-        blob = cols.ids[at:cols.id_offsets[i[-1] + 1]].tobytes()
-        starts, ends = (cols.id_offsets[i] - at).tolist(), (cols.id_offsets[i + 1] - at).tolist()
-        crc = zlib.crc32(b"".join(b"%d:%b" % (b - a, blob[a:b]) for a, b in zip(starts, ends)), crc)
+        starts, sizes = cols.id_offsets[i], cols.id_offsets[i + 1] - cols.id_offsets[i]
+        lengths, which = np.unique(sizes, return_inverse=True)
+        prefixes = [b"%d:" % n for n in lengths.tolist()]
+        heads = np.array(list(map(len, prefixes)), dtype=np.int64)[which]  # each record's prefix length
+        begins = np.cumsum(heads + sizes) - heads - sizes  # where each record's prefix begins in laid
+        laid = np.empty(begins[-1] + heads[-1] + sizes[-1], dtype=np.uint8)
+        for k, prefix in enumerate(prefixes):
+            laid[begins[which == k][:, None] + np.arange(len(prefix))] = np.frombuffer(prefix, dtype=np.uint8)
+        before = np.cumsum(sizes) - sizes  # id bytes of the records before each
+        j = np.arange(before[-1] + sizes[-1])  # each id byte, numbered over the chunk
+        laid[j + np.repeat(begins + heads - before, sizes)] = cols.ids[j + np.repeat(starts - before, sizes)]
+        crc = zlib.crc32(laid, crc)
     return crc
 
 
@@ -495,9 +505,11 @@ def cmd_cluster(args, cfg, out_dir: Path) -> tuple[dict, str]:
         "embedding": {c: [float(x), float(y)] for c, (x, y) in zip(kept, coords)},
     }
     sil_text = f", silhouette={sil:.3f}" if sil is not None else ""
+    dropped = [c for c in ts_by_city if c not in kept]
+    dropped_text = f"; left out {', '.join(dropped)}: no driving records" if dropped else ""
     return (
         {"cluster.json": report},
-        f"cluster: k={k} over {len(kept)} cities, inertia={result.inertia:.6g}{sil_text}",
+        f"cluster: k={k} over {len(kept)} cities, inertia={result.inertia:.6g}{sil_text}{dropped_text}",
     )
 
 

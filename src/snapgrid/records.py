@@ -7,6 +7,10 @@ writes back in that order. ``parse_snaps`` checks in bulk and explains per line:
 it decodes a chunk of lines into lists of plain values, checks the types, ranges,
 labels and timestamps of the whole chunk at once, and runs each line that a check
 flags through ``_fields``, the record-by-record check that words every failure.
+A file is parsed in up to ``_WORKERS`` processes, capped at ``os.cpu_count()``:
+it is cut just after a newline near each share of its bytes, a forked child
+parses each range but the first, and ``parse_snaps`` appends their columns in
+file order, so that the result is the same byte for byte as in one process.
 Timestamps are stored
 internally as UTC epoch seconds; wall-clock local time is computed on
 demand from an IANA timezone identifier, so there is a single temporal
@@ -19,18 +23,21 @@ Deletion handling is input-driven: records arrive already flagged
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
+import pickle
 import re
+import stat
 import zipfile
 from array import array
-from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
@@ -231,7 +238,7 @@ def _in_bulk(chunk: list[str], first: int, codes: dict[str, int]) -> tuple:
             except Exception as exc:
                 failures.append(ParseFailure(first + i, str(exc)))
             else:
-                raise SnapGridError(f"line {first + i}: the bulk checks reject what _fields accepts, a program fault")
+                raise _Unexplained(first + i)
     good = ~bad
     kept = list(compress(cities, good))
     for city in dict.fromkeys(kept):
@@ -239,6 +246,143 @@ def _in_bulk(chunk: list[str], first: int, codes: dict[str, int]) -> tuple:
     city = np.fromiter(map(codes.__getitem__, kept), dtype=np.int32, count=len(kept))
     return (ts[good], lat[good], lon[good], city, label[good], np.array(deleted)[good], scores[good[owner]],
             sizes[good], *_encoded(list(compress(ids, good))), failures)
+
+
+class _Unexplained(SnapGridError):
+    """A line, by its number, that the bulk checks flag and :func:`_fields` accepts: a program fault."""
+
+    def __str__(self) -> str:
+        return f"line {self.args[0]}: the bulk checks reject what _fields accepts, a program fault"
+
+
+_WORKERS = 2  # processes that parse_snaps splits a file over, at most os.cpu_count(): itself and forked children
+_COLUMNS = "qddibbdqBq"  # _parse's: ts, lat, lon, city code, label, deleted, scores, their counts, id bytes, id sizes
+
+
+def _parse(lines: Iterable[str], columns: tuple[array, ...], codes: dict[str, int], failures: list) -> int:
+    """Append the records of ``lines`` to ``columns`` (see ``_COLUMNS``), coding their cities in ``codes``, and a
+    failure for each other line that is not blank, numbered from 1; return the number of lines, blank ones too."""
+    lines, first = iter(lines), 1
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        *values, bad = _in_bulk(chunk, first, codes)
+        for column, value in zip(columns, values):
+            column.frombytes(memoryview(value).cast("B"))
+        failures += bad
+        first += len(chunk)
+    return first - 1
+
+
+class _Upto(io.RawIOBase):
+    """The next ``size`` bytes of the unbuffered binary file ``raw``, as a file."""
+
+    def __init__(self, raw: io.RawIOBase, size: int):
+        super().__init__()
+        self.raw, self.left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(memoryview(buffer)[:self.left])
+        self.left -= n
+        return n
+
+
+def _lines(raw: io.RawIOBase, start: int, end: Optional[int]) -> io.TextIOWrapper:
+    r"""The lines of bytes ``start`` to ``end`` (the end of the file when None) of ``raw``, as ``open(path,
+    newline="", encoding="utf-8", errors="surrogateescape")`` reads them: ended by ``\n``, ``\r\n`` or ``\r``,
+    each kept, and a byte that is not UTF-8 read as a lone surrogate."""
+    if start:
+        raw.seek(start)
+    if end is not None:  # else raw stays a FileIO, whose closed state a TextIOWrapper reads per line in C
+        raw = _Upto(raw, end - start)
+    return io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8", errors="surrogateescape", newline="")
+
+
+def _cuts(fd: int) -> list[int]:
+    r"""Where parse_snaps splits the file open as ``fd`` into ranges, one per worker: just after the ``\n`` nearest
+    each ``k / n``-th of its bytes, ``n`` being ``min(_WORKERS, os.cpu_count())``.
+
+    A ``\n`` is never inside a UTF-8 sequence or a ``\r\n``, so each range holds whole lines and decodes to the
+    lines the whole file holds there. No cut makes an empty range, and a file that is not a regular one is not cut.
+    """
+    info = os.fstat(fd)
+    size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+    n, cuts = min(_WORKERS, os.cpu_count() or 1), [0]
+    for k in range(1, n):
+        at, reach = size * k // n, 1 << 12
+        while True:  # the window [at - reach, at + reach) grows until it holds a newline or the whole file
+            lo, hi = max(at - reach, 0), min(at + reach, size)
+            window = os.pread(fd, hi - lo, lo)
+            found = [lo + i + 1 for i in (window.rfind(b"\n", 0, at - lo), window.find(b"\n", at - lo)) if i >= 0]
+            if found or (lo, hi) == (0, size):
+                break
+            reach *= 2
+        cut = min(found, key=lambda c: abs(c - at), default=size)
+        if cuts[-1] < cut < size:
+            cuts.append(cut)
+    return cuts[1:]
+
+
+def _fork(path: Union[str, Path], start: int, end: Optional[int]) -> tuple[int, int]:
+    """Start a child process that parses bytes ``start`` to ``end`` of ``path`` (see :func:`_lines`) and pickles to a
+    pipe its line count, its city ids in code order and its failures, then each of its columns as bytes; or the
+    exception that stopped it. Return its pid and the pipe's read end; the child never returns from here."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        columns, codes, failures = tuple(map(array, _COLUMNS)), {}, []
+        try:
+            with open(path, "rb", buffering=0) as raw, _lines(raw, start, end) as lines:
+                n_lines = _parse(lines, columns, codes, failures)
+            parts = [(n_lines, list(codes), failures), *(np.frombuffer(c, dtype=np.uint8) for c in columns)]
+        except Exception as exc:  # sent to the parent, which raises it
+            parts = [exc]
+        with open(write, "wb") as out:
+            for part in parts:
+                pickle.dump(part, out, protocol=5)  # numpy writes a column straight from its buffer
+        status = 0
+    finally:
+        os._exit(status)  # past the caller's handlers, which are the parent's
+
+
+def _receive(pid: int, pipe: int, before: int, columns: tuple[array, ...], codes: dict[str, int],
+             failures: list) -> int:
+    """Append what the child ``pid`` of :func:`_fork` sends on ``pipe`` to what :func:`_parse` appended to, its lines
+    numbered after the ``before`` lines of the ranges before its own, and return its line count; or raise what
+    stopped it. Returns or raises once the child has exited."""
+    try:
+        with open(pipe, "rb") as inp:
+            result = pickle.load(inp)
+            if type(result) is tuple:  # not an exception
+                count, cities, theirs = result
+                recode = np.array([codes.setdefault(c, len(codes)) for c in cities], dtype=np.int32)
+                for column in columns:  # one column held at a time
+                    values = pickle.load(inp)
+                    if column is columns[3]:  # the child's city codes, made this process's
+                        values = recode[values.view(np.int32)].view(np.uint8)
+                    column.frombytes(values)
+                failures += (ParseFailure(before + f.line_number, f.message) for f in theirs)
+                return count
+    except (EOFError, pickle.UnpicklingError):  # it ended before it sent all of that
+        result = None
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if isinstance(result, _Unexplained):
+        raise _Unexplained(before + result.args[0])
+    if isinstance(result, BaseException):
+        raise result
+    raise SnapGridError(f"a parse worker ended with wait status {status} before it sent its records")
 
 
 def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns", list[ParseFailure]]:
@@ -251,23 +395,35 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns",
 
     The lines are checked ``_CHUNK_LINES`` at a time, in bulk (:func:`_in_bulk`); a flagged line is checked again
     on its own by :func:`_fields`, the one source of failure messages.
+
+    A file is split at newlines into ranges of about equal size, one per worker (:func:`_cuts`): this process
+    parses the first while a forked child parses each other one (:func:`_fork`), and then appends each child's
+    records in range order, recoding its cities and numbering its lines after those of the ranges before it
+    (:func:`_receive`). The columns, the city table, the failures and any error are those of one process reading
+    the whole file, and no child outlives the call.
     """
     named = isinstance(source, (str, Path))
-    per_record = ts, lat, lon, city, label, deleted = tuple(map(array, "qddibb"))  # int64, float64, float64, int32...
-    scores, ids, score_ends, id_ends = array("d"), bytearray(), array("q", [0]), array("q", [0])
-    codes: dict[str, int] = {}  # city id -> its code, in order of first appearance
+    columns, codes = tuple(map(array, _COLUMNS)), {}  # codes: city id -> its code, in order of first appearance
     failures: list[ParseFailure] = []
-    with open(source, newline="", encoding="utf-8", errors="surrogateescape") if named else nullcontext(source) as lines:
-        lines, first = iter(lines), 1
-        while chunk := list(islice(lines, _CHUNK_LINES)):
-            *values, frames, counts, id_bytes, sizes, bad = _in_bulk(chunk, first, codes)
-            for column, value in zip((*per_record, scores), (*values, frames)):
-                column.frombytes(value.tobytes())
-            ids += id_bytes
-            for ends, value in ((score_ends, counts), (id_ends, sizes)):
-                ends.frombytes((ends[-1] + np.cumsum(value)).tobytes())
-            failures += bad
-            first += len(chunk)
+    if not named:
+        _parse(source, columns, codes, failures)
+    else:
+        with open(source, "rb", buffering=0) as raw:
+            bounds = [0, *_cuts(raw.fileno()), None]
+            children = []  # (pid, pipe) of each child not yet received, in range order
+            try:
+                for start, end in zip(bounds[1:-1], bounds[2:]):
+                    children.append(_fork(source, start, end))
+                with _lines(raw, 0, bounds[1]) as lines:
+                    n_lines = _parse(lines, columns, codes, failures)
+                while children:
+                    n_lines += _receive(*children.pop(0), n_lines, columns, codes, failures)
+            finally:
+                for pid, pipe in children:  # this process failed first: stop them
+                    os.kill(pid, 9)  # SIGKILL
+                    os.close(pipe)
+                    os.waitpid(pid, 0)
+    ts, lat, lon, city, label, deleted, scores, score_counts, ids, id_sizes = columns
     if len(failures) > len(ts):
         raise SnapGridError(f"{f'{source}: ' if named else ''}{len(failures)} of {len(failures) + len(ts)} lines "
                             f"failed to parse; first at line {failures[0].line_number}: {failures[0].message}")
@@ -277,9 +433,15 @@ def parse_snaps(source: Union[str, Path, Iterable[str]]) -> tuple["SnapColumns",
         ts=np.frombuffer(ts, dtype=np.int64), lat=np.frombuffer(lat), lon=np.frombuffer(lon),
         city=np.array([rank[c] for c in codes], dtype=np.int32)[np.frombuffer(city, dtype=np.intc)],
         cities=np.array(table, dtype=object), label=np.frombuffer(label, dtype=np.int8), scores=np.frombuffer(scores),
-        score_offsets=np.frombuffer(score_ends, dtype=np.int64), ids=np.frombuffer(ids, dtype=np.uint8),
-        id_offsets=np.frombuffer(id_ends, dtype=np.int64), duration_s=np.broadcast_to(np.nan, len(ts)),
-        deleted=np.frombuffer(deleted, dtype=bool)), failures
+        score_offsets=_offsets(score_counts), ids=np.frombuffer(ids, dtype=np.uint8), id_offsets=_offsets(id_sizes),
+        duration_s=np.broadcast_to(np.nan, len(ts)), deleted=np.frombuffer(deleted, dtype=bool)), failures
+
+
+def _offsets(sizes: array) -> np.ndarray:
+    """The ``len + 1`` offsets of lists of the int64 ``sizes``, from 0, in the memory of ``sizes``."""
+    sizes.insert(0, 0)
+    offsets = np.frombuffer(sizes, dtype=np.int64)
+    return np.cumsum(offsets, out=offsets)
 
 
 def write_snaps(parts: Iterable["SnapColumns"], path: Union[str, Path]) -> None:

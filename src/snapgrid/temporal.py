@@ -15,7 +15,6 @@ setting.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -45,8 +44,10 @@ def night_uplift(counts: np.ndarray, city_id: str) -> float:
     """Percent excess of mean ``NIGHT`` over mean day hourly ``counts`` of city ``city_id``.
 
     100.0 means night hours average twice the day hours. Undefined (raises)
-    when the day mean is zero.
+    when there are no counts at all, or none outside the window.
     """
+    if not counts.any():
+        raise SnapGridError(f"city {city_id}: no driving records; uplift undefined")
     mean_in = float(counts[NIGHT].mean())
     mean_out = float(counts[~NIGHT].mean())
     if mean_out == 0:
@@ -72,12 +73,11 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 def week_vectors(ts_by_city: Mapping[str, np.ndarray], tz_by_city: Mapping[str, str]) -> tuple[np.ndarray, list[str]]:
     """Each city's 168 hour-of-week activity fractions, one row per city; index 0 is Monday 00:00 local.
 
-    Cities with no activity are dropped with a warning.
+    Cities with no activity are left out of the rows and of ``kept``, the ids of the others.
     """
     rows, kept = [], []
     for city_id, ts in ts_by_city.items():
         if len(ts) == 0:
-            warnings.warn(f"city {city_id!r} has no activity; dropped from week vectors")
             continue
         counts = np.bincount(_hours_of_week(ts, tz_by_city[city_id]), minlength=HOURS_PER_WEEK)
         rows.append(counts / counts.sum())

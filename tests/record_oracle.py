@@ -4,6 +4,8 @@
 module's plain :class:`Record` one record at a time, and ``record(obj)`` reads one
 JSON object as ``write_snaps`` writes it, so tests can check
 ``parse_snaps`` and ``cleaned.npz`` against an independent path.
+``ids_crc32(cols, rows, chunk)`` is the CRC-32 of length-prefixed ids built
+one record at a time, the reference for ``cli._ids_crc32``.
 ``gen_corpus(spec)`` is synth's generator one record at a time, every
 city of the spec in one list, and ``write_snaps(recs, path)`` writes
 records through ``json.dumps``: the reference for ``synth.gen_corpus``,
@@ -12,6 +14,7 @@ which draws one city per call, and for ``records.write_snaps``.
 
 import json
 import math
+import zlib
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import Optional
@@ -97,6 +100,19 @@ def assert_same_columns(got: SnapColumns, want: SnapColumns, unstored: bool = Fa
             assert other.dtype == col.dtype and len(other) == len(col) and np.isnan(other).all()
         else:
             assert other.dtype == col.dtype and np.array_equal(other, col), name
+
+
+def ids_crc32(cols: SnapColumns, rows: np.ndarray, chunk: int) -> int:
+    """CRC-32 of the ids where ``rows`` is true, each as ``b"%d:%b" % (its length, its bytes)``, joined in Python
+    ``chunk`` records at a time."""
+    crc, picked = 0, np.flatnonzero(rows)
+    for first in range(0, len(picked), chunk):
+        i = picked[first:first + chunk]
+        at = cols.id_offsets[i[0]]
+        blob = cols.ids[at:cols.id_offsets[i[-1] + 1]].tobytes()
+        starts, ends = (cols.id_offsets[i] - at).tolist(), (cols.id_offsets[i + 1] - at).tolist()
+        crc = zlib.crc32(b"".join(b"%d:%b" % (b - a, blob[a:b]) for a, b in zip(starts, ends)), crc)
+    return crc
 
 
 def _gen_city(cfg, city_index, spec) -> list[Record]:

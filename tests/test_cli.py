@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from snapgrid import cli, records
 from snapgrid.cli import CLEANED, DEFAULT_CONFIG, STAGES, _commit, build_parser, load_config, main
 from snapgrid.errors import ConfigError
+import record_oracle
 from record_oracle import Record, columns, record
 
 
@@ -539,6 +541,28 @@ def test_ingest_stops_on_a_line_the_bulk_checks_reject_and_fields_accepts(tmp_pa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "snaps.jsonl"]
 
 
+@pytest.mark.parametrize("bad_line", [2, 7], ids=["first-range", "second-range"])
+def test_a_worker_fault_exits_1_naming_the_line_and_leaves_nothing(tmp_path, capsys, monkeypatch, bad_line):
+    monkeypatch.setattr(records, "_fields", lambda line: None)  # a per-line check that accepts every line
+    monkeypatch.setattr(records, "_WORKERS", 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(fork()) or forked[-1])
+    good = {"id": "a-0", "ts_utc": "2025-03-03T12:00:00Z", "lat": 0.0, "lon": 0.0, "city_id": "a"}
+    objs = [good] * 8
+    objs[bad_line - 1] = {**good, "lat": 91}
+    (tmp_path / "snaps.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    path = tmp_path / "c.yaml"
+    path.write_text("snaps: snaps.jsonl\n" + _CITY)
+    assert main(["ingest", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"snapgrid ingest: line {bad_line}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "snaps.jsonl"]
+    assert len(forked) == 1 and forked[0] > 0
+    with pytest.raises(ChildProcessError):  # reaped: no such child is left
+        os.waitpid(forked[0], os.WNOHANG)
+
+
 def test_report_with_no_stage_output_exits_2(tmp_path, capsys):
     path = tmp_path / "c.yaml"
     path.write_text(_CITY)
@@ -775,6 +799,19 @@ def test_ids_crc32_in_chunks_is_the_crc_of_the_whole_list(pipeline_dir, monkeypa
     assert cli._ids_crc32(cols, np.zeros(len(cols), dtype=bool)) == zlib.crc32(b"") == 0
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ids=st.lists(st.text(max_size=4) | st.text(min_size=10, max_size=14)
+                    | st.text("\u00e9\u4e2d\U0001f600", min_size=4), max_size=30), data=st.data())
+def test_ids_crc32_is_the_crc_of_the_ids_joined_one_at_a_time(monkeypatch, chunk, ids, data):
+    # ids of 10 or more bytes get a two-digit prefix; non-ASCII ones have more bytes than characters
+    monkeypatch.setattr(cli, "_CRC_CHUNK", chunk)
+    cols = columns([Record(id=i, ts_utc=0, lat=0.0, lon=0.0, city_id="x") for i in ids])
+    rows = np.array(data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids))), dtype=bool)
+    for picked in (rows, np.zeros(len(ids), dtype=bool), np.ones(len(ids), dtype=bool)):
+        assert cli._ids_crc32(cols, picked) == record_oracle.ids_crc32(cols, picked, chunk)
+
+
 def test_readers_apply_the_rule_classify_recorded(pipeline_dir, tmp_path):
     # the readers take no rule of their own; they follow classify.json
     run = tmp_path / "run"
@@ -787,6 +824,23 @@ def test_readers_apply_the_rule_classify_recorded(pipeline_dir, tmp_path):
     assert read_json(run / "extent.json")["overall"] == (tp + fp) / classify["n_classified"]
     assert sum(read_json(run / "temporal.json")["pooled"]["profile"]) == tp + fp
     assert tp + fp > read_json(pipeline_dir / "classify.json")["eval"]["confusion"][0]
+
+
+def test_a_city_without_driving_records_is_named_by_temporal_and_cluster(pipeline_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run)
+    cfg = yaml.safe_load((run / "pipeline.yaml").read_text())
+    cfg["cities"]["zz"] = {"bbox": [10.0, 10.0, 10.1, 10.1], "tz": "UTC"}
+    (run / "pipeline.yaml").write_text(yaml.safe_dump(cfg))
+    config = str(run / "pipeline.yaml")
+    capsys.readouterr()
+    assert main(["temporal", "--config", config]) == 1
+    assert capsys.readouterr().err == "snapgrid temporal: city zz: no driving records; uplift undefined\n"
+    before = read_json(run / "cluster.json")
+    assert main(["cluster", "--config", config]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1 and out.endswith("; left out zz: no driving records\n")
+    assert read_json(run / "cluster.json") == before  # the three cities with driving records, as without zz
 
 
 def _reingest_another_corpus(pipeline_dir, tmp_path, capsys) -> Path:

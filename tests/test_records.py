@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import record_oracle
 from record_oracle import Record, assert_same_columns, columns, record
-from snapgrid import records
+from snapgrid import cli, records
 from snapgrid.errors import ConfigError, SnapGridError
 from snapgrid.records import (
     SnapColumns,
@@ -314,6 +315,7 @@ def _fields_calls(monkeypatch) -> list[str]:
 @pytest.mark.parametrize("chunk_lines", [1, 3, 4096])
 def test_bulk_checks_fail_what_fields_fails_across_chunks(tmp_path, monkeypatch, chunk_lines):
     monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+    monkeypatch.setattr(records, "_WORKERS", 1)  # _fields' calls are seen only in this process
     good = json.dumps(_GOOD)
     texts = [text for i, line in enumerate(_LINES) for text in [good] * (i % 4) + [line]] + [good] * len(_LINES)
     path = tmp_path / "snaps.jsonl"
@@ -348,6 +350,138 @@ def test_lines_at_the_edges_of_every_check_stay_in_bulk(monkeypatch):
     calls = _fields_calls(monkeypatch)
     checked = records._in_bulk(lines, 1, {})
     assert calls == [] and checked[-1] == [] and len(checked[0]) == len(lines)
+
+
+# ---------------------------------------------------------------------------
+# the split over worker processes
+
+
+def _parse_in(path, monkeypatch, workers: int, cuts=None):
+    """parse_snaps(path) with ``workers`` workers, cut at ``cuts`` when given: its columns and its failures, or the
+    message of what it raised."""
+    monkeypatch.setattr(records, "_WORKERS", workers)
+    if cuts is not None:
+        monkeypatch.setattr(records, "_cuts", lambda fd: cuts)
+    try:
+        parsed, failures = parse_snaps(path)
+    except SnapGridError as exc:
+        return str(exc)
+    return parsed, [(f.line_number, f.message) for f in failures]
+
+
+def _same_parse(got, want) -> None:
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_columns(got[0], want[0], unstored=True)
+        assert got[1] == want[1]
+
+
+# good lines of three cities, one of them only after the middle, lines that fail, blank lines, every line ending, a
+# byte that is not UTF-8, ids of two- and three-byte characters, and a last line with no newline
+_MIXED = b"".join([
+    json.dumps({**_GOOD, "city_id": "b"}).encode() + b"\r\n",
+    b"nope\n",
+    json.dumps({**_GOOD, "id": "\u00e9\u4e2d"}, ensure_ascii=False).encode() + b"\r",
+    b"\n",
+    b"\xff\n",
+    json.dumps(_GOOD).encode() + b"\r\n",
+    b"  \r\n",
+    json.dumps({**_GOOD, "lat": 91}).encode() + b"\r",
+    json.dumps({**_GOOD, "city_id": "c"}).encode() + b"\n",
+    b"\r\n",
+    json.dumps({**_GOOD, "id": "\u4e2d"}, ensure_ascii=False).encode() + b"\n",
+    b"[1]\n",
+    json.dumps(_GOOD).encode() + b"\n",
+    json.dumps({**_GOOD, "city_id": "b", "label": "walking"}).encode() + b"\n",
+    json.dumps({**_GOOD, "city_id": "b"}).encode(),
+])
+
+
+def test_every_cut_after_a_newline_parses_as_one_process(tmp_path, monkeypatch):
+    path = tmp_path / "snaps.jsonl"
+    path.write_bytes(_MIXED)
+    want = _parse_in(path, monkeypatch, 1)
+    assert len(want[1]) == 5 and len(want[0].cities) == 3
+    cuts = [i + 1 for i, byte in enumerate(_MIXED) if byte == ord("\n")]
+    for cut in cuts:  # a bad line on each side of nearly every cut, and a city first seen after it
+        _same_parse(_parse_in(path, monkeypatch, 2, [cut]), want)
+    for two_cuts in zip(cuts, cuts[4:]):  # three workers
+        _same_parse(_parse_in(path, monkeypatch, 3, list(two_cuts)), want)
+
+
+@pytest.mark.parametrize("before, after", [(b"\r", b"\n"), (b"\r", b"x"), (b"\xe4", b"\xb8\xad"), (b"\xff", b""),
+                                           (b"\n", b"\n\n")],
+                         ids=["inside-crlf", "after-cr", "inside-utf8", "after-not-utf8", "among-blank-lines"])
+def test_the_file_is_cut_after_the_newline_nearest_its_middle(tmp_path, monkeypatch, before, after):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    body = json.dumps(_GOOD).encode() + b'\n{"x": "' + before  # the middle byte of the file is the one after
+    text = body + after + b'"}\n' + json.dumps(_GOOD).encode() + b"\r\n"
+    text += b" " * (2 * len(body) - len(text))
+    path = tmp_path / "snaps.jsonl"
+    path.write_bytes(text)
+    monkeypatch.setattr(records, "_WORKERS", 2)
+    with open(path, "rb") as fh:
+        cuts = records._cuts(fh.fileno())
+    nearest = min((i + 1 for i, byte in enumerate(text) if byte == ord("\n")), key=lambda c: abs(c - len(body)))
+    assert cuts == [nearest]
+    _same_parse(_parse_in(path, monkeypatch, 2), _parse_in(path, monkeypatch, 1))
+
+
+@pytest.mark.parametrize("text, n_cuts", [(b"", 0), (b"\n", 0), (json.dumps(_GOOD).encode(), 0),
+                                          (json.dumps(_GOOD).encode() + b"\n", 0),
+                                          (json.dumps(_GOOD).encode() + b"\nnope", 1),
+                                          ((json.dumps(_GOOD).encode() + b"\r\n") * 2, 1)],
+                         ids=["empty", "blank", "one-no-newline", "one", "two-no-newline", "two"])
+def test_files_of_no_one_and_two_lines(tmp_path, monkeypatch, text, n_cuts):
+    path = tmp_path / "snaps.jsonl"
+    path.write_bytes(text)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(records, "_WORKERS", 2)
+    with open(path, "rb") as fh:
+        assert len(records._cuts(fh.fileno())) == n_cuts
+    _same_parse(_parse_in(path, monkeypatch, 2), _parse_in(path, monkeypatch, 1))
+
+
+_NOT_JSON = "Expecting value: line 1 column 1 (char 0)"  # json's message for "nope"
+
+
+def test_failures_outnumber_successes_on_the_totals_only(tmp_path, monkeypatch):
+    good, bad = json.dumps(_GOOD), "nope"
+    path = tmp_path / "snaps.jsonl"
+    # the first half fails more lines than it keeps, the whole file does not
+    path.write_text("\n".join([bad, bad, good, good, good, bad]) + "\n")
+    got = _parse_in(path, monkeypatch, 2, [len(f"{bad}\n{bad}\n{good}\n")])
+    assert got[1] == [(number, _NOT_JSON) for number in (1, 2, 6)]
+    # the whole file fails more than it keeps, though neither half alone tells: named by its first failure overall
+    path.write_text("\n".join([good, bad, good, bad, bad, good, bad]) + "\n")
+    message = _parse_in(path, monkeypatch, 2, [len(f"{good}\n{bad}\n{good}\n")])
+    assert message == f"{path}: 4 of 7 lines failed to parse; first at line 2: {_NOT_JSON}"
+    assert message == _parse_in(path, monkeypatch, 1)
+    path.write_text("\n".join([good, good, bad, bad, bad]) + "\n")  # every failure in the second range
+    message = _parse_in(path, monkeypatch, 2, [len(f"{good}\n{good}\n")])
+    assert message == _parse_in(path, monkeypatch, 1) and "first at line 3: " in message
+
+
+def test_a_synth_corpus_with_bad_lines_parses_the_same_with_one_and_two_workers(tmp_path, monkeypatch):
+    assert cli.main(["synth", "--seed", "4", "--out-dir", str(tmp_path), "--cities", "3", "--records", "400"]) == 0
+    lines = (tmp_path / "snaps.jsonl").read_bytes().splitlines(keepends=True)
+    for at in (5, len(lines) // 2 - 3, len(lines) // 2 + 3, len(lines) - 5):  # bad lines in each half
+        lines[at] = lines[at].replace(b'"lat":', b'"lat":"')
+    (tmp_path / "snaps.jsonl").write_bytes(b"".join(lines))
+    want = _parse_in(tmp_path / "snaps.jsonl", monkeypatch, 1)
+    assert len(want[1]) == 4 and len(want[0]) == 1196
+    _same_parse(_parse_in(tmp_path / "snaps.jsonl", monkeypatch, 2), want)
+
+
+def test_a_worker_that_dies_is_an_error(tmp_path, monkeypatch):
+    path = tmp_path / "snaps.jsonl"
+    path.write_text((json.dumps(_GOOD) + "\n") * 4)
+    parent, parse = os.getpid(), records._parse
+    # the child ends without sending anything; this process parses as before
+    monkeypatch.setattr(records, "_parse", lambda *a: parse(*a) if os.getpid() == parent else os._exit(3))
+    assert _parse_in(path, monkeypatch, 2) == "a parse worker ended with wait status 768 before it sent its records"
 
 
 # ---------------------------------------------------------------------------
